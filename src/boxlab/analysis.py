@@ -55,7 +55,9 @@ def line_intersections(ell: AffineFunction) -> list[float]:
 
     Reduces to the quadratic p^2 + (1-p)^2 = r(p)^2 with r(p) = 2*ell(p) - 1,
     discards spurious quadratic roots by back-substitution, and polishes
-    simple roots by Newton steps on ell - omega.
+    simple roots by Newton steps on ell - omega.  The back-substitution runs
+    before the polish, which could move a spurious root onto the real one:
+    at a real root r(p) >= 1/sqrt(2), at a spurious one r(p) <= -1/sqrt(2).
     """
     m, c = ell.slope, ell.intercept
     # r(p) = 2*m*p + (2*c - 1); quadratic A p^2 + B p + C = 0
@@ -80,6 +82,8 @@ def line_intersections(ell: AffineFunction) -> list[float]:
 
     roots: list[float] = []
     for p in candidates:
+        if 2.0 * ell(p) - 1.0 < 0.0:
+            continue  # spurious branch: sqrt is nonnegative
         if not double_root:
             # Newton polish on h(p) = ell(p) - omega(p); simple roots only
             for _ in range(50):
@@ -91,8 +95,6 @@ def line_intersections(ell: AffineFunction) -> list[float]:
         if not (0.5 - 1e-12 <= p <= 1.0 + 1e-12):
             continue
         p = float(np.clip(p, 0.5, 1.0))
-        if 2.0 * ell(p) - 1.0 < -1e-10:
-            continue  # spurious branch: sqrt is nonnegative
         if abs(ell(p) - omega(p)) > ROOT_TOL:
             continue
         roots.append(p)
@@ -139,17 +141,15 @@ def _concave_level_interval(g, lo: float, hi: float, level: float,
     return (left_end, right_end)
 
 
-def measure_near(ell: AffineFunction, epsilon: float,
-                 resolution: int = 4096) -> float:
+def measure_near(ell: AffineFunction, epsilon: float) -> float:
     """Relative measure of {p in [1/2, 1]: |ell(p) - omega(p)| <= epsilon}.
 
     g(p) = ell(p) - omega(p) is concave, so {g >= -eps} and {g > +eps} are
     intervals; the answer is the length difference, normalized by 1/2.
-    Root-finding by bisection, no sampling; ``resolution`` only guards the
-    ternary/bisection iteration count (kept for interface stability).
+    Root-finding by bisection, no sampling.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError("epsilon must be finite and positive")
 
     def g(p: float) -> float:
         return float(ell(p) - omega(p))
@@ -185,6 +185,8 @@ def find_hard_p(family, resolution: int = 10 ** 4, *, description: str = "",
                 k: int = 0) -> GapCertificate:
     """Maximize g(p) = min_ell |ell(p) - omega(p)| by grid scan plus local
     grid refinement down to width 1e-10."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
     family = tuple(family)
     if not family:
         raise ValueError("empty affine family")
@@ -252,8 +254,8 @@ def epsilon_schedule(x_size: int, y_size: int, a_size: int, b_size: int,
                      k_max: int, c: float) -> EpsilonSchedule:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not (np.isfinite(c) and c > 0.0):
+        raise ValueError("c must be finite and positive")
     c_exact = Fraction(c)
     bounds = []
     eps_exact = []

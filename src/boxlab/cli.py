@@ -25,13 +25,24 @@ from .sphere import cover_bell_spec
 DEFAULT_SEED = 20230405
 
 
-def _thread_cap() -> int:
-    # execution is serial; the cap is honored trivially but still validated
-    raw = os.environ.get("NBL_THREADS", "1")
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("NBL_THREADS must be a positive integer")
-    return cap
+def _load_payload(path: str, parse):
+    """Parse a box, cover or protocol file with ``parse`` (a ``*_from_json``).
+
+    The file holds either the bare object or a command's output, which wraps
+    it in a {config, result, version} envelope.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+        if isinstance(payload, dict) and payload.keys() == {"config", "result",
+                                                            "version"}:
+            payload = payload["result"]
+        return parse(json.dumps(payload))
+    except KeyError as exc:
+        raise ValueError("%s: missing field %s" % (path, exc)) from None
+    except (TypeError, IndexError, ValueError) as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def _parse_box(token: str) -> boxes.CorrelationBox:
@@ -46,8 +57,7 @@ def _parse_box(token: str) -> boxes.CorrelationBox:
                                [int(v) for v in g.split(",")],
                                a_size=2, b_size=2)
     if token.startswith("file:"):
-        with open(token[5:], "r", encoding="utf-8") as fh:
-            return boxes.box_from_json(fh.read())
+        return _load_payload(token[5:], boxes.box_from_json)
     raise ValueError("unknown box form %r" % token)
 
 
@@ -57,7 +67,8 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     if getattr(args, "format", "json") == "csv" and csv_rows is not None:
         buf = io.StringIO()
         buf.write("# config=%s version=%s\n"
-                  % (json.dumps(config, sort_keys=True), __version__))
+                  % (json.dumps(config, sort_keys=True, allow_nan=False),
+                     __version__))
         buf.write(",".join(csv_header) + "\n")
         for row in csv_rows:
             buf.write(",".join(repr(v) if isinstance(v, float) else str(v)
@@ -65,7 +76,8 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps({"config": config, "version": __version__,
-                           "result": payload}, sort_keys=True, indent=2) + "\n"
+                           "result": payload}, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     out = getattr(args, "out", None)
     if out:
         tmp = out + ".tmp"
@@ -84,6 +96,8 @@ def cmd_box_show(args):
 
 
 def cmd_box_sample(args):
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     box = _parse_box(args.box)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     counts = np.zeros((box.a_size, box.b_size), dtype=np.int64)
@@ -110,6 +124,9 @@ def cmd_game_eval(args):
 
 
 def cmd_game_omega(args):
+    # the range check stays here: line_intersections evaluates omega outside it
+    if not 0.0 <= args.p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     _emit(args, {"omega": round(games.omega(args.p), 10)})
 
 
@@ -130,8 +147,7 @@ def cmd_game_optimize(args):
 # --- protocol ----------------------------------------------------------
 
 def cmd_protocol_run(args):
-    with open(args.protocol, "r", encoding="utf-8") as fh:
-        protocol = protocols.protocol_from_json(fh.read())
+    protocol = _load_payload(args.protocol, protocols.protocol_from_json)
     target = _parse_box(args.target)
     induced = protocols.induced_box(protocol, target)
     payload = {"induced_box": json.loads(boxes.box_to_json(induced))}
@@ -167,7 +183,7 @@ def cmd_protocol_enumerate(args):
 def cmd_protocol_family(args):
     target = _parse_box(args.target)
     family = protocols.affine_family(target, args.k, up_to_k=args.up_to_k)
-    rows = sorted((ell.intercept, ell.slope) for ell in family)
+    rows = [(ell.intercept, ell.slope) for ell in family]
     _emit(args, {"size": len(rows), "lines": [list(r) for r in rows]},
           csv_rows=rows, csv_header=("intercept", "slope"))
 
@@ -225,12 +241,7 @@ def cmd_cover_verify(args):
 
 def _load_cover(args) -> sphere.SphereCover:
     if args.cover:
-        with open(args.cover, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        # accept both a bare cover file and a `cover build` output file
-        if "result" in payload and "points" not in payload:
-            payload = payload["result"]
-        return sphere.cover_from_json(json.dumps(payload))
+        return _load_payload(args.cover, sphere.cover_from_json)
     if args.epsilon is None:
         raise ValueError("need --epsilon or --cover")
     return sphere.build_cover(args.epsilon)
@@ -389,7 +400,6 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        _thread_cap()
         args.func(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -113,6 +113,8 @@ def optimal_strategy(p: float, grid: int = 64) -> PlanarStrategy:
     """
     if not 0.5 <= p <= 1.0:
         raise ValueError("optimal_strategy requires p in [1/2, 1]")
+    if grid < 1:
+        raise ValueError("grid must be at least 1")
     angles = np.arange(grid) * (2.0 * np.pi / grid)
     a1 = angles[:, None, None]
     b0 = angles[None, :, None]

@@ -137,38 +137,64 @@ def identity_protocol(al: Alphabets = BINARY) -> DeterministicProtocol:
     return DeterministicProtocol(al, 1, (q,), (r,), s, t)
 
 
+def _response_tables(alice, bob, target: CorrelationBox,
+                     a1: int, b1: int) -> np.ndarray:
+    """Joint output table [u, v, a, b] of every pair of local strategies.
+
+    A local strategy is what one party does on one outer input: one query
+    map per depth and an output map, all indexed by the response prefix.
+    ``alice`` is ``(queries, outputs)`` with ``queries[d]`` an integer array
+    of shape (n_u, a2**d) and ``outputs`` of shape (n_u, a2**k); ``bob``
+    likewise with n_v rows.  Response paths are summed depth by depth.
+    """
+    (q_maps, s_map), (r_maps, t_map) = alice, bob
+    n_u, n_v = len(s_map), len(t_map)
+    weights = np.ones((n_u, n_v, 1, 1))        # [u, v, a_prefix, b_prefix]
+    for q, r in zip(q_maps, r_maps):
+        rows = target.table[q[:, None, :, None], r[None, :, None, :]]
+        # [u, v, a_prefix, a, b_prefix, b]; the newest response is least significant
+        weights = (weights[..., None, None] * rows).transpose(0, 1, 2, 4, 3, 5)
+        u, v, ap, a, bp, b = weights.shape
+        weights = weights.reshape(u, v, ap * a, bp * b)
+    return np.einsum("uvpq,upa,vqb->uvab", weights,
+                     np.eye(a1)[s_map], np.eye(b1)[t_map])
+
+
+def _protocol_strategies(protocol: DeterministicProtocol,
+                         target: CorrelationBox):
+    """Alice's x1 and Bob's y1 local strategies, in ``_response_tables`` form."""
+    _check_target(protocol, target)
+    al = protocol.alphabets
+    if (al.a2 * al.b2) ** protocol.k > ENUMERATION_CAP:
+        raise ValueError("response-path count exceeds the enumeration cap")
+    alice = ([np.reshape(m, (al.x1, -1)) for m in protocol.q_maps],
+             np.reshape(protocol.s_map, (al.x1, -1)))
+    bob = ([np.reshape(m, (al.y1, -1)) for m in protocol.r_maps],
+           np.reshape(protocol.t_map, (al.y1, -1)))
+    return alice, bob
+
+
+def _all_strategies(n_queries: int, n_responses: int, n_outputs: int, k: int):
+    """Every local k-query strategy, in ``_response_tables`` form."""
+    widths = [n_responses ** d for d in range(k + 1)]
+    sizes = [n_queries] * sum(widths[:k]) + [n_outputs] * widths[k]
+    flat = np.array(list(itertools.product(*map(range, sizes))), dtype=np.intp)
+    cols = np.cumsum([0] + widths)
+    return [flat[:, cols[d]:cols[d + 1]] for d in range(k)], flat[:, cols[k]:]
+
+
+def _agreement(table: np.ndarray):
+    """Pr[a = b] and Pr[a != b] of binary output tables [..., a, b]."""
+    return (table[..., 0, 0] + table[..., 1, 1],
+            table[..., 0, 1] + table[..., 1, 0])
+
+
 def induced_box(protocol: DeterministicProtocol,
                 target: CorrelationBox) -> CorrelationBox:
     """Exact box the protocol induces by summing over all response paths."""
-    _check_target(protocol, target)
     al = protocol.alphabets
-    k = protocol.k
-    if (al.a2 * al.b2) ** k > ENUMERATION_CAP:
-        raise ValueError("response-path count exceeds the enumeration cap")
-    table = np.zeros((al.x1, al.y1, al.a1, al.b1))
-    t_table = target.table
-    for x in range(al.x1):
-        for y in range(al.y1):
-            out = table[x, y]
-            # depth-first over joint response paths, O(1) state per level
-            stack = [(0, 0, 0, 1.0)]  # (depth, a_prefix, b_prefix, weight)
-            while stack:
-                depth, a_prefix, b_prefix, weight = stack.pop()
-                if depth == k:
-                    out[protocol.s_map[x * al.a2 ** k + a_prefix],
-                        protocol.t_map[y * al.b2 ** k + b_prefix]] += weight
-                    continue
-                xi = protocol.q_maps[depth][x * al.a2 ** depth + a_prefix]
-                yi = protocol.r_maps[depth][y * al.b2 ** depth + b_prefix]
-                row = t_table[xi, yi]
-                for ai in range(al.a2):
-                    for bi in range(al.b2):
-                        w = weight * row[ai, bi]
-                        if w > 0.0:
-                            stack.append((depth + 1,
-                                          a_prefix * al.a2 + ai,
-                                          b_prefix * al.b2 + bi, w))
-    return CorrelationBox(table)
+    return CorrelationBox(_response_tables(
+        *_protocol_strategies(protocol, target), target, al.a1, al.b1))
 
 
 def induced_box_randomized(protocol: RandomizedProtocol,
@@ -204,11 +230,12 @@ def counting_bound(al: Alphabets, k: int) -> int:
     return (2 * al.x2) ** (2 * al.a2 ** k) * (2 * al.y2) ** (2 * al.b2 ** k)
 
 
-def enumerate_protocols(al: Alphabets, k: int, cap: int = ENUMERATION_CAP):
+def enumerate_protocols(al: Alphabets, k: int):
     """Yield every deterministic k-query protocol exactly once."""
     total = count_protocols(al, k)
-    if total > cap:
-        raise ValueError("protocol count %d exceeds cap %d" % (total, cap))
+    if total > ENUMERATION_CAP:
+        raise ValueError("protocol count %d exceeds cap %d"
+                         % (total, ENUMERATION_CAP))
     q_spaces = [itertools.product(range(al.x2), repeat=al.x1 * al.a2 ** i)
                 for i in range(k)]
     r_spaces = [itertools.product(range(al.y2), repeat=al.y1 * al.b2 ** i)
@@ -222,119 +249,55 @@ def enumerate_protocols(al: Alphabets, k: int, cap: int = ENUMERATION_CAP):
         yield DeterministicProtocol(al, k, q_maps, r_maps, s_map, t_map)
 
 
-def _parity_win_probs(protocol: DeterministicProtocol,
-                      target: CorrelationBox) -> np.ndarray:
-    """P[x, y] = Pr[a xor b = x*y] of the induced box; binary outer alphabets."""
-    al = protocol.alphabets
-    if (al.x1, al.y1, al.a1, al.b1) != (2, 2, 2, 2):
-        raise ValueError("parity win probabilities need binary outer alphabets")
-    t_table = target.table
-    k = protocol.k
-    out = np.zeros((2, 2))
-    for x in range(2):
-        for y in range(2):
-            want = x * y
-            win = 0.0
-            stack = [(0, 0, 0, 1.0)]
-            while stack:
-                depth, a_prefix, b_prefix, weight = stack.pop()
-                if depth == k:
-                    a = protocol.s_map[x * al.a2 ** k + a_prefix]
-                    b = protocol.t_map[y * al.b2 ** k + b_prefix]
-                    if (a ^ b) == want:
-                        win += weight
-                    continue
-                xi = protocol.q_maps[depth][x * al.a2 ** depth + a_prefix]
-                yi = protocol.r_maps[depth][y * al.b2 ** depth + b_prefix]
-                row = t_table[xi, yi]
-                for ai in range(al.a2):
-                    for bi in range(al.b2):
-                        w = weight * row[ai, bi]
-                        if w > 0.0:
-                            stack.append((depth + 1,
-                                          a_prefix * al.a2 + ai,
-                                          b_prefix * al.b2 + bi, w))
-            out[x, y] = win
-    return out
-
-
 def affine_of(protocol: DeterministicProtocol,
               target: CorrelationBox) -> AffineFunction:
     """Win probability of the protocol in CHSH[p, 1/2], as a function of p."""
-    p = _parity_win_probs(protocol, target)
-    intercept = 0.5 * (p[0, 0] + p[0, 1])
-    slope = 0.5 * (p[1, 0] + p[1, 1] - p[0, 0] - p[0, 1])
+    al = protocol.alphabets
+    if (al.x1, al.y1, al.a1, al.b1) != (2, 2, 2, 2):
+        raise ValueError("parity win probabilities need binary outer alphabets")
+    eq, ne = _agreement(_response_tables(
+        *_protocol_strategies(protocol, target), target, 2, 2))
+    # the win probability at (x, y) is Pr[a xor b = x*y]
+    intercept = 0.5 * (eq[0, 0] + eq[0, 1])
+    slope = 0.5 * (eq[1, 0] + ne[1, 1] - eq[0, 0] - eq[0, 1])
     return AffineFunction(intercept, slope)
 
 
-def _family_coefficients(target: CorrelationBox, k: int, cap: int):
-    """Set of (intercept, slope) pairs over all deterministic k-query
-    protocols, computed on raw map tuples (no protocol objects) for speed."""
-    al = Alphabets(2, 2, 2, 2, target.x_size, target.y_size,
-                   target.a_size, target.b_size)
-    total = count_protocols(al, k)
-    if total > cap:
-        raise ValueError("protocol count %d exceeds cap %d" % (total, cap))
-    rows = [[target.table[xi, yi].ravel().tolist() for yi in range(al.y2)]
-            for xi in range(al.x2)]
-    a2, b2 = al.a2, al.b2
-    a_pow, b_pow = a2 ** k, b2 ** k
-    q_spaces = [list(itertools.product(range(al.x2), repeat=2 * a2 ** i))
-                for i in range(k)]
-    r_spaces = [list(itertools.product(range(al.y2), repeat=2 * b2 ** i))
-                for i in range(k)]
-    s_space = list(itertools.product(range(2), repeat=2 * a_pow))
-    t_space = list(itertools.product(range(2), repeat=2 * b_pow))
-    pairs = set()
-    for parts in itertools.product(*q_spaces, *r_spaces, s_space, t_space):
-        q_maps, r_maps = parts[:k], parts[k:2 * k]
-        s_map, t_map = parts[2 * k], parts[2 * k + 1]
-        wins = [0.0, 0.0, 0.0, 0.0]          # P_00, P_01, P_10, P_11
-        for x in (0, 1):
-            for y in (0, 1):
-                want = x & y
-                win = 0.0
-                stack = [(0, 0, 0, 1.0)]
-                while stack:
-                    depth, ap, bp, weight = stack.pop()
-                    if depth == k:
-                        if (s_map[x * a_pow + ap] ^ t_map[y * b_pow + bp]) == want:
-                            win += weight
-                        continue
-                    row = rows[q_maps[depth][x * a2 ** depth + ap]][
-                        r_maps[depth][y * b2 ** depth + bp]]
-                    base = 0
-                    for ai in range(a2):
-                        for bi in range(b2):
-                            w = weight * row[base + bi]
-                            if w > 0.0:
-                                stack.append((depth + 1, ap * a2 + ai,
-                                              bp * b2 + bi, w))
-                        base += b2
-                    continue
-                wins[2 * x + y] = win
-        intercept = 0.5 * (wins[0] + wins[1])
-        slope = 0.5 * (wins[2] + wins[3]) - intercept
-        pairs.add((intercept, slope))
-    return pairs
-
-
-def affine_family(target: CorrelationBox, k: int, *, up_to_k: bool = False,
-                  tol: float = DEDUP_TOL,
-                  cap: int = ENUMERATION_CAP) -> list[AffineFunction]:
+def affine_family(target: CorrelationBox, k: int, *,
+                  up_to_k: bool = False) -> list[AffineFunction]:
     """All distinct win-probability lines of deterministic k-query protocols.
 
     With ``up_to_k`` the union over query counts 0..k is returned; the
     default is exactly k queries.  Lines are deduplicated with tolerance
-    ``tol`` on the coefficient pair.
+    ``DEDUP_TOL`` on the coefficient pair and sorted by (intercept, slope).
+
+    A protocol is a choice of local strategies (alpha0, alpha1) for Alice
+    and (beta0, beta1) for Bob.  Its line has intercept
+    I = (W_eq[alpha0, beta0] + W_eq[alpha0, beta1]) / 2 and slope J - I with
+    J = (W_eq[alpha1, beta0] + W_ne[alpha1, beta1]) / 2, so for each Bob
+    pair only the distinct I and J values need combining.
     """
-    ks = range(k + 1) if up_to_k else (k,)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    al = Alphabets(2, 2, 2, 2, target.x_size, target.y_size,
+                   target.a_size, target.b_size)
     seen: dict = {}
-    for kk in ks:
-        for intercept, slope in _family_coefficients(target, kk, cap):
-            ell = AffineFunction(intercept, slope)
-            seen.setdefault(ell.key(tol), ell)
-    return list(seen.values())
+    for kk in (range(k + 1) if up_to_k else (k,)):
+        total = count_protocols(al, kk)
+        if total > ENUMERATION_CAP:
+            raise ValueError("protocol count %d exceeds cap %d"
+                             % (total, ENUMERATION_CAP))
+        eq, ne = _agreement(_response_tables(
+            _all_strategies(al.x2, al.a2, 2, kk),
+            _all_strategies(al.y2, al.b2, 2, kk), target, 2, 2))
+        for beta0 in range(eq.shape[1]):
+            for beta1 in range(eq.shape[1]):
+                js = np.unique(0.5 * (eq[:, beta0] + ne[:, beta1]))
+                for intercept in np.unique(0.5 * (eq[:, beta0] + eq[:, beta1])):
+                    for j in js:
+                        ell = AffineFunction(float(intercept), float(j - intercept))
+                        seen.setdefault(ell.key(), ell)
+    return sorted(seen.values(), key=lambda ell: (ell.intercept, ell.slope))
 
 
 def local_deterministic_boxes():

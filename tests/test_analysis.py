@@ -9,6 +9,7 @@ import boxlab as bl
 from boxlab.analysis import (best_affine_fit, certificate_from_json,
                              certificate_to_json, omega_second_derivative,
                              tangent_line)
+from boxlab.games import omega_prime
 from boxlab.protocols import AffineFunction
 
 
@@ -54,6 +55,20 @@ def test_secant_line_intersections_exact():
 def test_line_below_omega_has_no_intersections():
     assert bl.line_intersections(AffineFunction(0.5, 0.0)) == []
     assert bl.line_intersections(AffineFunction(0.0, 0.3)) == []
+
+
+@pytest.mark.parametrize("p1", [round(0.55 + 0.005 * i, 3) for i in range(88)])
+def test_steep_line_reports_each_crossing_once(p1):
+    # through (p1, omega(p1)), steeper than omega there: it crosses upward at
+    # p1 and maybe back down later, never tangentially
+    slope = omega_prime(p1) + 0.3
+    ell = AffineFunction(bl.omega(p1) - slope * p1, slope)
+    ps = np.linspace(0.5, 1.0, 20001)
+    above = ell(ps) > bl.omega(ps)
+    roots = bl.line_intersections(ell)
+    assert len(roots) == int(np.count_nonzero(above[1:] != above[:-1]))
+    assert len(set(roots)) == len(roots)
+    assert roots[0] == pytest.approx(p1, abs=1e-9)
 
 
 def test_intersections_residual_small():

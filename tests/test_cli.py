@@ -6,6 +6,7 @@ import pytest
 import boxlab as bl
 from boxlab.cli import main
 from boxlab.protocols import protocol_to_json
+from boxlab.sphere import cover_to_json, octahedron_cover
 
 
 def run(capsys, *argv):
@@ -161,15 +162,6 @@ def test_schema_flag(capsys):
     assert "intercept,slope" in out
 
 
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("NBL_THREADS", "4")
-    payload = run_json(capsys, "game", "omega", "--p", "0.75")
-    assert "omega" in payload["result"]
-    monkeypatch.setenv("NBL_THREADS", "0")
-    code, _, err = run(capsys, "game", "omega", "--p", "0.75")
-    assert code == 2
-
-
 def test_output_file_atomic_write(capsys, tmp_path):
     out = tmp_path / "omega.json"
     code, _, _ = run(capsys, "game", "omega", "--p", "0.5",
@@ -185,3 +177,61 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+# kind: (bare file text, argv reading the file at {})
+FILE_KINDS = {
+    "box": (lambda: bl.box_to_json(bl.pr_box()),
+            ["box", "show", "--box", "file:{}"]),
+    "cover": (lambda: cover_to_json(octahedron_cover()),
+              ["cover", "verify", "--cover", "{}", "--trials", "20"]),
+    "protocol": (lambda: protocol_to_json(bl.identity_protocol()),
+                 ["protocol", "run", "--protocol", "{}", "--target", "pr"]),
+}
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_file_bare_and_in_envelope(capsys, tmp_path, kind):
+    make, argv = FILE_KINDS[kind]
+    bare = tmp_path / "bare.json"
+    bare.write_text(make())
+    envelope = tmp_path / "envelope.json"
+    envelope.write_text(json.dumps({"config": {}, "result": json.loads(make()),
+                                    "version": bl.__version__}))
+    first, second = (run_json(capsys, *[a.format(path) for a in argv])
+                     for path in (bare, envelope))
+    assert first["result"] == second["result"]
+
+
+def test_box_file_from_box_show_output(capsys, tmp_path):
+    shown = tmp_path / "pr.json"
+    assert run(capsys, "box", "show", "--box", "pr", "--out", str(shown))[0] == 0
+    payload = run_json(capsys, "box", "tv", "--box", "file:%s" % shown,
+                       "--other", "pr")
+    assert payload["result"]["tv_closeness"] == 0.0
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+@pytest.mark.parametrize("text", ["{}", "[1, 2]", "not json"])
+def test_malformed_file_exits_2(capsys, tmp_path, kind, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *[a.format(path) for a in FILE_KINDS[kind][1]])
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: " % path) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "analysis gap --resolution 1",
+    "game optimize --p 0.75 --grid 0",
+    "analysis measure --intercept 0.8 --slope 0.1 --epsilon nan",
+    "box sample --box pr --x 0 --y 0 --n 0",
+    "box sample --box pr --x 0 --y 0 --n -3",
+    "game omega --p 2",
+    "analysis schedule --c inf",
+    "protocol family --target pr --k -1",
+])
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,10 +6,15 @@ README's relative file names: ``identity.json`` is the identity protocol
 and ``cover.json`` comes from ``cover build``.  A command that writes
 ``--out FILE`` is compared on that file's bytes, every other one on its
 stdout.  To record the goldens again, run this file as a script.
+
+The ``analysis gap`` golden was recorded again when ``affine_family`` began
+to return its lines sorted; before, they came in the hash order of a set.
+Its certificate is pinned to the earlier recording below.
 """
 
 import contextlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -23,6 +28,14 @@ from boxlab.protocols import protocol_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# the octahedron k=1 certificate as first recorded, with the lines as a set
+GAP_GOLDEN = "12_analysis_gap.txt"
+GAP_P_STAR = 0.5
+GAP = 0.10355339059327373
+GAP_LINES = {(0.0, 0.5), (0.25, 0.0), (0.25, 0.25), (0.25, 0.5), (0.5, -0.5),
+             (0.5, -0.25), (0.5, 0.0), (0.5, 0.25), (0.5, 0.5), (0.75, -0.5),
+             (0.75, -0.25), (0.75, 0.0), (1.0, -0.5)}
 
 
 def readme_commands() -> list:
@@ -75,6 +88,14 @@ def test_corpus_covers_every_readme_command():
 def test_output_matches_golden(corpus, index, argv):
     name = golden_name(index, argv)
     assert corpus[name] == (GOLDEN / name).read_bytes()
+
+
+def test_gap_certificate_keeps_its_first_recording(corpus):
+    cert = json.loads(corpus[GAP_GOLDEN])["result"]
+    assert cert["p_star"] == GAP_P_STAR and cert["gap"] == GAP
+    lines = [tuple(line) for line in cert["family"]]
+    assert len(lines) == len(GAP_LINES) and set(lines) == GAP_LINES
+    assert lines == sorted(lines)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import linprog
 
 import boxlab as bl
-from boxlab.protocols import (BINARY, Alphabets, local_deterministic_boxes,
+from boxlab.protocols import (BINARY, AffineFunction, Alphabets,
+                              local_deterministic_boxes,
                               protocol_from_json, protocol_to_json)
 
 
@@ -184,3 +185,91 @@ def test_protocol_json_roundtrip():
     pi = bl.identity_protocol()
     again = protocol_from_json(protocol_to_json(pi))
     assert again == pi
+
+
+def path_sum(protocol, target):
+    """Induced table [x, y, a, b], summed breadth-first over response paths."""
+    al, k = protocol.alphabets, protocol.k
+    a2, b2 = al.a2, al.b2
+    out = np.zeros((al.x1, al.y1, al.a1, al.b1))
+    for x in range(al.x1):
+        for y in range(al.y1):
+            paths = {(0, 0): 1.0}
+            for depth in range(k):
+                nxt = {}
+                for (ap, bp), w in paths.items():
+                    xi = protocol.q_maps[depth][x * a2 ** depth + ap]
+                    yi = protocol.r_maps[depth][y * b2 ** depth + bp]
+                    for ai in range(a2):
+                        for bi in range(b2):
+                            key = (ap * a2 + ai, bp * b2 + bi)
+                            nxt[key] = nxt.get(key, 0.0) + w * target[xi, yi, ai, bi]
+                paths = nxt
+            for (ap, bp), w in paths.items():
+                out[x, y, protocol.s_map[x * a2 ** k + ap],
+                    protocol.t_map[y * b2 ** k + bp]] += w
+    return out
+
+
+def path_sum_key(protocol, target):
+    """Dedup key of the protocol's CHSH[p, 1/2] line, from ``path_sum``."""
+    table = path_sum(protocol, target)
+    eq = table[:, :, 0, 0] + table[:, :, 1, 1]
+    ne = table[:, :, 0, 1] + table[:, :, 1, 0]
+    intercept = 0.5 * (eq[0, 0] + eq[0, 1])
+    return AffineFunction(intercept, 0.5 * (eq[1, 0] + ne[1, 1]) - intercept).key()
+
+
+def random_table(rng, shape):
+    table = rng.random(shape)
+    return table / table.sum(axis=(2, 3), keepdims=True)
+
+
+def random_protocol(rng, al, k):
+    return bl.DeterministicProtocol(
+        al, k,
+        tuple(tuple(rng.integers(0, al.x2, al.x1 * al.a2 ** i).tolist())
+              for i in range(k)),
+        tuple(tuple(rng.integers(0, al.y2, al.y1 * al.b2 ** i).tolist())
+              for i in range(k)),
+        tuple(rng.integers(0, al.a1, al.x1 * al.a2 ** k).tolist()),
+        tuple(rng.integers(0, al.b1, al.y1 * al.b2 ** k).tolist()))
+
+
+@pytest.mark.parametrize("al", [BINARY, Alphabets(2, 2, 2, 2, 3, 2, 3, 2),
+                                Alphabets(3, 2, 3, 2, 3, 2, 3, 2)],
+                         ids=["binary", "inner-3232", "outer-and-inner-3232"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_induced_box_matches_path_sum(al, k):
+    rng = np.random.default_rng([k, al.x1, al.x2])
+    target = random_table(rng, (al.x2, al.y2, al.a2, al.b2))
+    for _ in range(10):
+        pi = random_protocol(rng, al, k)
+        induced = bl.induced_box(pi, bl.CorrelationBox(target)).table
+        assert np.abs(induced - path_sum(pi, target)).max() <= 1e-15
+
+
+def family_targets():
+    rng = np.random.default_rng(41)
+    return {"pr": bl.pr_box().table,
+            **{"binary%d" % i: random_table(rng, (2, 2, 2, 2)) for i in range(3)},
+            "3232": random_table(rng, (3, 2, 3, 2))}
+
+
+@pytest.mark.parametrize("name", family_targets())
+@pytest.mark.parametrize("k", [0, 1])
+def test_family_matches_brute_force(name, k):
+    table = family_targets()[name]
+    al = Alphabets(2, 2, 2, 2, *table.shape)
+    family = bl.affine_family(bl.CorrelationBox(table), k)
+    assert {ell.key() for ell in family} == {
+        path_sum_key(pi, table) for pi in bl.enumerate_protocols(al, k)}
+    lines = [(ell.intercept, ell.slope) for ell in family]
+    assert lines == sorted(lines)
+
+
+@pytest.mark.parametrize("name", family_targets())
+def test_up_to_k_is_the_union_of_each_k(name):
+    target = bl.CorrelationBox(family_targets()[name])
+    union = {ell.key() for k in (0, 1) for ell in bl.affine_family(target, k)}
+    assert {ell.key() for ell in bl.affine_family(target, 1, up_to_k=True)} == union
