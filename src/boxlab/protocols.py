@@ -152,10 +152,10 @@ def _response_tables(alice, bob, target: CorrelationBox,
     weights = np.ones((n_u, n_v, 1, 1))        # [u, v, a_prefix, b_prefix]
     for q, r in zip(q_maps, r_maps):
         rows = target.table[q[:, None, :, None], r[None, :, None, :]]
+        rows *= weights[..., None, None]
         # [u, v, a_prefix, a, b_prefix, b]; the newest response is least significant
-        weights = (weights[..., None, None] * rows).transpose(0, 1, 2, 4, 3, 5)
-        u, v, ap, a, bp, b = weights.shape
-        weights = weights.reshape(u, v, ap * a, bp * b)
+        u, v, ap, bp, a, b = rows.shape
+        weights = rows.transpose(0, 1, 2, 4, 3, 5).reshape(u, v, ap * a, bp * b)
     return np.einsum("uvpq,upa,vqb->uvab", weights,
                      np.eye(a1)[s_map], np.eye(b1)[t_map])
 
@@ -230,12 +230,16 @@ def counting_bound(al: Alphabets, k: int) -> int:
     return (2 * al.x2) ** (2 * al.a2 ** k) * (2 * al.y2) ** (2 * al.b2 ** k)
 
 
-def enumerate_protocols(al: Alphabets, k: int):
-    """Yield every deterministic k-query protocol exactly once."""
+def _refuse_past_cap(al: Alphabets, k: int) -> None:
     total = count_protocols(al, k)
     if total > ENUMERATION_CAP:
         raise ValueError("protocol count %d exceeds cap %d"
                          % (total, ENUMERATION_CAP))
+
+
+def enumerate_protocols(al: Alphabets, k: int):
+    """Yield every deterministic k-query protocol exactly once."""
+    _refuse_past_cap(al, k)
     q_spaces = [itertools.product(range(al.x2), repeat=al.x1 * al.a2 ** i)
                 for i in range(k)]
     r_spaces = [itertools.product(range(al.y2), repeat=al.y1 * al.b2 ** i)
@@ -283,10 +287,7 @@ def affine_family(target: CorrelationBox, k: int, *,
                    target.a_size, target.b_size)
     seen: dict = {}
     for kk in (range(k + 1) if up_to_k else (k,)):
-        total = count_protocols(al, kk)
-        if total > ENUMERATION_CAP:
-            raise ValueError("protocol count %d exceeds cap %d"
-                             % (total, ENUMERATION_CAP))
+        _refuse_past_cap(al, kk)
         eq, ne = _agreement(_response_tables(
             _all_strategies(al.x2, al.a2, 2, kk),
             _all_strategies(al.y2, al.b2, 2, kk), target, 2, 2))
