@@ -5,6 +5,7 @@ and the epsilon_k budget schedule.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from .protocols import AffineFunction
 ROOT_TOL = 1e-10
 MEASURE_BISECT_TOL = 1e-12
 HALF_INTERVAL = 0.5  # |[1/2, 1]|
+SCHEDULE_DIGIT_CAP = 4300  # Python's default limit on int-to-str conversion
 
 
 def omega_second_derivative(x: float) -> float:
@@ -256,6 +258,16 @@ def epsilon_schedule(x_size: int, y_size: int, a_size: int, b_size: int,
         raise ValueError("k_max must be at least 1")
     if not (np.isfinite(c) and c > 0.0):
         raise ValueError("c must be finite and positive")
+    if min(x_size, y_size, a_size, b_size) < 1:
+        raise ValueError("alphabet sizes must be positive")
+    # digits of the largest bound, 2 a^k log10(2x) + 2 b^k log10(2y), summed
+    # from logarithms so that the estimate itself cannot overflow
+    digits = sum(10.0 ** min(k_max * math.log10(n)
+                             + math.log10(2.0 * math.log10(2 * size)), 300.0)
+                 for size, n in ((x_size, a_size), (y_size, b_size)))
+    if digits > SCHEDULE_DIGIT_CAP:
+        raise ValueError("the k = %d bound has about %.3g digits, more than %d"
+                         % (k_max, digits, SCHEDULE_DIGIT_CAP))
     c_exact = Fraction(c)
     bounds = []
     eps_exact = []

@@ -16,6 +16,14 @@ NORM_TOL = 1e-12
 NS_TOL = 1e-10
 
 
+def check_distributions(probs: np.ndarray) -> None:
+    """Raise unless every table of a stack [..., a, b] is a distribution."""
+    if np.any(probs < -NORM_TOL):
+        raise ValueError("negative probability entry")
+    if np.any(np.abs(probs.sum(axis=(-2, -1)) - 1.0) > NORM_TOL):
+        raise ValueError("probabilities do not sum to 1 within %g" % NORM_TOL)
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Joint distribution over (a, b) for one fixed input pair."""
@@ -26,10 +34,7 @@ class JointDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 2:
             raise ValueError("probs must be a 2-d array indexed [a, b]")
-        if np.any(probs < -NORM_TOL):
-            raise ValueError("negative probability entry")
-        if abs(probs.sum() - 1.0) > NORM_TOL:
-            raise ValueError("probabilities do not sum to 1 within %g" % NORM_TOL)
+        check_distributions(probs)
         probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)

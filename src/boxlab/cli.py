@@ -135,7 +135,7 @@ def cmd_game_bound(args):
 
 
 def cmd_game_optimize(args):
-    strategy = games.optimal_strategy(args.p, grid=args.grid)
+    strategy = games.optimal_strategy(args.p)
     achieved = games.win_prob(strategy.to_box(), args.p, 0.5)
     _emit(args, {"alice_angles": list(strategy.alice_angles),
                  "bob_angles": list(strategy.bob_angles),
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p); p.set_defaults(func=cmd_game_bound)
     p = game.add_parser("optimize")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--grid", type=int, default=64)
     common(p); p.set_defaults(func=cmd_game_optimize)
 
     proto = top.add_parser("protocol").add_subparsers(dest="cmd", required=True)
@@ -389,15 +388,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, on import: parse_args keeps no state, so every main call shares it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "schema", False):
         for cmd, schema in CSV_SCHEMAS.items():
             print("%s: %s" % (cmd, schema))
         return 0
     if not hasattr(args, "func"):
-        parser.print_help()
+        _PARSER.print_help()
         return 2
     try:
         args.func(args)

@@ -94,57 +94,20 @@ def planar_win_prob(strategy: PlanarStrategy, p: float, q: float = 0.5) -> float
     return total
 
 
-def _win_grid(p: float, a1, b0, b1) -> np.ndarray:
-    """Vectorized planar win probability with alpha_0 pinned to 0."""
-    s00 = 0.5 - 0.5 * np.cos(-b0)
-    s01 = 0.5 - 0.5 * np.cos(-b1)
-    s10 = 0.5 - 0.5 * np.cos(a1 - b0)
-    s11 = 0.5 - 0.5 * np.cos(a1 - b1)
-    return 0.5 * ((1.0 - p) * (s00 + s01) + p * (s10 + 1.0 - s11))
+def optimal_strategy(p: float) -> PlanarStrategy:
+    """Optimal planar singlet strategy for CHSH[p, 1/2], in closed form.
 
-
-def optimal_strategy(p: float, grid: int = 64) -> PlanarStrategy:
-    """Best planar singlet strategy for CHSH[p, 1/2].
-
-    Coarse grid search over (alpha_1, beta_0, beta_1) with alpha_0 = 0
-    (singlet rotational invariance), then coordinate descent with a halving
-    step down to 1e-10.  Deterministic; ties resolved by scan order, which
-    picks the lexicographically smallest angle triple on the grid.
+    With alpha = (0, pi/2) the win probability is
+    1/2 - (R/4) (cos(beta_0 - t) + cos(beta_1 + t)), where
+    R = sqrt(p^2 + (1-p)^2) and t = atan2(p, 1 - p), so beta = (pi + t, pi - t)
+    attains omega(p) = 1/2 + R/2.
     """
     if not 0.5 <= p <= 1.0:
         raise ValueError("optimal_strategy requires p in [1/2, 1]")
-    if grid < 1:
-        raise ValueError("grid must be at least 1")
-    angles = np.arange(grid) * (2.0 * np.pi / grid)
-    a1 = angles[:, None, None]
-    b0 = angles[None, :, None]
-    b1 = angles[None, None, :]
-    values = _win_grid(p, a1, b0, b1)
-    best_flat = int(np.argmax(values))          # first max = lexicographically smallest
-    ia, ib0, ib1 = np.unravel_index(best_flat, values.shape)
-    theta = [float(angles[ia]), float(angles[ib0]), float(angles[ib1])]
-
-    def value(t):
-        return float(_win_grid(p, t[0], t[1], t[2]))
-
-    step = 2.0 * np.pi / grid
-    best = value(theta)
-    while step > 1e-10:
-        improved = False
-        for i in range(3):
-            for delta in (step, -step):
-                trial = list(theta)
-                trial[i] = (trial[i] + delta) % (2.0 * np.pi)
-                v = value(trial)
-                if v > best + 1e-16:
-                    theta, best = trial, v
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return PlanarStrategy((0.0, theta[0]), (theta[1], theta[2]))
+    t = float(np.arctan2(p, 1.0 - p))
+    return PlanarStrategy((0.0, np.pi / 2.0), (np.pi + t, np.pi - t))
 
 
-def achieved_win_prob(p: float, grid: int = 64) -> float:
-    """Win probability of the optimized strategy, evaluated from the exact box."""
-    strategy = optimal_strategy(p, grid=grid)
-    return win_prob(strategy.to_box(), p, 0.5)
+def achieved_win_prob(p: float) -> float:
+    """Win probability of the optimal strategy, evaluated from the exact box."""
+    return win_prob(optimal_strategy(p).to_box(), p, 0.5)

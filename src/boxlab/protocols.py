@@ -17,6 +17,7 @@ import numpy as np
 from .boxes import NORM_TOL, CorrelationBox, local_box, mix, tv_closeness
 
 ENUMERATION_CAP = 10 ** 8
+PATH_TABLE_CAP = 2 ** 22   # entries of one response-path table, 32 MB of float64
 DEDUP_TOL = 1e-12
 
 
@@ -165,8 +166,10 @@ def _protocol_strategies(protocol: DeterministicProtocol,
     """Alice's x1 and Bob's y1 local strategies, in ``_response_tables`` form."""
     _check_target(protocol, target)
     al = protocol.alphabets
-    if (al.a2 * al.b2) ** protocol.k > ENUMERATION_CAP:
-        raise ValueError("response-path count exceeds the enumeration cap")
+    entries = al.x1 * al.y1 * (al.a2 * al.b2) ** protocol.k
+    if entries > PATH_TABLE_CAP:
+        raise ValueError("response-path table of %d entries exceeds %d"
+                         % (entries, PATH_TABLE_CAP))
     alice = ([np.reshape(m, (al.x1, -1)) for m in protocol.q_maps],
              np.reshape(protocol.s_map, (al.x1, -1)))
     bob = ([np.reshape(m, (al.y1, -1)) for m in protocol.r_maps],

@@ -25,26 +25,47 @@ KET1 = np.array([0.0, 1.0], dtype=np.complex128)
 
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        return False
-    return bool(np.abs(u.conj().T @ u - np.eye(2)).max() <= tol)
+    return u.shape == (2, 2) and _all_unitary(u, tol)
+
+
+def _all_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    """Whether every matrix of a complex [..., 2, 2] stack is unitary within tol."""
+    defect = np.abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(2))
+    return bool(np.all(defect <= tol))
 
 
 def _require_unitary(u: np.ndarray) -> np.ndarray:
+    """``u`` as a complex [..., 2, 2] stack; raises unless every matrix is unitary."""
     u = np.asarray(u, dtype=np.complex128)
-    if not is_unitary(u):
+    if u.shape[-2:] != (2, 2) or not _all_unitary(u):
         raise ValueError("matrix is not unitary within %g" % UNITARY_TOL)
     return u
 
 
-def random_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed 2x2 unitary (QR of a complex Gaussian, phase-fixed)."""
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices [..., 2, 2] (QR, phase-fixed)."""
     q, r = np.linalg.qr(z)
     # make the distribution Haar by absorbing the phases of diag(r)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return q
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed 2x2 unitary (QR of a complex Gaussian, phase-fixed)."""
+    return _haar(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+
+
+def _bloch(psi: np.ndarray) -> np.ndarray:
+    """Bloch vectors [..., 3] of normalized single-qubit states [..., 2]."""
+    norm = np.linalg.norm(psi, axis=-1)
+    if not np.all(np.abs(norm - 1.0) <= UNITARY_TOL):
+        raise ValueError("state is not normalized")
+    # conj(alpha) * beta and |.| in real arithmetic and hypot, which round as
+    # numpy's complex scalars do; its complex array loops round differently
+    alpha, beta = psi[..., 0], psi[..., 1]
+    ar, ai, br, bi = alpha.real, alpha.imag, beta.real, beta.imag
+    return np.stack([2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br),
+                     np.hypot(ar, ai) ** 2 - np.hypot(br, bi) ** 2], axis=-1)
 
 
 def bloch_of(psi: np.ndarray) -> np.ndarray:
@@ -52,13 +73,7 @@ def bloch_of(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (2,):
         raise ValueError("expected a single-qubit state")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > UNITARY_TOL:
-        raise ValueError("state is not normalized")
-    alpha, beta = psi
-    cross = np.conj(alpha) * beta
-    return np.array([2.0 * cross.real, 2.0 * cross.imag,
-                     abs(alpha) ** 2 - abs(beta) ** 2])
+    return _bloch(psi)
 
 
 def state_from_bloch(c: np.ndarray) -> np.ndarray:
@@ -117,8 +132,11 @@ class BellBoxSpec:
     b_size: int
 
     def __post_init__(self):
-        us = tuple(_require_unitary(u) for u in self.alice_unitaries)
-        vs = tuple(_require_unitary(v) for v in self.bob_unitaries)
+        us, vs = (_require_unitary(m) for m in (self.alice_unitaries,
+                                                self.bob_unitaries))
+        if us.ndim != 3 or vs.ndim != 3:
+            raise ValueError("expected one 2x2 unitary per input")
+        us, vs = tuple(us), tuple(vs)
         f = np.asarray(self.alice_post, dtype=np.int64)
         g = np.asarray(self.bob_post, dtype=np.int64)
         if f.shape != (len(us), 2) or g.shape != (len(vs), 2):
@@ -153,7 +171,12 @@ def simple_bell_spec(alice_unitaries, bob_unitaries, f=(0, 1), g=(0, 1),
 
 
 def measurement_probs(u: np.ndarray, v: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Pr[(s, t)] = |<st| U (x) V |state>|^2 as a 2x2 array indexed [s, t]."""
+    """Pr[(s, t)] = |<st| U (x) V |state>|^2 as an array indexed [..., s, t].
+
+    ``u`` and ``v`` are 2x2 unitaries or stacks of them, [..., 2, 2], and
+    broadcast against each other.  U (x) V is the entrywise product np.kron
+    forms, so every probability is the float np.kron(u, v) @ state gives.
+    """
     u = _require_unitary(u)
     v = _require_unitary(v)
     state = np.asarray(state, dtype=np.complex128)
@@ -161,19 +184,22 @@ def measurement_probs(u: np.ndarray, v: np.ndarray, state: np.ndarray) -> np.nda
         raise ValueError("expected a two-qubit state")
     if abs(np.linalg.norm(state) - 1.0) > UNITARY_TOL:
         raise ValueError("state is not normalized")
-    amps = (np.kron(u, v) @ state).reshape(2, 2)
-    return np.abs(amps) ** 2
+    kron = u[..., :, None, :, None] * v[..., None, :, None, :]
+    lead = kron.shape[:-4]
+    amps = kron.reshape(lead + (4, 4)) @ state
+    return (np.abs(amps) ** 2).reshape(lead + (2, 2))
 
 
 def bell_box(spec: BellBoxSpec, state: np.ndarray = PHI_PLUS) -> CorrelationBox:
     """Exact correlation box from measuring ``state`` as ``spec`` prescribes."""
+    probs = measurement_probs(np.array(spec.alice_unitaries)[:, None],
+                              np.array(spec.bob_unitaries)[None], state)
+    x, y = np.ogrid[:spec.x_size, :spec.y_size]
     table = np.zeros((spec.x_size, spec.y_size, spec.a_size, spec.b_size))
-    for x, u in enumerate(spec.alice_unitaries):
-        for y, v in enumerate(spec.bob_unitaries):
-            p = measurement_probs(u, v, state)
-            for s in range(2):
-                for t in range(2):
-                    table[x, y, spec.alice_post[x, s], spec.bob_post[y, t]] += p[s, t]
+    # outputs that share a label add up in (s, t) order
+    np.add.at(table, (x[..., None, None], y[..., None, None],
+                      spec.alice_post[:, None, :, None],
+                      spec.bob_post[None, :, None, :]), probs)
     return CorrelationBox(table)
 
 

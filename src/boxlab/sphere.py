@@ -12,11 +12,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .boxes import CorrelationBox, JointDistribution
-from .quantum import (SINGLET, bloch_of, random_unitary, simple_bell_spec,
-                      singlet_measure_box, unitary_for_point, KET1)
+from .boxes import CorrelationBox, check_distributions
+from .quantum import (KET1, SINGLET, _bloch, _haar, measurement_probs,
+                      simple_bell_spec, unitary_for_point)
 
 # empirical certified-radius constant of the audited Fibonacci lattice,
 # certified_radius ~= RADIUS_FIT / sqrt(T); retuned if the audit ever fails
@@ -42,6 +41,8 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
     d(s, probe), and d(s, probe) is at most the cell's half-diagonal chord,
     bounded through the geodesic metric ds^2 = dtheta^2 + sin^2(theta) dphi^2.
     """
+    from scipy.spatial import cKDTree     # imported here: only covers need scipy
+
     points = np.asarray(points, dtype=np.float64)
     n_theta = max(4, int(np.ceil(np.sqrt(n_probes / 2.0))))
     n_phi = 2 * n_theta
@@ -115,14 +116,18 @@ def octahedron_cover() -> SphereCover:
     return SphereCover(points, audit_cover(points, 20000))
 
 
+def _singlet_rows(dots: np.ndarray) -> np.ndarray:
+    """Pr[a, b] of the singlet measured along directions with these dot
+    products, indexed [..., a, b]."""
+    rows = np.empty(np.shape(dots) + (2, 2))
+    rows[..., 0, 0] = rows[..., 1, 1] = 0.25 - 0.25 * dots
+    rows[..., 0, 1] = rows[..., 1, 0] = 0.25 + 0.25 * dots
+    return rows
+
+
 def discretized_box(cover: SphereCover) -> CorrelationBox:
     """Box on [T] x [T] with Pr[a = b | i, j] = 1/2 - (c_i . c_j) / 2."""
-    dots = cover.points @ cover.points.T
-    t = cover.size
-    table = np.empty((t, t, 2, 2))
-    table[:, :, 0, 0] = table[:, :, 1, 1] = 0.25 - 0.25 * dots
-    table[:, :, 0, 1] = table[:, :, 1, 0] = 0.25 + 0.25 * dots
-    return CorrelationBox(table)
+    return CorrelationBox(_singlet_rows(cover.points @ cover.points.T))
 
 
 def cover_bell_spec(cover: SphereCover):
@@ -131,11 +136,17 @@ def cover_bell_spec(cover: SphereCover):
     return simple_bell_spec(us, us)
 
 
+def _snap(unitaries: np.ndarray, cover: SphereCover) -> np.ndarray:
+    """Nearest cover index of the Bloch point of U^-1|1>, U over [..., 2, 2]."""
+    points = _bloch(np.linalg.inv(unitaries) @ KET1)
+    nearest = [cover.nearest(c) for c in points.reshape(-1, 3)]
+    return np.reshape(nearest, points.shape[:-1])
+
+
 def reduce_measurement(u: np.ndarray, v: np.ndarray,
                        cover: SphereCover) -> tuple[int, int]:
     """Nearest cover indices for the Bloch points of U^-1|1> and V^-1|1>."""
-    i = cover.nearest(bloch_of(np.linalg.inv(u) @ KET1))
-    j = cover.nearest(bloch_of(np.linalg.inv(v) @ KET1))
+    i, j = _snap(np.array([u, v], dtype=np.complex128), cover).tolist()
     return i, j
 
 
@@ -148,16 +159,19 @@ def verify_reduction(cover: SphereCover, trials: int,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    box = discretized_box(cover)
-    tvs = np.empty(trials)
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        u = random_unitary(rng)
-        v = random_unitary(rng)
-        i, j = reduce_measurement(u, v, cover)
-        exact = singlet_measure_box(u, v)
-        approx = JointDistribution(box.table[i, j])
-        tvs[trial] = exact.tv(approx)
+    # each trial's generator draws U's real and imaginary parts, then V's
+    draws = np.array([
+        np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        .normal(size=(4, 2, 2)) for trial in range(trials)])
+    uv = _haar(draws[:, 0::2] + 1j * draws[:, 1::2])    # [trial, (U, V), 2, 2]
+    exact = measurement_probs(uv[:, 0], uv[:, 1], SINGLET)
+    # one row of discretized_box per trial, not the whole T x T table; the
+    # 1-D dot gives the float of its P @ P.T entry, where einsum would not
+    approx = _singlet_rows(np.array([cover.points[i] @ cover.points[j]
+                                     for i, j in _snap(uv, cover)]))
+    check_distributions(exact)
+    check_distributions(approx)
+    tvs = 0.5 * np.abs(exact - approx).sum(axis=(1, 2))
     return float(tvs.max()), float(tvs.mean())
 
 

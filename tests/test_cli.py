@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import boxlab as bl
+from boxlab import cli
 from boxlab.cli import main
-from boxlab.protocols import protocol_to_json
+from boxlab.protocols import BINARY, DeterministicProtocol, protocol_to_json
 from boxlab.sphere import cover_to_json, octahedron_cover
 
 
@@ -70,7 +71,42 @@ def test_game_bound_regime_violation_exits_2(capsys):
 
 def test_game_optimize(capsys):
     payload = run_json(capsys, "game", "optimize", "--p", "0.75")
-    assert abs(payload["result"]["shortfall"]) <= 1e-6
+    assert abs(payload["result"]["shortfall"]) <= 1e-15
+
+
+def test_main_reuses_the_parser_built_on_import(capsys, monkeypatch):
+    def build_again():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_again)
+    first = run_json(capsys, "game", "omega", "--p", "0.5")
+    with pytest.raises(SystemExit) as exc:          # a parse error, as before
+        main(["game", "omega"])
+    assert exc.value.code == 2
+    assert run_json(capsys, "game", "bound", "--p", "0.6")["config"] == {
+        "cmd": "bound", "group": "game", "p": 0.6, "q": 0.5, "schema": False}
+    assert run_json(capsys, "game", "omega", "--p", "0.5") == first
+
+
+def constant_protocol(k: int) -> str:
+    """A binary k-query protocol that always queries 0 and outputs 0."""
+    maps = tuple((0,) * (2 * 2 ** d) for d in range(k))
+    zeros = (0,) * (2 * 2 ** k)
+    return protocol_to_json(DeterministicProtocol(BINARY, k, maps, maps,
+                                                  zeros, zeros))
+
+
+def test_protocol_run_response_path_table_cap(capsys, tmp_path):
+    # 2 * 2 * 4^k entries: k = 10 is 2^22, at the cap; k = 11 is over it
+    for k in (10, 11):
+        (tmp_path / ("k%d.json" % k)).write_text(constant_protocol(k))
+    payload = run_json(capsys, "protocol", "run", "--protocol",
+                       str(tmp_path / "k10.json"), "--target", "pr")
+    assert payload["result"]["induced_box"]["table"][0][0] == [1.0, 0.0, 0.0, 0.0]
+    code, out, err = run(capsys, "protocol", "run", "--protocol",
+                         str(tmp_path / "k11.json"), "--target", "pr")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_protocol_run_identity(capsys, tmp_path):
@@ -127,6 +163,14 @@ def test_analysis_schedule(capsys):
     payload = run_json(capsys, "analysis", "schedule", "--k-max", "2")
     assert payload["result"]["identity_exact"] is True
     assert payload["result"]["bounds"][0] == "65536"
+
+
+def test_analysis_schedule_up_to_the_digit_cap(capsys):
+    # 4^(2 * 2^10) * 4^(2 * 2^10) has 2467 digits; at k = 11 it has 4933
+    payload = run_json(capsys, "analysis", "schedule", "--k-max", "10")
+    bounds = payload["result"]["bounds"]
+    assert len(bounds) == 10 and len(bounds[-1]) == 2467
+    assert payload["result"]["identity_exact"] is True
 
 
 def test_cover_build_and_verify(capsys, tmp_path):
@@ -223,12 +267,14 @@ def test_malformed_file_exits_2(capsys, tmp_path, kind, text):
 
 @pytest.mark.parametrize("argv", [
     "analysis gap --resolution 1",
-    "game optimize --p 0.75 --grid 0",
     "analysis measure --intercept 0.8 --slope 0.1 --epsilon nan",
     "box sample --box pr --x 0 --y 0 --n 0",
     "box sample --box pr --x 0 --y 0 --n -3",
     "game omega --p 2",
     "analysis schedule --c inf",
+    "analysis schedule --k-max 11",
+    "analysis schedule --k-max 40",
+    "analysis schedule --x2 0",
     "protocol family --target pr --k -1",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):

@@ -68,6 +68,12 @@ def test_optimal_strategy_hits_omega():
         assert achieved <= bl.omega(p) + 1e-9
 
 
+def test_optimal_strategy_attains_omega_on_a_fine_grid():
+    # the old grid search and descent stalled short of omega near p = 0.96
+    for p in np.linspace(0.5, 1.0, 201):
+        assert abs(bl.achieved_win_prob(float(p)) - bl.omega(float(p))) <= 1e-15
+
+
 def test_optimizer_closed_form_matches_box_path():
     for p in (0.55, 0.8):
         s = bl.optimal_strategy(p)

@@ -9,7 +9,10 @@ stdout.  To record the goldens again, run this file as a script.
 
 The ``analysis gap`` golden was recorded again when ``affine_family`` began
 to return its lines sorted; before, they came in the hash order of a set.
-Its certificate is pinned to the earlier recording below.
+Its certificate is pinned to the earlier recording below.  The ``game
+optimize`` golden was recorded again when ``optimal_strategy`` became the
+closed-form optimum and lost its ``grid`` option; its ``achieved`` is pinned
+to omega(0.75) below.
 """
 
 import contextlib
@@ -35,6 +38,7 @@ GAP = 0.10355339059327373
 GAP_LINES = {(0.0, 0.5), (0.25, 0.0), (0.25, 0.25), (0.25, 0.5), (0.5, -0.5),
              (0.5, -0.25), (0.5, 0.0), (0.5, 0.25), (0.5, 0.5), (0.75, -0.5),
              (0.75, -0.25), (0.75, 0.0), (1.0, -0.5)}
+OPTIMIZE_GOLDEN = "06_game_optimize.txt"
 
 
 def readme_commands() -> list:
@@ -95,6 +99,11 @@ def test_gap_certificate_keeps_its_first_recording(corpus):
     lines = [tuple(line) for line in cert["family"]]
     assert len(lines) == len(GAP_LINES) and set(lines) == GAP_LINES
     assert lines == sorted(lines)
+
+
+def test_optimize_golden_attains_omega(corpus):
+    result = json.loads(corpus[OPTIMIZE_GOLDEN])["result"]
+    assert abs(result["achieved"] - bl.omega(0.75)) <= 1e-15
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import pytest
 import boxlab as bl
 from boxlab.quantum import (KET0, KET1, PHI_PLUS, SINGLET, measurement_probs,
                             restrict_box, spec_from_payload, spec_to_payload)
+from boxlab.sphere import build_cover, cover_bell_spec
 
 RNG = np.random.default_rng(123)
 
@@ -44,6 +45,88 @@ def test_random_unitary_is_unitary_and_uniform():
     means = np.mean(points, axis=0)
     assert np.abs(means).max() < 0.03
     assert abs(abs(np.linalg.det(bl.random_unitary(RNG))) - 1.0) <= 1e-10
+
+
+# Per-matrix reference formulas: the batched code must give the same floats.
+
+def reference_unitary(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def reference_bloch(psi):
+    alpha, beta = psi
+    cross = np.conj(alpha) * beta
+    return np.array([2.0 * cross.real, 2.0 * cross.imag,
+                     abs(alpha) ** 2 - abs(beta) ** 2])
+
+
+def reference_bell_table(spec, state):
+    table = np.zeros((spec.x_size, spec.y_size, spec.a_size, spec.b_size))
+    for x, u in enumerate(spec.alice_unitaries):
+        for y, v in enumerate(spec.bob_unitaries):
+            p = np.abs((np.kron(u, v) @ state).reshape(2, 2)) ** 2
+            for s in range(2):
+                for t in range(2):
+                    table[x, y, spec.alice_post[x, s], spec.bob_post[y, t]] += p[s, t]
+    return table
+
+
+def test_unitaries_bloch_and_probs_equal_the_reference_formulas():
+    seed = np.random.SeedSequence(31)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(500):
+        u, v = bl.random_unitary(ours), bl.random_unitary(ours)
+        assert np.array_equal(u, reference_unitary(theirs))
+        assert np.array_equal(v, reference_unitary(theirs))
+        psi = np.linalg.inv(u) @ KET1
+        assert np.array_equal(bl.bloch_of(psi), reference_bloch(psi))
+        for state in (PHI_PLUS, SINGLET):
+            assert np.array_equal(measurement_probs(u, v, state),
+                                  np.abs((np.kron(u, v) @ state)
+                                         .reshape(2, 2)) ** 2)
+
+
+def test_measurement_probs_broadcasts_over_leading_axes():
+    us = np.array([bl.random_unitary(RNG) for _ in range(3)])
+    vs = np.array([bl.random_unitary(RNG) for _ in range(4)])
+    probs = measurement_probs(us[:, None], vs[None], SINGLET)
+    assert probs.shape == (3, 4, 2, 2)
+    for x in range(3):
+        for y in range(4):
+            assert np.array_equal(probs[x, y],
+                                  measurement_probs(us[x], vs[y], SINGLET))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.4, 0.3])
+def test_bell_box_equals_the_per_pair_loop_on_cover_specs(eps):
+    spec = cover_bell_spec(build_cover(eps))
+    assert np.array_equal(bl.bell_box(spec, SINGLET).table,
+                          reference_bell_table(spec, SINGLET))
+
+
+@pytest.mark.parametrize("state", [PHI_PLUS, SINGLET], ids=["phi+", "singlet"])
+def test_bell_box_equals_the_per_pair_loop_on_a_direct_sum(state):
+    # block 1 sends both of Alice's outcomes to one label, so entries add up
+    spec1 = bl.simple_bell_spec([bl.random_unitary(RNG) for _ in range(3)],
+                                [bl.random_unitary(RNG) for _ in range(2)],
+                                f=(1, 1))
+    spec2 = bl.simple_bell_spec([bl.random_unitary(RNG) for _ in range(2)],
+                                [bl.random_unitary(RNG) for _ in range(4)],
+                                g=(2, 0), b_size=3)
+    spec = bl.direct_sum_bell(spec1, spec2)
+    assert np.array_equal(bl.bell_box(spec, state).table,
+                          reference_bell_table(spec, state))
+
+
+def test_bell_spec_rejects_non_unitary_and_stacked_entries():
+    with pytest.raises(ValueError, match="not unitary"):
+        bl.simple_bell_spec([IDENTITY, 2 * IDENTITY], [IDENTITY])
+    with pytest.raises(ValueError, match="one 2x2 unitary per input"):
+        bl.BellBoxSpec((np.array([IDENTITY, BIT_FLIP]),), (IDENTITY,),
+                       np.array([[0, 1]]), np.array([[0, 1]]), 2, 2)
 
 
 def test_bell_box_computational_basis():
@@ -140,6 +223,9 @@ def test_measurement_probs_rejects_bad_input():
         measurement_probs(np.ones((2, 2)), IDENTITY, PHI_PLUS)
     with pytest.raises(ValueError):
         measurement_probs(IDENTITY, IDENTITY, np.array([1.0, 0, 0, 1.0]))
+    with pytest.raises(ValueError, match="not unitary"):
+        measurement_probs(np.array([IDENTITY, np.ones((2, 2))]), IDENTITY,
+                          PHI_PLUS)
 
 
 def test_spec_payload_roundtrip():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +106,49 @@ def test_verify_reduction_within_radius():
     # deterministic given the seed
     again = bl.verify_reduction(cover, trials=300, seed=7)
     assert again == (max_tv, mean_tv)
+
+
+def reference_verify_reduction(cover, trials, seed):
+    """verify_reduction as a per-trial loop over the whole T x T box."""
+    box = bl.discretized_box(cover)
+    tvs = np.empty(trials)
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        u = bl.random_unitary(rng)
+        v = bl.random_unitary(rng)
+        i, j = reduce_measurement(u, v, cover)
+        exact = bl.singlet_measure_box(u, v)
+        approx = bl.JointDistribution(box.table[i, j])
+        tvs[trial] = exact.tv(approx)
+    return float(tvs.max()), float(tvs.mean())
+
+
+@pytest.mark.parametrize("eps,trials,seed", [(0.5, 300, 1), (0.4, 1000, 7),
+                                             (0.3, 500, 123), (0.2, 1000, 7)])
+def test_verify_reduction_equals_the_per_trial_loop(eps, trials, seed):
+    cover = bl.build_cover(eps)
+    assert (bl.verify_reduction(cover, trials, seed)
+            == reference_verify_reduction(cover, trials, seed))
+
+
+def test_verify_reduction_memory_grows_with_trials_not_t_squared():
+    cover = bl.build_cover(0.05)            # T = 3481: the T x T box is 388 MB
+    tracemalloc.start()
+    try:
+        bl.verify_reduction(cover, 20, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, boxlab; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(bl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 def test_tv_bounded_by_half_chord_distance():
