@@ -39,15 +39,9 @@ def best_affine_fit() -> AffineFunction:
     """
     a, b = 0.5, 1.0
     m = (omega(b) - omega(a)) / (b - a)
-    # tangency point: omega'(t) = m, found by bisection (omega' is increasing)
-    lo, hi = a, b
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if omega_prime(mid) < m:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
+    # tangency point: omega'(t) = m, where omega'(t) = s / sqrt(2 (1 + s^2))
+    # with s = 2t - 1, solved for s > 0
+    t = 0.5 + 0.5 * m * math.sqrt(2.0 / (1.0 - 2.0 * m * m))
     c = 0.5 * ((omega(a) - m * a) + (omega(t) - m * t))
     return AffineFunction(c, m)
 
@@ -197,7 +191,7 @@ def find_hard_p(family, resolution: int = 10 ** 4, *, description: str = "",
 
     def g_vec(ps: np.ndarray) -> np.ndarray:
         vals = intercepts[:, None] + slopes[:, None] * ps[None, :]
-        return np.abs(vals - (0.5 + 0.5 * np.sqrt(ps * ps + (1.0 - ps) ** 2))).min(axis=0)
+        return np.abs(vals - omega(ps)).min(axis=0)
 
     lo, hi = 0.5, 1.0
     best_p = lo

@@ -8,7 +8,7 @@ float64 tables indexed [x, y, a, b] and are immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,12 +71,7 @@ class CorrelationBox:
             raise ValueError("table must be 4-d, indexed [x, y, a, b]")
         if min(table.shape) < 1:
             raise ValueError("alphabet sizes must be positive")
-        if np.any(table < -NORM_TOL):
-            raise ValueError("negative probability entry")
-        sums = table.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > NORM_TOL):
-            raise ValueError("some output distribution does not sum to 1 within %g"
-                             % NORM_TOL)
+        check_distributions(table)
         table = table.copy()
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
@@ -165,12 +160,16 @@ def prob(box: CorrelationBox, x: int, y: int, a: int, b: int) -> float:
     return float(box.table[x, y, a, b])
 
 
-def sample(box: CorrelationBox, x: int, y: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one (a, b) from the exact output distribution at (x, y)."""
+def sample(box: CorrelationBox, x: int, y: int, rng: np.random.Generator,
+           n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n pairs (a, b) from the exact output distribution at (x, y).
+
+    One ``rng.choice`` call gives the draws of n single-draw calls, in order.
+    """
     box._check_inputs(x, y)
     flat = box.table[x, y].ravel()
-    idx = rng.choice(flat.size, p=flat / flat.sum())
-    return int(idx) // box.b_size, int(idx) % box.b_size
+    idx = rng.choice(flat.size, size=n, p=flat / flat.sum())
+    return np.divmod(idx, box.b_size)
 
 
 def tv_closeness(box1: CorrelationBox, box2: CorrelationBox) -> float:

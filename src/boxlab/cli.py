@@ -19,8 +19,6 @@ import numpy as np
 
 from . import __version__, acceptance, analysis, boxes, games, protocols, sphere
 from .protocols import AffineFunction, BINARY, Alphabets
-from .quantum import SINGLET, bell_box
-from .sphere import cover_bell_spec
 
 DEFAULT_SEED = 20230405
 
@@ -100,15 +98,13 @@ def cmd_box_sample(args):
         raise ValueError("--n must be at least 1")
     box = _parse_box(args.box)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
+    a, b = boxes.sample(box, args.x, args.y, rng, args.n)
     counts = np.zeros((box.a_size, box.b_size), dtype=np.int64)
-    rows = []
-    for i in range(args.n):
-        a, b = boxes.sample(box, args.x, args.y, rng)
-        counts[a, b] += 1
-        rows.append((i, a, b))
+    np.add.at(counts, (a, b), 1)
     _emit(args, {"counts": counts.tolist(),
                  "frequencies": (counts / args.n).tolist()},
-          csv_rows=rows, csv_header=("trial", "a", "b"))
+          csv_rows=zip(range(args.n), a.tolist(), b.tolist()),
+          csv_header=("trial", "a", "b"))
 
 
 def cmd_box_tv(args):
@@ -226,12 +222,6 @@ def cmd_cover_build(args):
     _emit(args, json.loads(sphere.cover_to_json(cover)))
 
 
-def cmd_cover_box(args):
-    cover = _load_cover(args)
-    box = sphere.discretized_box(cover)
-    _emit(args, json.loads(boxes.box_to_json(box)))
-
-
 def cmd_cover_verify(args):
     cover = _load_cover(args)
     max_tv, mean_tv = sphere.verify_reduction(cover, args.trials, seed=args.seed)
@@ -253,10 +243,9 @@ def cmd_suite_acceptance(args):
     results = acceptance.run_all()
     for result in results:
         print(result.line())
-    payload = {"results": [{"name": r.name, "passed": r.passed,
-                            "details": _jsonable(r.details)}
-                           for r in results],
-               "all_passed": all(r.passed for r in results)}
+    payload = _jsonable({"results": [{"name": r.name, "passed": r.passed,
+                                      "details": r.details} for r in results],
+                         "all_passed": all(r.passed for r in results)})
     if args.out:
         _emit(args, payload)
     if not payload["all_passed"]:
@@ -268,7 +257,7 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         return value.item()
     return value
 
@@ -373,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = cover.add_parser("build")
     p.add_argument("--epsilon", type=float, required=True)
     common(p); p.set_defaults(func=cmd_cover_build)
-    p = cover.add_parser("box")
-    p.add_argument("--epsilon", type=float); p.add_argument("--cover")
-    common(p); p.set_defaults(func=cmd_cover_box)
     p = cover.add_parser("verify")
     p.add_argument("--epsilon", type=float); p.add_argument("--cover")
     p.add_argument("--trials", type=int, default=1000)

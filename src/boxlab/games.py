@@ -13,9 +13,6 @@ import numpy as np
 from .boxes import CorrelationBox
 from .quantum import SINGLET, BellBoxSpec, bell_box, simple_bell_spec, unitary_for_point
 
-OPT_TOL = 1e-6
-CEILING_TOL = 1e-9
-
 
 def _check_bias(p: float, q: float) -> None:
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):

@@ -23,23 +23,14 @@ KET0 = np.array([1.0, 0.0], dtype=np.complex128)
 KET1 = np.array([0.0, 1.0], dtype=np.complex128)
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    u = np.asarray(u, dtype=np.complex128)
-    return u.shape == (2, 2) and _all_unitary(u, tol)
-
-
-def _all_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """Whether every matrix of a complex [..., 2, 2] stack is unitary within tol."""
-    defect = np.abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(2))
-    return bool(np.all(defect <= tol))
-
-
 def _require_unitary(u: np.ndarray) -> np.ndarray:
     """``u`` as a complex [..., 2, 2] stack; raises unless every matrix is unitary."""
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape[-2:] != (2, 2) or not _all_unitary(u):
-        raise ValueError("matrix is not unitary within %g" % UNITARY_TOL)
-    return u
+    if u.shape[-2:] == (2, 2):
+        defect = np.abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(2))
+        if np.all(defect <= UNITARY_TOL):
+            return u
+    raise ValueError("matrix is not unitary within %g" % UNITARY_TOL)
 
 
 def _haar(z: np.ndarray) -> np.ndarray:
@@ -55,8 +46,11 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     return _haar(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
 
 
-def _bloch(psi: np.ndarray) -> np.ndarray:
+def bloch_of(psi: np.ndarray) -> np.ndarray:
     """Bloch vectors [..., 3] of normalized single-qubit states [..., 2]."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.shape[-1:] != (2,):
+        raise ValueError("expected a single-qubit state")
     norm = np.linalg.norm(psi, axis=-1)
     if not np.all(np.abs(norm - 1.0) <= UNITARY_TOL):
         raise ValueError("state is not normalized")
@@ -66,14 +60,6 @@ def _bloch(psi: np.ndarray) -> np.ndarray:
     ar, ai, br, bi = alpha.real, alpha.imag, beta.real, beta.imag
     return np.stack([2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br),
                      np.hypot(ar, ai) ** 2 - np.hypot(br, bi) ** 2], axis=-1)
-
-
-def bloch_of(psi: np.ndarray) -> np.ndarray:
-    """Bloch vector of a normalized single-qubit pure state."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (2,):
-        raise ValueError("expected a single-qubit state")
-    return _bloch(psi)
 
 
 def state_from_bloch(c: np.ndarray) -> np.ndarray:
@@ -242,39 +228,3 @@ def restrict_box(box: CorrelationBox, xs, ys, as_, bs) -> CorrelationBox:
     """Sub-box on the given input labels, projected onto the given outputs."""
     sub = box.table[np.ix_(list(xs), list(ys), list(as_), list(bs))]
     return CorrelationBox(sub)
-
-
-def spec_to_payload(spec: BellBoxSpec) -> dict:
-    """JSON-friendly form: 8 reals per unitary, row-major, re/im interleaved."""
-    def flat(u):
-        out = []
-        for entry in np.asarray(u).ravel():
-            out.extend([entry.real, entry.imag])
-        return out
-
-    return {
-        "alice_unitaries": [flat(u) for u in spec.alice_unitaries],
-        "bob_unitaries": [flat(v) for v in spec.bob_unitaries],
-        "alice_post": spec.alice_post.tolist(),
-        "bob_post": spec.bob_post.tolist(),
-        "a_size": spec.a_size,
-        "b_size": spec.b_size,
-    }
-
-
-def spec_from_payload(payload: dict) -> BellBoxSpec:
-    def unflat(vals):
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.shape != (8,):
-            raise ValueError("unitary payload must have 8 reals")
-        c = vals[0::2] + 1j * vals[1::2]
-        return c.reshape(2, 2)
-
-    return BellBoxSpec(
-        tuple(unflat(u) for u in payload["alice_unitaries"]),
-        tuple(unflat(v) for v in payload["bob_unitaries"]),
-        np.asarray(payload["alice_post"], dtype=np.int64),
-        np.asarray(payload["bob_post"], dtype=np.int64),
-        int(payload["a_size"]),
-        int(payload["b_size"]),
-    )

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import CorrelationBox, check_distributions
-from .quantum import (KET1, SINGLET, _bloch, _haar, measurement_probs,
+from .quantum import (KET1, SINGLET, _haar, bloch_of, measurement_probs,
                       simple_bell_spec, unitary_for_point)
 
 # empirical certified-radius constant of the audited Fibonacci lattice,
 # certified_radius ~= RADIUS_FIT / sqrt(T); retuned if the audit ever fails
 RADIUS_FIT = 2.95
 T_SCALING_CAP = 10.0  # T <= T_SCALING_CAP / epsilon^2
+AUDIT_PROBES_PER_POINT = 100
+AUDIT_RETRIES = 3
 
 
 def fibonacci_points(n: int) -> np.ndarray:
@@ -95,15 +97,14 @@ class SphereCover:
         return int(np.argmin(d2))
 
 
-def build_cover(epsilon: float, probes_per_point: int = 100,
-                max_retries: int = 3) -> SphereCover:
+def build_cover(epsilon: float) -> SphereCover:
     """Audited cover with covering_radius <= epsilon and T <= 10 / epsilon^2."""
     if not 0.0 < epsilon <= 2.0:
         raise ValueError("epsilon must lie in (0, 2]")
     t = max(4, int(np.ceil((RADIUS_FIT / epsilon) ** 2)))
-    for _ in range(max_retries + 1):
+    for _ in range(AUDIT_RETRIES + 1):
         points = fibonacci_points(t)
-        certified = audit_cover(points, probes_per_point * t)
+        certified = audit_cover(points, AUDIT_PROBES_PER_POINT * t)
         if certified <= epsilon:
             return SphereCover(points, certified)
         t = int(np.ceil(t * 1.3))
@@ -138,7 +139,7 @@ def cover_bell_spec(cover: SphereCover):
 
 def _snap(unitaries: np.ndarray, cover: SphereCover) -> np.ndarray:
     """Nearest cover index of the Bloch point of U^-1|1>, U over [..., 2, 2]."""
-    points = _bloch(np.linalg.inv(unitaries) @ KET1)
+    points = bloch_of(np.linalg.inv(unitaries) @ KET1)
     nearest = [cover.nearest(c) for c in points.reshape(-1, 3)]
     return np.reshape(nearest, points.shape[:-1])
 
@@ -175,11 +176,10 @@ def verify_reduction(cover: SphereCover, trials: int,
     return float(tvs.max()), float(tvs.mean())
 
 
-def cover_to_json(cover: SphereCover, audit_probes: int | None = None) -> str:
+def cover_to_json(cover: SphereCover) -> str:
     payload = {
         "points": cover.points.tolist(),
         "covering_radius": cover.covering_radius,
-        "audit": {"probes": audit_probes} if audit_probes else {},
     }
     return json.dumps(payload)
 

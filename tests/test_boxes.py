@@ -71,8 +71,26 @@ def test_sample_matches_table():
     pr = bl.pr_box()
     rng = np.random.default_rng(42)
     n = 10 ** 5
-    hits = sum(bl.sample(pr, 0, 1, rng) == (0, 0) for _ in range(n))
+    a, b = bl.sample(pr, 0, 1, rng, n)
+    assert a.shape == b.shape == (n,)
+    hits = np.count_nonzero((a == 0) & (b == 0))
     assert abs(hits / n - 0.5) < 5e-3
+
+
+def test_sample_equals_single_draws():
+    """One n-draw call gives the draws of n single rng.choice calls."""
+    table = np.random.default_rng(3).random((2, 2, 3, 2))
+    boxes = [bl.pr_box(), bl.local_box([0, 1], [1, 1]),
+             bl.CorrelationBox(table / table.sum(axis=(2, 3), keepdims=True))]
+    for seed, box in enumerate(boxes):
+        x, y, n = 1, 0, 2000
+        flat = box.table[x, y].ravel()
+        reference = np.random.default_rng(seed)
+        draws = [int(reference.choice(flat.size, p=flat / flat.sum()))
+                 for _ in range(n)]
+        a, b = bl.sample(box, x, y, np.random.default_rng(seed), n)
+        assert a.tolist() == [d // box.b_size for d in draws]
+        assert b.tolist() == [d % box.b_size for d in draws]
 
 
 def test_normalization_rejected():

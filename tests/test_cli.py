@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import boxlab as bl
-from boxlab import cli
+from boxlab import acceptance, cli
 from boxlab.cli import main
 from boxlab.protocols import BINARY, DeterministicProtocol, protocol_to_json
 from boxlab.sphere import cover_to_json, octahedron_cover
@@ -185,9 +185,22 @@ def test_cover_build_and_verify(capsys, tmp_path):
     assert payload["result"]["max_tv"] <= 0.4
 
 
-def test_cover_box_needs_source(capsys):
-    code, _, err = run(capsys, "cover", "box")
+def test_cover_verify_needs_source(capsys):
+    code, _, err = run(capsys, "cover", "verify")
     assert code == 2 and "error:" in err
+
+
+def test_suite_acceptance_writes_numpy_results(capsys, monkeypatch, tmp_path):
+    # criteria compute their verdicts and details as numpy scalars
+    result = acceptance.CriterionResult(
+        "numpy", np.bool_(True), {"ok": np.bool_(True), 3: [np.float64(0.5)]})
+    monkeypatch.setattr(acceptance, "run_all", lambda: [result])
+    out = tmp_path / "acceptance.json"
+    assert run(capsys, "suite", "acceptance", "--out", str(out))[0] == 0
+    assert json.loads(out.read_text())["result"] == {
+        "all_passed": True, "results": [
+            {"name": "numpy", "passed": True,
+             "details": {"ok": True, "3": [0.5]}}]}
 
 
 def test_unknown_box_token_exits_2(capsys):

@@ -12,9 +12,11 @@ to return its lines sorted; before, they came in the hash order of a set.
 Its certificate is pinned to the earlier recording below.  The ``game
 optimize`` golden was recorded again when ``optimal_strategy`` became the
 closed-form optimum and lost its ``grid`` option; its ``achieved`` is pinned
-to omega(0.75) below.
+to omega(0.75) below.  The ``cover build`` golden was recorded again when
+cover files lost their always-empty ``"audit": {}`` entry.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -25,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import boxlab as bl
+from boxlab import cli
 from boxlab.cli import main
 from boxlab.protocols import protocol_to_json
 
@@ -47,6 +50,16 @@ def readme_commands() -> list:
     block = block.split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.splitlines()
             if line.startswith("boxlab ")]
+
+
+def parser_commands() -> list:
+    """Every (group, command) pair the boxlab parser accepts."""
+    def choices(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+
+    return [(group, cmd) for group, sub in choices(cli._PARSER).items()
+            for cmd in choices(sub)]
 
 
 def golden_name(index: int, argv: list) -> str:
@@ -84,6 +97,12 @@ def corpus(tmp_path_factory):
 def test_corpus_covers_every_readme_command():
     names = {golden_name(i, argv) for i, argv in enumerate(readme_commands())}
     assert names == {p.name for p in GOLDEN.glob("*.txt")}
+
+
+def test_every_command_is_documented():
+    documented = {tuple(argv[:2]) for argv in readme_commands()}
+    documented.add(("suite", "acceptance"))    # README's Tests section
+    assert [c for c in parser_commands() if c not in documented] == []
 
 
 @pytest.mark.parametrize("index,argv", list(enumerate(readme_commands())),

@@ -3,7 +3,7 @@ import pytest
 
 import boxlab as bl
 from boxlab.quantum import (KET0, KET1, PHI_PLUS, SINGLET, measurement_probs,
-                            restrict_box, spec_from_payload, spec_to_payload)
+                            restrict_box)
 from boxlab.sphere import build_cover, cover_bell_spec
 
 RNG = np.random.default_rng(123)
@@ -77,16 +77,21 @@ def reference_bell_table(spec, state):
 def test_unitaries_bloch_and_probs_equal_the_reference_formulas():
     seed = np.random.SeedSequence(31)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    states = []
     for _ in range(500):
         u, v = bl.random_unitary(ours), bl.random_unitary(ours)
         assert np.array_equal(u, reference_unitary(theirs))
         assert np.array_equal(v, reference_unitary(theirs))
         psi = np.linalg.inv(u) @ KET1
         assert np.array_equal(bl.bloch_of(psi), reference_bloch(psi))
+        states.append(psi)
         for state in (PHI_PLUS, SINGLET):
             assert np.array_equal(measurement_probs(u, v, state),
                                   np.abs((np.kron(u, v) @ state)
                                          .reshape(2, 2)) ** 2)
+    stacked = bl.bloch_of(np.reshape(states, (100, 5, 2)))
+    assert np.array_equal(stacked.reshape(500, 3),
+                          [reference_bloch(psi) for psi in states])
 
 
 def test_measurement_probs_broadcasts_over_leading_axes():
@@ -226,12 +231,3 @@ def test_measurement_probs_rejects_bad_input():
     with pytest.raises(ValueError, match="not unitary"):
         measurement_probs(np.array([IDENTITY, np.ones((2, 2))]), IDENTITY,
                           PHI_PLUS)
-
-
-def test_spec_payload_roundtrip():
-    spec = bl.simple_bell_spec([bl.random_unitary(RNG) for _ in range(2)],
-                               [bl.random_unitary(RNG) for _ in range(2)])
-    again = spec_from_payload(spec_to_payload(spec))
-    for u1, u2 in zip(spec.alice_unitaries, again.alice_unitaries):
-        assert np.array_equal(u1, u2)
-    assert np.array_equal(spec.bob_post, again.bob_post)
