@@ -12,12 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 from .games import omega, omega_prime
-from .protocols import AffineFunction
+from .protocols import PATH_TABLE_CAP, AffineFunction
 
 ROOT_TOL = 1e-10
 MEASURE_BISECT_TOL = 1e-12
 HALF_INTERVAL = 0.5  # |[1/2, 1]|
 SCHEDULE_DIGIT_CAP = 4300  # Python's default limit on int-to-str conversion
+ABOVE_OMEGA_TOL = 1e-12     # lines this far above omega still take the envelope
 
 
 def omega_second_derivative(x: float) -> float:
@@ -31,6 +32,14 @@ def tangent_line(p0: float) -> AffineFunction:
     return AffineFunction(omega(p0) - slope * p0, slope)
 
 
+def _tangency(m):
+    """The p in [1/2, 1] where omega'(p) = m, for slopes m in [0, 1/2].
+
+    omega'(p) = s / sqrt(2 (1 + s^2)) with s = 2p - 1, solved for s >= 0.
+    """
+    return 0.5 + 0.5 * m * np.sqrt(2.0 / (1.0 - 2.0 * m * m))
+
+
 def best_affine_fit() -> AffineFunction:
     """Chebyshev best uniform affine approximation of omega on [1/2, 1].
 
@@ -39,9 +48,7 @@ def best_affine_fit() -> AffineFunction:
     """
     a, b = 0.5, 1.0
     m = (omega(b) - omega(a)) / (b - a)
-    # tangency point: omega'(t) = m, where omega'(t) = s / sqrt(2 (1 + s^2))
-    # with s = 2t - 1, solved for s > 0
-    t = 0.5 + 0.5 * m * math.sqrt(2.0 / (1.0 - 2.0 * m * m))
+    t = _tangency(m)
     c = 0.5 * ((omega(a) - m * a) + (omega(t) - m * t))
     return AffineFunction(c, m)
 
@@ -177,10 +184,69 @@ class GapCertificate:
         return abs(self.recompute_gap() - self.gap) <= tol
 
 
+def _min_distance(intercepts: np.ndarray, slopes: np.ndarray,
+                  ps: np.ndarray) -> np.ndarray:
+    """min over lines of |ell(p) - omega(p)| at each p, in blocks of lines
+    of at most PATH_TABLE_CAP entries."""
+    rows = max(1, PATH_TABLE_CAP // len(ps))
+    target = omega(ps)
+    best = np.full(len(ps), np.inf)
+    for start in range(0, len(intercepts), rows):
+        vals = intercepts[start:start + rows, None] \
+            + slopes[start:start + rows, None] * ps[None, :]
+        vals -= target
+        np.minimum(best, np.abs(vals, out=vals).min(axis=0), out=best)
+    return best
+
+
+def _rise_above_omega(intercepts: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """max over p in [1/2, 1] of ell(p) - omega(p), one value per line.
+
+    ell - omega is concave, so the maximum is where omega' = slope, clipped
+    to the interval; 1/2 and 1 are checked as well against rounding.
+    """
+    t = _tangency(np.clip(slopes, 0.0, 0.5))
+    return np.maximum.reduce([intercepts + slopes * q - omega(q)
+                              for q in (0.5, t, 1.0)])
+
+
+def _envelope_breaks(intercepts: np.ndarray, slopes: np.ndarray) -> list:
+    """Breakpoints in (1/2, 1) of the upper envelope of the lines, ascending.
+
+    Starts at the line highest at 1/2 and moves to the nearest crossing with
+    a steeper line until that crossing is past 1.  A line left behind is
+    flatter than the current one, so it never returns.
+    """
+    order = np.lexsort((intercepts, slopes))       # by slope, then intercept
+    c, m = intercepts[order], slopes[order]
+    at_half = c + m * 0.5
+    i = len(c) - 1 - int(np.argmax(at_half[::-1]))  # ties: the steepest
+    p, breaks = 0.5, []
+    while True:
+        steeper = int(np.searchsorted(m, m[i], side="right"))
+        if steeper == len(m):
+            return breaks
+        cross = np.maximum((c[i] - c[steeper:]) / (m[steeper:] - m[i]), p)
+        j = len(cross) - 1 - int(np.argmin(cross[::-1]))
+        if cross[j] >= 1.0:
+            return breaks
+        p, i = float(cross[j]), steeper + j
+        breaks.append(p)
+
+
 def find_hard_p(family, resolution: int = 10 ** 4, *, description: str = "",
                 k: int = 0) -> GapCertificate:
-    """Maximize g(p) = min_ell |ell(p) - omega(p)| by grid scan plus local
-    grid refinement down to width 1e-10."""
+    """Maximize g(p) = min_ell |ell(p) - omega(p)| over [1/2, 1].
+
+    Exact when no line rises more than ABOVE_OMEGA_TOL above omega, as for
+    every family of a quantum target: then g = omega - U with U the upper
+    envelope of the lines, omega - ell is convex on each piece of U, and the
+    maximum is at 1/2, at 1 or at a breakpoint of U; ``resolution`` is
+    unused.  Otherwise a grid scan of ``resolution`` points with local
+    refinement down to width 1e-10, in blocks of lines of at most
+    PATH_TABLE_CAP entries.  Either way the first maximum wins, so ties go
+    to the smallest p.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     family = tuple(family)
@@ -189,23 +255,21 @@ def find_hard_p(family, resolution: int = 10 ** 4, *, description: str = "",
     intercepts = np.array([ell.intercept for ell in family])
     slopes = np.array([ell.slope for ell in family])
 
-    def g_vec(ps: np.ndarray) -> np.ndarray:
-        vals = intercepts[:, None] + slopes[:, None] * ps[None, :]
-        return np.abs(vals - omega(ps)).min(axis=0)
-
-    lo, hi = 0.5, 1.0
-    best_p = lo
-    while True:
-        ps = np.linspace(lo, hi, resolution)
-        vals = g_vec(ps)
-        idx = int(np.argmax(vals))   # first max: lexicographic tie-break on p
-        best_p = float(ps[idx])
-        width = (hi - lo) / (resolution - 1)
-        if width < 1e-10:
-            break
-        lo = max(0.5, best_p - width)
-        hi = min(1.0, best_p + width)
-    gap = float(g_vec(np.array([best_p]))[0])
+    if _rise_above_omega(intercepts, slopes).max() <= ABOVE_OMEGA_TOL:
+        ps = np.array([0.5, *_envelope_breaks(intercepts, slopes), 1.0])
+        best_p = float(ps[int(np.argmax(_min_distance(intercepts, slopes, ps)))])
+    else:
+        lo, hi = 0.5, 1.0
+        while True:
+            ps = np.linspace(lo, hi, resolution)
+            idx = int(np.argmax(_min_distance(intercepts, slopes, ps)))
+            best_p = float(ps[idx])
+            width = (hi - lo) / (resolution - 1)
+            if width < 1e-10:
+                break
+            lo = max(0.5, best_p - width)
+            hi = min(1.0, best_p + width)
+    gap = float(_min_distance(intercepts, slopes, np.array([best_p]))[0])
     return GapCertificate(description, k, family, best_p, gap, resolution)
 
 

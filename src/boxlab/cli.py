@@ -21,6 +21,7 @@ from . import __version__, acceptance, analysis, boxes, games, protocols, sphere
 from .protocols import AffineFunction, BINARY, Alphabets
 
 DEFAULT_SEED = 20230405
+SAMPLE_BLOCK = 2 ** 20     # draws per boxes.sample call when only counts are kept
 
 
 def _load_payload(path: str, parse):
@@ -98,13 +99,20 @@ def cmd_box_sample(args):
         raise ValueError("--n must be at least 1")
     box = _parse_box(args.box)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-    a, b = boxes.sample(box, args.x, args.y, rng, args.n)
+    if args.format == "csv":
+        a, b = boxes.sample(box, args.x, args.y, rng, args.n)
+        _emit(args, {}, csv_rows=zip(range(args.n), a.tolist(), b.tolist()),
+              csv_header=("trial", "a", "b"))
+        return
+    # consecutive draws continue one stream, so the blocks give the counts
+    # of a single n-draw call
     counts = np.zeros((box.a_size, box.b_size), dtype=np.int64)
-    np.add.at(counts, (a, b), 1)
+    for start in range(0, args.n, SAMPLE_BLOCK):
+        a, b = boxes.sample(box, args.x, args.y, rng,
+                            min(SAMPLE_BLOCK, args.n - start))
+        np.add.at(counts, (a, b), 1)
     _emit(args, {"counts": counts.tolist(),
-                 "frequencies": (counts / args.n).tolist()},
-          csv_rows=zip(range(args.n), a.tolist(), b.tolist()),
-          csv_header=("trial", "a", "b"))
+                 "frequencies": (counts / args.n).tolist()})
 
 
 def cmd_box_tv(args):
@@ -391,6 +399,9 @@ def main(argv=None) -> int:
         args.func(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -270,13 +270,58 @@ def affine_of(protocol: DeterministicProtocol,
     return AffineFunction(intercept, slope)
 
 
+def _sorted_distinct(values: np.ndarray):
+    """Each row sorted, and a mask of the entries np.unique of that row keeps."""
+    values = np.sort(values, axis=1)
+    keep = np.ones(values.shape, dtype=bool)
+    keep[:, 1:] = values[:, 1:] != values[:, :-1]
+    return values, keep
+
+
+def _candidate_lines(eq: np.ndarray, ne: np.ndarray):
+    """(intercept, slope) arrays of every distinct-I x distinct-J pair.
+
+    The pairs come in the order (beta0, beta1, I, J), each of I and J
+    ascending, in blocks of at most PATH_TABLE_CAP pairs: a block is a run
+    of rows (Bob pair, I), each row paired with all of that Bob pair's J.
+    """
+    n_u, n_v = eq.shape
+    total = n_v * n_v * n_u
+    rows = max(1, PATH_TABLE_CAP // n_u)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        first = start // n_u
+        beta0, beta1 = np.divmod(np.arange(first, (stop - 1) // n_u + 1), n_v)
+        i_vals, i_keep = _sorted_distinct(0.5 * (eq[:, beta0] + eq[:, beta1]).T)
+        j_vals, j_keep = _sorted_distinct(0.5 * (eq[:, beta0] + ne[:, beta1]).T)
+        pair, i = np.divmod(np.arange(start, stop), n_u)
+        pair -= first
+        mask = i_keep[pair, i][:, None] & j_keep[pair]
+        intercepts = np.broadcast_to(i_vals[pair, i][:, None], mask.shape)[mask]
+        yield intercepts, j_vals[pair][mask] - intercepts
+
+
+def _first_per_key(intercepts: np.ndarray, slopes: np.ndarray):
+    """The first line of each ``AffineFunction.key``, in key order."""
+    keys = np.rint(np.stack([intercepts, slopes]) * (1.0 / DEDUP_TOL))
+    keys = keys.astype(np.int64)
+    order = np.lexsort(keys[::-1])             # stable: first seen stays first
+    keys = keys[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    keep = order[first]
+    return intercepts[keep], slopes[keep]
+
+
 def affine_family(target: CorrelationBox, k: int, *,
                   up_to_k: bool = False) -> list[AffineFunction]:
     """All distinct win-probability lines of deterministic k-query protocols.
 
     With ``up_to_k`` the union over query counts 0..k is returned; the
     default is exactly k queries.  Lines are deduplicated with tolerance
-    ``DEDUP_TOL`` on the coefficient pair and sorted by (intercept, slope).
+    ``DEDUP_TOL`` on the coefficient pair, keeping the first line of each
+    ``AffineFunction.key`` in the order below, and sorted by
+    (intercept, slope).
 
     A protocol is a choice of local strategies (alpha0, alpha1) for Alice
     and (beta0, beta1) for Bob.  Its line has intercept
@@ -288,20 +333,20 @@ def affine_family(target: CorrelationBox, k: int, *,
         raise ValueError("k must be >= 0")
     al = Alphabets(2, 2, 2, 2, target.x_size, target.y_size,
                    target.a_size, target.b_size)
-    seen: dict = {}
+    intercepts, slopes = np.empty(0), np.empty(0)
     for kk in (range(k + 1) if up_to_k else (k,)):
         _refuse_past_cap(al, kk)
         eq, ne = _agreement(_response_tables(
             _all_strategies(al.x2, al.a2, 2, kk),
             _all_strategies(al.y2, al.b2, 2, kk), target, 2, 2))
-        for beta0 in range(eq.shape[1]):
-            for beta1 in range(eq.shape[1]):
-                js = np.unique(0.5 * (eq[:, beta0] + ne[:, beta1]))
-                for intercept in np.unique(0.5 * (eq[:, beta0] + eq[:, beta1])):
-                    for j in js:
-                        ell = AffineFunction(float(intercept), float(j - intercept))
-                        seen.setdefault(ell.key(), ell)
-    return sorted(seen.values(), key=lambda ell: (ell.intercept, ell.slope))
+        # lines kept from earlier blocks come first, so they stay
+        for new_intercepts, new_slopes in _candidate_lines(eq, ne):
+            intercepts, slopes = _first_per_key(
+                np.concatenate([intercepts, new_intercepts]),
+                np.concatenate([slopes, new_slopes]))
+    order = np.lexsort((slopes, intercepts))
+    return [AffineFunction(c, m) for c, m in zip(intercepts[order].tolist(),
+                                                 slopes[order].tolist())]
 
 
 def local_deterministic_boxes():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
+from boxlab import analysis
 from boxlab.analysis import (best_affine_fit, certificate_from_json,
                              certificate_to_json, omega_second_derivative,
                              tangent_line)
 from boxlab.games import omega_prime
 from boxlab.protocols import AffineFunction
+from boxlab.sphere import build_cover
 
 
 def test_second_derivative_closed_form_and_bound():
@@ -118,6 +121,123 @@ def test_best_affine_fit_equioscillates():
     # interior maximum sampled on a grid, so allow curvature-sized slack
     assert gaps.max() == pytest.approx(worst, abs=1e-7)
     assert worst > 0.0
+
+
+def test_best_affine_fit_coefficients_are_pinned():
+    # the values of the bisection-free fit before the tangency became a helper
+    ell = best_affine_fit()
+    assert ell.intercept == 0.6912286491163062
+    assert ell.slope == 0.29289321881345254
+
+
+def grid_hard_p(family, resolution=10 ** 4):
+    """Oracle: the grid scan with local refinement that find_hard_p used
+    for every family, with the |family| x resolution matrix in blocks of
+    lines so that large families fit in memory.  Returns (p_star, gap)."""
+    intercepts = np.array([ell.intercept for ell in family])
+    slopes = np.array([ell.slope for ell in family])
+
+    def g_vec(ps):
+        best = np.full(len(ps), np.inf)
+        for start in range(0, len(family), 256):
+            vals = intercepts[start:start + 256, None] \
+                + slopes[start:start + 256, None] * ps[None, :]
+            best = np.minimum(best, np.abs(vals - bl.omega(ps)).min(axis=0))
+        return best
+
+    lo, hi = 0.5, 1.0
+    while True:
+        ps = np.linspace(lo, hi, resolution)
+        best_p = float(ps[int(np.argmax(g_vec(ps)))])
+        width = (hi - lo) / (resolution - 1)
+        if width < 1e-10:
+            break
+        lo = max(0.5, best_p - width)
+        hi = min(1.0, best_p + width)
+    return best_p, float(g_vec(np.array([best_p]))[0])
+
+
+def quantum_targets():
+    rng = np.random.default_rng(71)
+    targets = {"fib4": bl.discretized_box(build_cover(2.0)),
+               "octahedron": bl.discretized_box(bl.octahedron_cover())}
+    for i, (nx, ny) in enumerate([(2, 2), (3, 2), (3, 4), (4, 3)]):
+        spec = bl.simple_bell_spec([bl.random_unitary(rng) for _ in range(nx)],
+                                   [bl.random_unitary(rng) for _ in range(ny)])
+        targets["singlet%d" % i] = bl.bell_box(spec, bl.SINGLET)
+    return targets
+
+
+@pytest.mark.parametrize("name", quantum_targets())
+def test_exact_search_reaches_the_grid_maximum(name):
+    family = bl.affine_family(quantum_targets()[name], 1)
+    cert = bl.find_hard_p(family)
+    _, grid_gap = grid_hard_p(family)
+    assert grid_gap <= cert.gap <= grid_gap + 1e-9
+    assert cert.verify(1e-12)
+
+
+def test_exact_search_on_the_t9_cover_box():
+    family = bl.affine_family(bl.discretized_box(build_cover(1.0)), 1)
+    assert len(family) == 11029
+    cert = bl.find_hard_p(family)
+    _, grid_gap = grid_hard_p(family, resolution=1000)
+    assert grid_gap <= cert.gap <= grid_gap + 1e-9
+
+
+def test_exact_search_finds_an_interior_breakpoint():
+    # two tangents of omega: g is largest where they cross, inside (1/2, 1)
+    family = [tangent_line(0.6), tangent_line(0.9)]
+    cert = bl.find_hard_p(family)
+    a, b = family
+    crossing = (a.intercept - b.intercept) / (b.slope - a.slope)
+    assert cert.p_star == pytest.approx(crossing, abs=1e-15)
+    assert 0.6 < cert.p_star < 0.9
+    _, gap_grid = grid_hard_p(family)
+    assert gap_grid <= cert.gap <= gap_grid + 1e-9
+
+
+@pytest.mark.parametrize("case", ["pr", "chord", "chord-1000"])
+def test_families_above_omega_keep_the_grid_scan(case):
+    if case == "pr":
+        family = bl.affine_family(bl.pr_box(), 1)
+    else:
+        # a chord of omega rises above it between its ends, farthest inside,
+        # where the envelope has no breakpoint
+        ends = (bl.omega(0.51), bl.omega(0.99))
+        slope = (ends[1] - ends[0]) / 0.48
+        family = [AffineFunction(0.5, 0.0),
+                  AffineFunction(ends[0] - slope * 0.51, slope)]
+    resolution = 1000 if case == "chord-1000" else 10 ** 4
+    cert = bl.find_hard_p(family, resolution)
+    assert (cert.p_star, cert.gap) == grid_hard_p(family, resolution)
+    assert cert.resolution == resolution
+    if case != "pr":
+        assert 0.6 < cert.p_star < 0.9
+
+
+def test_grid_scan_in_blocks_of_lines(monkeypatch):
+    family = bl.affine_family(bl.pr_box(), 1) * 5
+    whole = bl.find_hard_p(family, 1000)
+    monkeypatch.setattr(analysis, "PATH_TABLE_CAP", 3 * 1000)
+    blocked = bl.find_hard_p(family, 1000)
+    assert (blocked.p_star, blocked.gap) == (whole.p_star, whole.gap)
+
+
+def test_t14_cover_box_gap_in_bounded_memory():
+    # the full grid scan asked for one 5.1 GiB matrix here
+    box = bl.discretized_box(build_cover(0.8))
+    tracemalloc.start()
+    try:
+        family = bl.affine_family(box, 1)
+        cert = bl.find_hard_p(family, k=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family) == 68971
+    assert peak < 256e6
+    assert cert.gap == pytest.approx(0.00771, abs=1e-5)
+    assert cert.verify(1e-12)
 
 
 def test_find_hard_p_octahedron_certificate():

@@ -56,6 +56,31 @@ def test_box_sample_csv(capsys):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("box", ["pr", "local:0,1:1,1"])
+def test_box_sample_counts_in_blocks(capsys, monkeypatch, box):
+    argv = ("box", "sample", "--box", box, "--x", "1", "--y", "1",
+            "--n", "10007", "--seed", "9")
+    _, whole, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli, "SAMPLE_BLOCK", 1000)
+    code, blocked, _ = run(capsys, *argv)
+    assert code == 0 and blocked == whole
+    # the counts of the CSV rows, which come from one n-draw call
+    _, csv, _ = run(capsys, *argv, "--format", "csv")
+    rows = np.array([line.split(",") for line in csv.splitlines()[2:]], dtype=int)
+    counts = np.zeros((2, 2), dtype=int)
+    np.add.at(counts, (rows[:, 1], rows[:, 2]), 1)
+    assert json.loads(blocked)["result"]["counts"] == counts.tolist()
+
+
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(bl.boxes, "sample", no_memory)
+    code, out, err = run(capsys, "box", "sample", "--box", "pr", "--x", "0",
+                         "--y", "0", "--n", "100000000", "--format", "csv")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_game_eval_and_omega(capsys):
     payload = run_json(capsys, "game", "eval", "--box", "pr", "--p", "0.5")
     assert payload["result"]["win_prob"] == 1.0

@@ -3,9 +3,11 @@ import pytest
 from scipy.optimize import linprog
 
 import boxlab as bl
+from boxlab import protocols
 from boxlab.protocols import (BINARY, AffineFunction, Alphabets,
                               local_deterministic_boxes,
                               protocol_from_json, protocol_to_json)
+from boxlab.sphere import build_cover
 
 
 def k0_protocol(s_map, t_map):
@@ -273,3 +275,52 @@ def test_up_to_k_is_the_union_of_each_k(name):
     target = bl.CorrelationBox(family_targets()[name])
     union = {ell.key() for k in (0, 1) for ell in bl.affine_family(target, k)}
     assert {ell.key() for ell in bl.affine_family(target, 1, up_to_k=True)} == union
+
+
+def loop_family(target, k, up_to_k=False):
+    """Reference: affine_family's former loop over Bob pairs and the
+    distinct I and J values, first line of each key kept."""
+    al = Alphabets(2, 2, 2, 2, target.x_size, target.y_size,
+                   target.a_size, target.b_size)
+    seen = {}
+    for kk in (range(k + 1) if up_to_k else (k,)):
+        eq, ne = protocols._agreement(protocols._response_tables(
+            protocols._all_strategies(al.x2, al.a2, 2, kk),
+            protocols._all_strategies(al.y2, al.b2, 2, kk), target, 2, 2))
+        for beta0 in range(eq.shape[1]):
+            for beta1 in range(eq.shape[1]):
+                js = np.unique(0.5 * (eq[:, beta0] + ne[:, beta1]))
+                for intercept in np.unique(0.5 * (eq[:, beta0] + eq[:, beta1])):
+                    for j in js:
+                        ell = AffineFunction(float(intercept), float(j - intercept))
+                        seen.setdefault(ell.key(), ell)
+    return sorted(seen.values(), key=lambda ell: (ell.intercept, ell.slope))
+
+
+def loop_targets():
+    rng = np.random.default_rng(43)
+    return {"pr": bl.pr_box(),
+            "octahedron": bl.discretized_box(bl.octahedron_cover()),
+            "cover4": bl.discretized_box(build_cover(2.0)),
+            **{"binary%d" % i: bl.CorrelationBox(random_table(rng, (2, 2, 2, 2)))
+               for i in range(3)},
+            "3232": bl.CorrelationBox(random_table(rng, (3, 2, 3, 2)))}
+
+
+@pytest.mark.parametrize("name", loop_targets())
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("up_to_k", [False, True], ids=["k", "up-to-k"])
+def test_family_equals_the_loop(name, k, up_to_k):
+    target = loop_targets()[name]
+    assert bl.affine_family(target, k, up_to_k=up_to_k) \
+        == loop_family(target, k, up_to_k)
+
+
+@pytest.mark.parametrize("name", ["octahedron", "binary0"])
+def test_family_in_small_blocks_equals_the_loop(monkeypatch, name):
+    # a block of a few (Bob pair, I) rows: lines met again in later blocks
+    # must keep the representative found first
+    target = loop_targets()[name]
+    monkeypatch.setattr(protocols, "PATH_TABLE_CAP", 100)
+    assert bl.affine_family(target, 1, up_to_k=True) \
+        == loop_family(target, 1, up_to_k=True)

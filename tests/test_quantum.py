@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import boxlab as bl
+from boxlab import quantum
 from boxlab.quantum import (KET0, KET1, PHI_PLUS, SINGLET, measurement_probs,
                             restrict_box)
 from boxlab.sphere import build_cover, cover_bell_spec
@@ -110,6 +111,23 @@ def test_bell_box_equals_the_per_pair_loop_on_cover_specs(eps):
     spec = cover_bell_spec(build_cover(eps))
     assert np.array_equal(bl.bell_box(spec, SINGLET).table,
                           reference_bell_table(spec, SINGLET))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.4, 0.3])
+def test_bell_box_in_blocks_of_alice_inputs_equals_one_block(monkeypatch, eps):
+    spec = cover_bell_spec(build_cover(eps))
+    us, vs = np.array(spec.alice_unitaries), np.array(spec.bob_unitaries)
+    # the whole U (x) V stack in one measurement_probs call
+    table = np.zeros((spec.x_size, spec.y_size, 2, 2))
+    x, y = np.ogrid[:spec.x_size, :spec.y_size]
+    np.add.at(table, (x[..., None, None], y[..., None, None],
+                      spec.alice_post[:, None, :, None],
+                      spec.bob_post[None, :, None, :]),
+              measurement_probs(us[:, None], vs[None], SINGLET))
+    assert np.array_equal(bl.bell_box(spec, SINGLET).table, table)
+    # 3 of Alice's inputs a block, the last block shorter
+    monkeypatch.setattr(quantum, "BELL_BLOCK", 16 * spec.y_size * 3)
+    assert np.array_equal(bl.bell_box(spec, SINGLET).table, table)
 
 
 @pytest.mark.parametrize("state", [PHI_PLUS, SINGLET], ids=["phi+", "singlet"])
