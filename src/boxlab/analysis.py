@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .boxes import PATH_TABLE_CAP
 from .games import omega, omega_prime
-from .protocols import PATH_TABLE_CAP, AffineFunction
+from .protocols import AffineFunction
 
 ROOT_TOL = 1e-10
 MEASURE_BISECT_TOL = 1e-12

@@ -14,6 +14,7 @@ import numpy as np
 
 NORM_TOL = 1e-12
 NS_TOL = 1e-10
+PATH_TABLE_CAP = 2 ** 22   # entries of one temporary array a kernel builds, 32 MB of float64
 
 
 def check_distributions(probs: np.ndarray) -> None:

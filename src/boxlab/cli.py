@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import sys
@@ -18,10 +19,10 @@ import sys
 import numpy as np
 
 from . import __version__, acceptance, analysis, boxes, games, protocols, sphere
+from .boxes import PATH_TABLE_CAP
 from .protocols import AffineFunction, BINARY, Alphabets
 
 DEFAULT_SEED = 20230405
-SAMPLE_BLOCK = 2 ** 20     # draws per boxes.sample call when only counts are kept
 
 
 def _load_payload(path: str, parse):
@@ -94,22 +95,29 @@ def cmd_box_show(args):
     _emit(args, json.loads(boxes.box_to_json(box)))
 
 
+def _sample_blocks(box, x, y, rng, n):
+    """Yield (start, a, b) for the draws of boxes.sample in blocks of at most
+    PATH_TABLE_CAP; consecutive draws continue one stream, so the blocks
+    are the draws of a single n-draw call."""
+    for start in range(0, n, PATH_TABLE_CAP):
+        a, b = boxes.sample(box, x, y, rng, min(PATH_TABLE_CAP, n - start))
+        yield start, a, b
+
+
 def cmd_box_sample(args):
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     box = _parse_box(args.box)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
+    blocks = _sample_blocks(box, args.x, args.y, rng, args.n)
     if args.format == "csv":
-        a, b = boxes.sample(box, args.x, args.y, rng, args.n)
-        _emit(args, {}, csv_rows=zip(range(args.n), a.tolist(), b.tolist()),
-              csv_header=("trial", "a", "b"))
+        rows = itertools.chain.from_iterable(
+            zip(range(start, start + a.size), a.tolist(), b.tolist())
+            for start, a, b in blocks)
+        _emit(args, {}, csv_rows=rows, csv_header=("trial", "a", "b"))
         return
-    # consecutive draws continue one stream, so the blocks give the counts
-    # of a single n-draw call
     counts = np.zeros((box.a_size, box.b_size), dtype=np.int64)
-    for start in range(0, args.n, SAMPLE_BLOCK):
-        a, b = boxes.sample(box, args.x, args.y, rng,
-                            min(SAMPLE_BLOCK, args.n - start))
+    for _, a, b in blocks:
         np.add.at(counts, (a, b), 1)
     _emit(args, {"counts": counts.tolist(),
                  "frequencies": (counts / args.n).tolist()})

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import NORM_TOL, CorrelationBox, local_box, mix, tv_closeness
+from .boxes import (NORM_TOL, PATH_TABLE_CAP, CorrelationBox, local_box, mix,
+                    tv_closeness)
 
 ENUMERATION_CAP = 10 ** 8
-PATH_TABLE_CAP = 2 ** 22   # entries of one response-path table, 32 MB of float64
 DEDUP_TOL = 1e-12
 
 

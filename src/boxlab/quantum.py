@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import CorrelationBox, JointDistribution
+from .boxes import PATH_TABLE_CAP, CorrelationBox, JointDistribution
 
 UNITARY_TOL = 1e-10
-BELL_BLOCK = 2 ** 22    # entries of U (x) V per measurement_probs call in bell_box
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / np.sqrt(2.0)
@@ -181,11 +180,11 @@ def bell_box(spec: BellBoxSpec, state: np.ndarray = PHI_PLUS) -> CorrelationBox:
     """Exact correlation box from measuring ``state`` as ``spec`` prescribes.
 
     Alice's inputs go in blocks whose U (x) V stacks hold at most
-    BELL_BLOCK entries, 16 per input pair.
+    PATH_TABLE_CAP entries, 16 per input pair.
     """
     us, vs = np.array(spec.alice_unitaries), np.array(spec.bob_unitaries)
     table = np.zeros((spec.x_size, spec.y_size, spec.a_size, spec.b_size))
-    rows = max(1, BELL_BLOCK // (16 * spec.y_size))
+    rows = max(1, PATH_TABLE_CAP // (16 * spec.y_size))
     for start in range(0, spec.x_size, rows):
         stop = min(start + rows, spec.x_size)
         probs = measurement_probs(us[start:stop, None], vs[None], state)

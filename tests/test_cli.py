@@ -57,16 +57,20 @@ def test_box_sample_csv(capsys):
 
 
 @pytest.mark.parametrize("box", ["pr", "local:0,1:1,1"])
-def test_box_sample_counts_in_blocks(capsys, monkeypatch, box):
+def test_box_sample_draws_in_blocks(capsys, monkeypatch, box):
     argv = ("box", "sample", "--box", box, "--x", "1", "--y", "1",
             "--n", "10007", "--seed", "9")
     _, whole, _ = run(capsys, *argv)
-    monkeypatch.setattr(cli, "SAMPLE_BLOCK", 1000)
+    _, whole_csv, _ = run(capsys, *argv, "--format", "csv")
+    monkeypatch.setattr(cli, "PATH_TABLE_CAP", 1000)
     code, blocked, _ = run(capsys, *argv)
     assert code == 0 and blocked == whole
-    # the counts of the CSV rows, which come from one n-draw call
-    _, csv, _ = run(capsys, *argv, "--format", "csv")
-    rows = np.array([line.split(",") for line in csv.splitlines()[2:]], dtype=int)
+    code, blocked_csv, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and blocked_csv == whole_csv
+    # the counts equal those of the CSV rows
+    rows = np.array([line.split(",") for line in whole_csv.splitlines()[2:]],
+                    dtype=int)
+    assert rows[:, 0].tolist() == list(range(10007))
     counts = np.zeros((2, 2), dtype=int)
     np.add.at(counts, (rows[:, 1], rows[:, 2]), 1)
     assert json.loads(blocked)["result"]["counts"] == counts.tolist()

@@ -126,7 +126,7 @@ def test_bell_box_in_blocks_of_alice_inputs_equals_one_block(monkeypatch, eps):
               measurement_probs(us[:, None], vs[None], SINGLET))
     assert np.array_equal(bl.bell_box(spec, SINGLET).table, table)
     # 3 of Alice's inputs a block, the last block shorter
-    monkeypatch.setattr(quantum, "BELL_BLOCK", 16 * spec.y_size * 3)
+    monkeypatch.setattr(quantum, "PATH_TABLE_CAP", 16 * spec.y_size * 3)
     assert np.array_equal(bl.bell_box(spec, SINGLET).table, table)
 
 
