@@ -10,7 +10,7 @@ Exit codes: 0 success, 2 precondition violation, 3 acceptance-suite failure.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import itertools
 import json
 import os
@@ -62,30 +62,38 @@ def _parse_box(token: str) -> boxes.CorrelationBox:
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
+    """Write the payload as JSON, or the CSV rows as they come, to --out
+    (through a .tmp file renamed when complete) or to stdout."""
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func",) and v is not None}
     if getattr(args, "format", "json") == "csv" and csv_rows is not None:
-        buf = io.StringIO()
-        buf.write("# config=%s version=%s\n"
-                  % (json.dumps(config, sort_keys=True, allow_nan=False),
-                     __version__))
-        buf.write(",".join(csv_header) + "\n")
-        for row in csv_rows:
-            buf.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                               for v in row) + "\n")
-        text = buf.getvalue()
+        rows = iter(csv_rows)
+        # a row source that fails on its first row writes nothing
+        first = list(itertools.islice(rows, 1))
+        head = ("# config=%s version=%s\n%s\n"
+                % (json.dumps(config, sort_keys=True, allow_nan=False),
+                   __version__, ",".join(csv_header)))
+        lines = itertools.chain((head,), (
+            ",".join(repr(v) if isinstance(v, float) else str(v)
+                     for v in row) + "\n"
+            for row in itertools.chain(first, rows)))
     else:
-        text = json.dumps({"config": config, "version": __version__,
-                           "result": payload}, sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        lines = (json.dumps({"config": config, "version": __version__,
+                             "result": payload}, sort_keys=True, indent=2,
+                            allow_nan=False) + "\n",)
     out = getattr(args, "out", None)
-    if out:
-        tmp = out + ".tmp"
+    if not out:
+        sys.stdout.writelines(lines)
+        return
+    tmp = out + ".tmp"
+    try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)       # never leave a partial output file
-    else:
-        sys.stdout.write(text)
+            fh.writelines(lines)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, out)       # never leave a partial output file
 
 
 # --- box ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ class AffineFunction:
     slope: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.intercept) and np.isfinite(self.slope)):
+        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
             raise ValueError("coefficients must be finite")
 
     def __call__(self, p):

@@ -1,4 +1,6 @@
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +85,87 @@ def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
     code, out, err = run(capsys, "box", "sample", "--box", "pr", "--x", "0",
                          "--y", "0", "--n", "100000000", "--format", "csv")
     assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def in_memory_csv(args, csv_rows, csv_header):
+    """Reference: the CSV text of a command rendered whole in memory."""
+    config = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("func",) and v is not None}
+    buf = io.StringIO()
+    buf.write("# config=%s version=%s\n"
+              % (json.dumps(config, sort_keys=True, allow_nan=False),
+                 bl.__version__))
+    buf.write(",".join(csv_header) + "\n")
+    for row in csv_rows:
+        buf.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                           for v in row) + "\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("box", "sample", "--box", "pr", "--x", "0", "--y", "1", "--n", "1000",
+     "--seed", "7"),
+    ("protocol", "family", "--target", "octahedron", "--k", "1"),
+    ("analysis", "schedule", "--k-max", "2"),
+])
+def test_csv_streams_the_in_memory_rendering(capsys, monkeypatch, tmp_path,
+                                             argv):
+    rendered = []
+    emit = cli._emit
+
+    def both(args, payload, csv_rows=None, csv_header=None):
+        rows = list(csv_rows)
+        rendered.append(in_memory_csv(args, rows, csv_header))
+        emit(args, payload, csv_rows=rows, csv_header=csv_header)
+
+    monkeypatch.setattr(cli, "_emit", both)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and out == rendered[-1]
+    path = tmp_path / "rows.csv"
+    code, out, _ = run(capsys, *argv, "--format", "csv", "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes() == rendered[-1].encode("utf-8")
+    assert not (tmp_path / "rows.csv.tmp").exists()
+
+
+def test_csv_sample_memory_does_not_grow_with_n(capsys, monkeypatch,
+                                                tmp_path):
+    monkeypatch.setattr(cli, "PATH_TABLE_CAP", 1000)
+    path = tmp_path / "rows.csv"
+    peaks = []
+    for n in (10, 10 ** 4, 10 ** 5):        # the first run warms up caches
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "box", "sample", "--box", "pr", "--x",
+                               "0", "--y", "0", "--n", str(n), "--format",
+                               "csv", "--out", str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+    assert len(path.read_text().splitlines()) == 10 ** 5 + 2
+    # blocks of 1,000 draws; the whole 10^5-row text would be 1.2 MB
+    assert max(peaks[1:]) < 0.5e6
+
+
+def test_failed_csv_stream_leaves_no_file(capsys, monkeypatch, tmp_path):
+    draws = []
+    sample = bl.boxes.sample
+
+    def fail_second_block(*args):
+        draws.append(1)
+        if len(draws) == 2:
+            raise MemoryError
+        return sample(*args)
+
+    monkeypatch.setattr(cli, "PATH_TABLE_CAP", 1000)
+    monkeypatch.setattr(bl.boxes, "sample", fail_second_block)
+    path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "box", "sample", "--box", "pr", "--x", "0",
+                         "--y", "0", "--n", "5000", "--format", "csv",
+                         "--out", str(path))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_game_eval_and_omega(capsys):

@@ -324,3 +324,13 @@ def test_family_in_small_blocks_equals_the_loop(monkeypatch, name):
     monkeypatch.setattr(protocols, "PATH_TABLE_CAP", 100)
     assert bl.affine_family(target, 1, up_to_k=True) \
         == loop_family(target, 1, up_to_k=True)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
+def test_affine_function_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError):
+        AffineFunction(bad, 0.0)
+    with pytest.raises(ValueError):
+        AffineFunction(0.5, bad)
+    ell = AffineFunction(np.float64(0.5), 0.25)
+    assert float(ell(1.0)) == 0.75

@@ -7,10 +7,65 @@ import numpy as np
 import pytest
 
 import boxlab as bl
+from boxlab import sphere
 from boxlab.quantum import KET1
 from boxlab.sphere import (RADIUS_FIT, T_SCALING_CAP, audit_cover,
                            cover_bell_spec, cover_from_json, cover_to_json,
                            fibonacci_points, reduce_measurement)
+
+LADDER = (2.0, 0.5, 0.4, 0.3, 0.25, 0.2, 0.05)   # the benchmark's, and T = 4
+
+
+def kdtree_audit(points, n_probes):
+    """Reference: the audit as one k-d tree query per probe row."""
+    from scipy.spatial import cKDTree
+
+    points = np.asarray(points, dtype=np.float64)
+    n_theta = max(4, int(np.ceil(np.sqrt(n_probes / 2.0))))
+    n_phi = 2 * n_theta
+    d_theta = np.pi / n_theta
+    d_phi = 2.0 * np.pi / n_phi
+    tree = cKDTree(points)
+    certified = 0.0
+    thetas = (np.arange(n_theta) + 0.5) * d_theta
+    phis = (np.arange(n_phi) + 0.5) * d_phi
+    cos_p, sin_p = np.cos(phis), np.sin(phis)
+    for theta in thetas:
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
+        probes = np.column_stack([sin_t * cos_p, sin_t * sin_p,
+                                  np.full(n_phi, cos_t)])
+        dists, _ = tree.query(probes)
+        sin_max = max(np.sin(theta - d_theta / 2.0),
+                      np.sin(theta + d_theta / 2.0))
+        if theta - d_theta / 2.0 < np.pi / 2.0 < theta + d_theta / 2.0:
+            sin_max = 1.0
+        cell_bound = 0.5 * np.hypot(d_theta, sin_max * d_phi)
+        certified = max(certified, float(dists.max()) + cell_bound)
+    return certified
+
+
+def loop_nearest(points, probes):
+    """Reference: the nearest index of each probe, one probe at a time."""
+    return np.array([int(np.argmin(((points - c) ** 2).sum(axis=1)))
+                     for c in probes], dtype=np.intp)
+
+
+def cover_size(eps):
+    return max(4, int(np.ceil((RADIUS_FIT / eps) ** 2)))
+
+
+def finished_probes(monkeypatch):
+    """Patch the audit's exact step to count the probes it is given."""
+    counted = []
+    kernel = sphere._nearest
+
+    def counting(probes, points, reduce):
+        if reduce is np.min:
+            counted.append(len(probes))
+        return kernel(probes, points, reduce)
+
+    monkeypatch.setattr(sphere, "_nearest", counting)
+    return counted
 
 
 def test_fibonacci_points_on_sphere():
@@ -142,13 +197,111 @@ def test_verify_reduction_memory_grows_with_trials_not_t_squared():
     assert peak < 50e6
 
 
-def test_import_leaves_scipy_out():
-    code = "import sys, boxlab; print('scipy' in sys.modules)"
+def test_import_leaves_scipy_out(tmp_path):
+    # import, cover building and the CLI's cover command, one after another
+    code = """
+import sys
+import boxlab
+from boxlab.cli import main
+seen = ['scipy' in sys.modules]
+boxlab.build_cover(0.2)
+seen.append('scipy' in sys.modules)
+boxlab.octahedron_cover()
+seen.append('scipy' in sys.modules)
+assert main(['cover', 'build', '--epsilon', '0.3', '--out', 'c.json']) == 0
+seen.append('scipy' in sys.modules)
+print(seen)
+"""
     src = os.path.dirname(os.path.dirname(bl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+                         text=True, check=True, env=env, cwd=tmp_path).stdout
+    assert out.strip() == "[False, False, False, False]"
+
+
+def test_audit_equals_the_kdtree_audit_on_fibonacci_lattices(monkeypatch):
+    counted = finished_probes(monkeypatch)
+    for t in range(4, 61):
+        counted.clear()
+        points = fibonacci_points(t)
+        got = audit_cover(points, 100 * t)
+        assert got == kdtree_audit(points, 100 * t)
+        assert type(got) is float
+        # the lattice seed is exact around the maximum: one probe finishes
+        assert sum(counted) == 1
+
+
+@pytest.mark.parametrize("eps", LADDER)
+def test_audit_equals_the_kdtree_audit_on_the_cover_ladder(monkeypatch, eps):
+    counted = finished_probes(monkeypatch)
+    points = fibonacci_points(cover_size(eps))
+    got = audit_cover(points, 100 * len(points))
+    assert got == kdtree_audit(points, 100 * len(points))
+    assert type(got) is float
+    # T = 3,481 has 11 blocks of rows, and a second block finishes a probe
+    assert sum(counted) == (2 if eps == 0.05 else 1)
+    cover = bl.build_cover(eps)
+    assert np.array_equal(cover.points, points)
+    assert cover.covering_radius == got
+
+
+def test_audit_equals_the_kdtree_audit_on_other_point_sets():
+    rng = np.random.default_rng(41)
+    for t in (4, 9, 55, 218):
+        lattice = fibonacci_points(t)
+        scattered = rng.normal(size=(t, 3))
+        scattered /= np.linalg.norm(scattered, axis=1, keepdims=True)
+        for points in (lattice[::-1], lattice[rng.permutation(t)], scattered):
+            assert audit_cover(points, 100 * t) == kdtree_audit(points, 100 * t)
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    radius = audit_cover(octahedron, 20000)
+    assert radius == kdtree_audit(octahedron, 20000)
+    assert bl.octahedron_cover().covering_radius == radius
+    assert type(radius) is float
+
+
+def test_audit_blocks_are_bounded_in_memory():
+    points = fibonacci_points(cover_size(0.05))        # T = 3,481
+    tracemalloc.start()
+    try:
+        audit_cover(points, 100 * len(points))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of DISTANCE_BLOCK probes: about 3 MB, where the 349,448-probe
+    # grid in one block would take 28 MB
+    assert peak < 8e6
+
+
+def test_nearest_kernel_equals_the_per_point_loop(monkeypatch):
+    rng = np.random.default_rng(12)
+    octahedron = bl.octahedron_cover()
+    # exact ties go to the smallest index
+    tie = np.array([[1.0, 1.0, 0.0], [0.0, -1.0, -1.0], [1.0, 1.0, 1.0],
+                    [-1.0, -1.0, -1.0]])
+    tie /= np.linalg.norm(tie, axis=1, keepdims=True)
+    got = sphere._nearest(tie, octahedron.points, np.argmin)
+    assert got.tolist() == loop_nearest(octahedron.points, tie).tolist()
+    assert got[0] == 0 and octahedron.nearest(tie[0]) == 0
+    covers = (octahedron, bl.build_cover(0.3))
+    probes = rng.normal(size=(500, 3))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    wants = [loop_nearest(cover.points, probes) for cover in covers]
+    for block in (sphere.DISTANCE_BLOCK, 1000):     # one block, then many
+        monkeypatch.setattr(sphere, "DISTANCE_BLOCK", block)
+        for cover, want in zip(covers, wants):
+            got = sphere._nearest(probes, cover.points, np.argmin)
+            assert np.array_equal(got, want)
+
+
+def test_snap_equals_the_per_point_loop():
+    rng = np.random.default_rng(13)
+    uv = np.array([[bl.random_unitary(rng) for _ in range(2)]
+                   for _ in range(300)])
+    for cover in (bl.octahedron_cover(), bl.build_cover(0.2)):
+        points = bl.bloch_of(np.linalg.inv(uv) @ KET1)
+        want = loop_nearest(cover.points, points.reshape(-1, 3))
+        assert np.array_equal(sphere._snap(uv, cover), want.reshape(300, 2))
 
 
 def test_tv_bounded_by_half_chord_distance():
