@@ -15,8 +15,8 @@ the result.  Finish: the probes left get their exact distance by brute
 force over every point.  Distances are sqrt((p - q)**2 summed over x, y, z
 in turn), the float formula of a cKDTree query, so the certified radius
 equals a k-d tree audit's to the bit.  On a Fibonacci lattice one or two
-probes reach the finish; other point sets (the octahedron) fall back to
-brute force over most probes.
+probes reach the finish, in any order of the points; other point sets (the
+octahedron) fall back to brute force over most probes.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ RADIUS_FIT = 2.95
 T_SCALING_CAP = 10.0  # T <= T_SCALING_CAP / epsilon^2
 AUDIT_PROBES_PER_POINT = 100
 AUDIT_RETRIES = 3
+OCTAHEDRON_PROBES = 20000
 # entries of one temporary array in the distance kernels, far below
 # boxes.PATH_TABLE_CAP: blocks this small stay in cache, which made the
 # T = 3,481 audit twice as fast as one PATH_TABLE_CAP block and its peak 9x
@@ -127,11 +128,15 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
     for any point set.  Prune: a probe whose seed plus cell bound is at most
     the largest value found so far cannot raise it; the block's largest
     bound is resolved first.  Finish: the other probes get their exact
-    distance by brute force over all points.  Fibonacci covers leave one or
-    two probes to finish; other point sets (the octahedron) fall back to
-    brute force over most probes.
+    distance by brute force over all points.  The seeds read the points in
+    order of descending z, which is the index order of a Fibonacci lattice,
+    so Fibonacci covers in any order leave one or two probes to finish;
+    other point sets (the octahedron) fall back to brute force over most
+    probes.  The finish is a min over all points, so the order does not
+    change the result.
     """
     points = np.asarray(points, dtype=np.float64)
+    points = points[np.argsort(-points[:, 2], kind="stable")]
     n_theta = max(4, int(np.ceil(np.sqrt(n_probes / 2.0))))
     n_phi = 2 * n_theta
     d_theta = np.pi / n_theta
@@ -186,7 +191,7 @@ class SphereCover:
         if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 4:
             raise ValueError("cover needs at least 4 points in R^3")
         norms = np.linalg.norm(points, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-10:
+        if not np.all(np.abs(norms - 1.0) <= 1e-10):     # NaN fails too
             raise ValueError("cover points must be unit vectors")
         points = points.copy()
         points.flags.writeable = False
@@ -219,7 +224,7 @@ def build_cover(epsilon: float) -> SphereCover:
 def octahedron_cover() -> SphereCover:
     """The six octahedron vertices, with an audited radius."""
     points = np.vstack([np.eye(3), -np.eye(3)])
-    return SphereCover(points, audit_cover(points, 20000))
+    return SphereCover(points, audit_cover(points, OCTAHEDRON_PROBES))
 
 
 def _singlet_rows(dots: np.ndarray) -> np.ndarray:
@@ -258,23 +263,27 @@ def reduce_measurement(u: np.ndarray, v: np.ndarray,
 
 def verify_reduction(cover: SphereCover, trials: int,
                      seed: int = 0) -> tuple[float, float]:
-    """Exact TV error of the 1-query nearest-point reduction on Haar pairs.
+    """Largest and mean exact TV error of the 1-query nearest-point
+    reduction over ``trials`` Haar pairs (U, V), a Monte-Carlo estimate
+    bounded by the covering radius.
 
-    Per-trial generators derive deterministically from the master seed, so
-    trials are order-independent and parallelizable.
+    One generator seeded with ``SeedSequence([seed])`` draws every trial:
+    trial t is the t-th pair of ``quantum.random_unitary`` calls on it.  So
+    the first n trials are the same for every ``trials`` >= n.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    # each trial's generator draws U's real and imaginary parts, then V's
-    draws = np.array([
-        np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        .normal(size=(4, 2, 2)) for trial in range(trials)])
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    # per trial, U's real and imaginary parts, then V's
+    draws = rng.normal(size=(trials, 4, 2, 2))
     uv = _haar(draws[:, 0::2] + 1j * draws[:, 1::2])    # [trial, (U, V), 2, 2]
     exact = measurement_probs(uv[:, 0], uv[:, 1], SINGLET)
     # one row of discretized_box per trial, not the whole T x T table; the
-    # 1-D dot gives the float of its P @ P.T entry, where einsum would not
-    approx = _singlet_rows(np.array([cover.points[i] @ cover.points[j]
-                                     for i, j in _snap(uv, cover)]))
+    # stacked (1 x 3) @ (3 x 1) product rounds as its P @ P.T entry, where
+    # einsum and (P[i] * P[j]).sum(1) would not
+    i, j = _snap(uv, cover).T
+    points = cover.points
+    approx = _singlet_rows((points[i, None, :] @ points[j, :, None])[:, 0, 0])
     check_distributions(exact)
     check_distributions(approx)
     tvs = 0.5 * np.abs(exact - approx).sum(axis=(1, 2))
@@ -290,6 +299,20 @@ def cover_to_json(cover: SphereCover) -> str:
 
 
 def cover_from_json(text: str) -> SphereCover:
+    """Cover from ``cover_to_json`` text, with its radius audited again.
+
+    The points are audited at the probe count of ``build_cover``, then of
+    ``octahedron_cover``; the cover carries the first audit that is at most
+    the file's ``covering_radius``, so the files of both load with the same
+    radius.  A file whose radius is below both audits is refused.
+    """
     payload = json.loads(text)
-    return SphereCover(np.asarray(payload["points"], dtype=np.float64),
-                       float(payload["covering_radius"]))
+    claimed = SphereCover(np.asarray(payload["points"], dtype=np.float64),
+                          float(payload["covering_radius"]))
+    audits = []
+    for probes in (AUDIT_PROBES_PER_POINT * claimed.size, OCTAHEDRON_PROBES):
+        audits.append(audit_cover(claimed.points, probes))
+        if audits[-1] <= claimed.covering_radius:
+            return SphereCover(claimed.points, audits[-1])
+    raise ValueError("covering_radius %r is below the audited radius %r"
+                     % (claimed.covering_radius, min(audits)))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import boxlab as bl
-from boxlab import acceptance, cli
+from boxlab import acceptance, cli, protocols
 from boxlab.cli import main
-from boxlab.protocols import BINARY, DeterministicProtocol, protocol_to_json
+from boxlab.protocols import (BINARY, DeterministicProtocol, protocol_from_json,
+                              protocol_to_json)
 from boxlab.sphere import cover_to_json, octahedron_cover
 
 
@@ -231,6 +232,31 @@ def test_protocol_run_identity(capsys, tmp_path):
     assert payload["result"]["reduction"]["achieved_tv"] == 0.0
 
 
+def test_protocol_run_builds_the_induced_box_once(capsys, tmp_path,
+                                                 monkeypatch):
+    calls = []
+    induced_box = protocols.induced_box
+
+    def counting(protocol, target):
+        calls.append(protocol)
+        return induced_box(protocol, target)
+
+    for k in (1, 2, 3):
+        path = tmp_path / ("k%d.json" % k)
+        path.write_text(constant_protocol(k))
+        protocol = protocol_from_json(path.read_text())
+        want = bl.check_reduction(protocol, bl.pr_box(), bl.pr_box(), 0.1)
+        monkeypatch.setattr(protocols, "induced_box", counting)
+        calls.clear()
+        payload = run_json(capsys, "protocol", "run", "--protocol", str(path),
+                           "--target", "pr", "--source", "pr",
+                           "--epsilon", "0.1")
+        monkeypatch.undo()
+        assert len(calls) == 1
+        reduction = payload["result"]["reduction"]
+        assert (reduction["ok"], reduction["achieved_tv"]) == want
+
+
 def test_protocol_enumerate_count_only(capsys):
     payload = run_json(capsys, "protocol", "enumerate", "--binary",
                        "--k", "1", "--count-only")
@@ -295,6 +321,30 @@ def test_cover_build_and_verify(capsys, tmp_path):
     payload = run_json(capsys, "cover", "verify", "--cover", str(out),
                        "--trials", "50", "--seed", "7")
     assert payload["result"]["max_tv"] <= 0.4
+
+
+def test_cover_verify_refuses_an_unsound_cover_file(capsys, tmp_path):
+    out = tmp_path / "cover.json"
+    assert run(capsys, "cover", "build", "--epsilon", "0.5",
+               "--out", str(out))[0] == 0
+    built = out.read_text()
+    assert len(json.loads(built)["result"]["points"]) == 35
+    for key, index, value, message in (
+            ("covering_radius", None, 0.001,
+             "covering_radius 0.001 is below the audited radius "),
+            ("points", 3, [float("nan"), 0.0, 1.0],
+             "cover points must be unit vectors")):
+        stored = json.loads(built)
+        if index is None:
+            stored["result"][key] = value
+        else:
+            stored["result"][key][index] = value
+        out.write_text(json.dumps(stored))
+        code, text, err = run(capsys, "cover", "verify", "--cover", str(out),
+                              "--trials", "20")
+        assert code == 2 and text == ""
+        assert err.startswith("error: %s: %s" % (out, message))
+        assert err.count("\n") == 1
 
 
 def test_cover_verify_needs_source(capsys):

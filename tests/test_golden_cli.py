@@ -13,7 +13,9 @@ Its certificate is pinned to the earlier recording below.  The ``game
 optimize`` golden was recorded again when ``optimal_strategy`` became the
 closed-form optimum and lost its ``grid`` option; its ``achieved`` is pinned
 to omega(0.75) below.  The ``cover build`` golden was recorded again when
-cover files lost their always-empty ``"audit": {}`` entry.
+cover files lost their always-empty ``"audit": {}`` entry.  The ``cover
+verify`` golden was recorded again, with new ``max_tv`` and ``mean_tv``,
+when ``verify_reduction`` began to draw every trial from one generator.
 """
 
 import argparse

@@ -163,18 +163,24 @@ def test_verify_reduction_within_radius():
     assert again == (max_tv, mean_tv)
 
 
-def reference_verify_reduction(cover, trials, seed):
-    """verify_reduction as a per-trial loop over the whole T x T box."""
+def reference_tvs(cover, trials, seed):
+    """The TV of each trial of verify_reduction, as a per-trial loop over
+    the whole T x T box."""
     box = bl.discretized_box(cover)
     tvs = np.empty(trials)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
     for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         u = bl.random_unitary(rng)
         v = bl.random_unitary(rng)
         i, j = reduce_measurement(u, v, cover)
         exact = bl.singlet_measure_box(u, v)
         approx = bl.JointDistribution(box.table[i, j])
         tvs[trial] = exact.tv(approx)
+    return tvs
+
+
+def reference_verify_reduction(cover, trials, seed):
+    tvs = reference_tvs(cover, trials, seed)
     return float(tvs.max()), float(tvs.mean())
 
 
@@ -184,6 +190,37 @@ def test_verify_reduction_equals_the_per_trial_loop(eps, trials, seed):
     cover = bl.build_cover(eps)
     assert (bl.verify_reduction(cover, trials, seed)
             == reference_verify_reduction(cover, trials, seed))
+
+
+def test_verify_reduction_of_n_trials_is_a_prefix_of_one_stream():
+    cover = bl.build_cover(0.3)
+    tvs = reference_tvs(cover, 1000, 11)
+    for n in (1, 17, 300):
+        assert (bl.verify_reduction(cover, n, 11)
+                == (float(tvs[:n].max()), float(tvs[:n].mean())))
+
+
+@pytest.mark.parametrize("eps", (0.5, 0.2, 0.05))
+def test_verify_reduction_dots_are_the_discretized_box_entries(monkeypatch,
+                                                              eps):
+    seen = {}
+    snap, rows = sphere._snap, sphere._singlet_rows
+
+    def snapping(uv, cover):
+        seen["ij"] = snap(uv, cover)
+        return seen["ij"]
+
+    def singlet_rows(dots):
+        seen["dots"] = dots
+        return rows(dots)
+
+    monkeypatch.setattr(sphere, "_snap", snapping)
+    monkeypatch.setattr(sphere, "_singlet_rows", singlet_rows)
+    cover = bl.build_cover(eps)
+    bl.verify_reduction(cover, 2000, seed=3)
+    i, j = seen["ij"].T
+    # discretized_box is _singlet_rows of this T x T product
+    assert np.array_equal(seen["dots"], (cover.points @ cover.points.T)[i, j])
 
 
 def test_verify_reduction_memory_grows_with_trials_not_t_squared():
@@ -243,6 +280,11 @@ def test_audit_equals_the_kdtree_audit_on_the_cover_ladder(monkeypatch, eps):
     cover = bl.build_cover(eps)
     assert np.array_equal(cover.points, points)
     assert cover.covering_radius == got
+    # sorted by descending z, a permuted lattice is in index order again
+    counted.clear()
+    order = np.random.default_rng(43).permutation(len(points))
+    assert audit_cover(points[order], 100 * len(points)) == got
+    assert sum(counted) <= 2
 
 
 def test_audit_equals_the_kdtree_audit_on_other_point_sets():
@@ -322,10 +364,26 @@ def test_tv_bounded_by_half_chord_distance():
 
 
 def test_cover_json_roundtrip():
-    cover = bl.build_cover(0.35)
-    again = cover_from_json(cover_to_json(cover))
-    assert np.array_equal(cover.points, again.points)
-    assert again.covering_radius == cover.covering_radius
+    for cover in (bl.build_cover(0.35), bl.build_cover(2.0),
+                  bl.octahedron_cover()):
+        again = cover_from_json(cover_to_json(cover))
+        assert np.array_equal(cover.points, again.points)
+        assert again.covering_radius == cover.covering_radius
+
+
+def test_cover_from_json_audits_the_radius():
+    cover = bl.build_cover(0.5)
+    text = cover_to_json(cover)
+    # a larger claim loads with the audited radius
+    loose = text.replace(repr(cover.covering_radius), "1.5")
+    assert cover_from_json(loose).covering_radius == cover.covering_radius
+    order = np.random.default_rng(44).permutation(cover.size)
+    shuffled = bl.SphereCover(cover.points[order], cover.covering_radius)
+    assert (cover_from_json(cover_to_json(shuffled)).covering_radius
+            == cover.covering_radius)
+    for claim in ("0.001", "NaN", "-1.0"):
+        with pytest.raises(ValueError, match="below the audited radius"):
+            cover_from_json(text.replace(repr(cover.covering_radius), claim))
 
 
 def test_build_cover_rejects_bad_epsilon():
