@@ -16,7 +16,6 @@ from .games import omega, omega_prime
 from .protocols import AffineFunction
 
 ROOT_TOL = 1e-10
-MEASURE_BISECT_TOL = 1e-12
 HALF_INTERVAL = 0.5  # |[1/2, 1]|
 SCHEDULE_DIGIT_CAP = 4300  # Python's default limit on int-to-str conversion
 ABOVE_OMEGA_TOL = 1e-12     # lines this far above omega still take the envelope
@@ -54,6 +53,14 @@ def best_affine_fit() -> AffineFunction:
     return AffineFunction(c, m)
 
 
+def _omega_quadratic(c: float, m: float):
+    """(A, B, C) with A p^2 + B p + C = p^2 + (1-p)^2 - r(p)^2 and
+    r(p) = 2*(c + m*p) - 1: c + m*p = omega(p) where r(p) >= 0 and the
+    quadratic is zero."""
+    r0 = 2.0 * c - 1.0
+    return 2.0 - 4.0 * m * m, -2.0 - 4.0 * m * r0, 1.0 - r0 * r0
+
+
 def line_intersections(ell: AffineFunction) -> list[float]:
     """Roots of ell(p) = omega(p) in [1/2, 1]; a tangency appears twice.
 
@@ -64,11 +71,7 @@ def line_intersections(ell: AffineFunction) -> list[float]:
     at a real root r(p) >= 1/sqrt(2), at a spurious one r(p) <= -1/sqrt(2).
     """
     m, c = ell.slope, ell.intercept
-    # r(p) = 2*m*p + (2*c - 1); quadratic A p^2 + B p + C = 0
-    r0 = 2.0 * c - 1.0
-    A = 2.0 - 4.0 * m * m
-    B = -2.0 - 4.0 * m * r0
-    C = 1.0 - r0 * r0
+    A, B, C = _omega_quadratic(c, m)
     scale = max(abs(A), abs(B), abs(C), 1.0)
     candidates: list[float] = []
     double_root = False
@@ -110,60 +113,50 @@ def line_intersections(ell: AffineFunction) -> list[float]:
     return roots
 
 
-def _concave_level_interval(g, lo: float, hi: float, level: float,
-                            strict: bool = False) -> tuple[float, float] | None:
-    """Interval {p in [lo, hi]: g(p) >= level} for concave g, via ternary
-    search for the max and bisection to the crossings."""
-    a, b = lo, hi
-    for _ in range(200):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if g(m1) < g(m2):
-            a = m1
-        else:
-            b = m2
-    peak = 0.5 * (a + b)
-    if g(peak) < level or (strict and g(peak) <= level):
-        return None
+def _level_set_length(c: float, m: float, level: float) -> float:
+    """Length of {p in [1/2, 1]: c + m*p - omega(p) >= level}.
 
-    def cross(inside: float, outside: float) -> float:
-        # g(inside) >= level; bisect toward the boundary crossing
-        if g(outside) >= level:
-            return outside
-        for _ in range(200):
-            mid = 0.5 * (inside + outside)
-            if abs(outside - inside) < MEASURE_BISECT_TOL:
-                break
-            if g(mid) >= level:
-                inside = mid
-            else:
-                outside = mid
-        return 0.5 * (inside + outside)
-
-    left_end = cross(peak, lo)
-    right_end = cross(peak, hi)
-    return (left_end, right_end)
+    The set is an interval, g = ell - omega being concave.  Its ends are
+    among 1/2, 1, the root of r and the roots of the quadratic of
+    ``_omega_quadratic`` for the intercept c - level; between neighbouring
+    cuts membership does not change and is read at the midpoint.  Where
+    |c| or |m| passes about 1e154 the coefficients overflow and their roots
+    fail the range test; then the line misses omega, or the ends lie within
+    1/|m| of the root of r.
+    """
+    shifted = c - level
+    A, B, C = _omega_quadratic(shifted, m)
+    cuts = [0.5, 1.0]
+    if m != 0.0:
+        cuts.append((0.5 - shifted) / m)            # r = 0
+    disc = B * B - 4.0 * A * C
+    if disc >= 0.0:
+        # stable roots; A = 2 - 4 m^2 is not 0 for any float m
+        q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+        cuts += [q / A, C / q] if q != 0.0 else [q / A]
+    cuts = sorted(p for p in cuts if 0.5 <= p <= 1.0)
+    length = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        if c + m * mid - omega(mid) >= level:
+            length += b - a
+    return length
 
 
 def measure_near(ell: AffineFunction, epsilon: float) -> float:
     """Relative measure of {p in [1/2, 1]: |ell(p) - omega(p)| <= epsilon}.
 
-    g(p) = ell(p) - omega(p) is concave, so {g >= -eps} and {g > +eps} are
+    g(p) = ell(p) - omega(p) is concave, so {g >= -eps} and {g >= +eps} are
     intervals; the answer is the length difference, normalized by 1/2.
-    Root-finding by bisection, no sampling.
+    Closed form, exact up to rounding: the interval ends are roots of one
+    quadratic, no search.
     """
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be finite and positive")
-
-    def g(p: float) -> float:
-        return float(ell(p) - omega(p))
-
-    outer = _concave_level_interval(g, 0.5, 1.0, -epsilon)
-    if outer is None:
-        return 0.0
-    inner = _concave_level_interval(g, 0.5, 1.0, epsilon, strict=True)
-    length = (outer[1] - outer[0]) - (0.0 if inner is None else inner[1] - inner[0])
-    return max(length, 0.0) / HALF_INTERVAL
+    c, m, epsilon = float(ell.intercept), float(ell.slope), float(epsilon)
+    outer = _level_set_length(c, m, -epsilon)
+    inner = _level_set_length(c, m, epsilon)
+    return max(outer - inner, 0.0) / HALF_INTERVAL
 
 
 @dataclass(frozen=True)
@@ -178,8 +171,10 @@ class GapCertificate:
     resolution: int
 
     def recompute_gap(self) -> float:
-        return min(abs(float(ell(self.p_star)) - omega(self.p_star))
-                   for ell in self.family)
+        intercepts = np.array([ell.intercept for ell in self.family])
+        slopes = np.array([ell.slope for ell in self.family])
+        return float(np.abs(intercepts + slopes * self.p_star
+                            - omega(self.p_star)).min())
 
     def verify(self, tol: float = 1e-12) -> bool:
         return abs(self.recompute_gap() - self.gap) <= tol

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from boxlab import analysis
 from boxlab.analysis import (best_affine_fit, certificate_from_json,
                              certificate_to_json, omega_second_derivative,
                              tangent_line)
+from boxlab.cli import main
 from boxlab.games import omega_prime
 from boxlab.protocols import AffineFunction
 from boxlab.sphere import build_cover
@@ -109,6 +112,114 @@ def test_measure_near_saturates_for_large_epsilon():
     assert big == pytest.approx(1.0, abs=1e-3)
 
 
+def bisection_level_interval(g, level, strict=False):
+    """Oracle: {p in [1/2, 1]: g(p) >= level} (> level with strict) for
+    concave g, by ternary search for the peak and bisection to 1e-12 toward
+    each crossing, the search measure_near used before its closed form."""
+    a, b = 0.5, 1.0
+    for _ in range(200):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if g(m1) < g(m2):
+            a = m1
+        else:
+            b = m2
+    peak = 0.5 * (a + b)
+    if g(peak) < level or (strict and g(peak) <= level):
+        return None
+
+    def cross(inside, outside):
+        if g(outside) >= level:
+            return outside
+        while abs(outside - inside) >= 1e-12:
+            mid = 0.5 * (inside + outside)
+            if g(mid) >= level:
+                inside = mid
+            else:
+                outside = mid
+        return 0.5 * (inside + outside)
+
+    return cross(peak, 0.5), cross(peak, 1.0)
+
+
+def bisection_measure(ell, epsilon):
+    def g(p):
+        return float(ell(p) - bl.omega(p))
+
+    outer = bisection_level_interval(g, -epsilon)
+    if outer is None:
+        return 0.0
+    inner = bisection_level_interval(g, epsilon, strict=True)
+    length = (outer[1] - outer[0]) - (0.0 if inner is None else inner[1] - inner[0])
+    return max(length, 0.0) / 0.5
+
+
+def near_lines():
+    """(line, epsilon): tangents shifted by up to 2 epsilon either way,
+    chords of omega and random lines, epsilon in [1e-6, 0.25]."""
+    eps = st.floats(min_value=1e-6, max_value=0.25)
+    p = st.floats(min_value=0.5, max_value=1.0)
+
+    def shifted(p0, t, e):
+        ell = tangent_line(p0)
+        return AffineFunction(ell.intercept + t * e, ell.slope), e
+
+    def chord(a, b, e):
+        a, b = min(a, b), max(a, b) + 1e-9
+        slope = (bl.omega(b) - bl.omega(a)) / (b - a)
+        return AffineFunction(bl.omega(a) - slope * a, slope), e
+
+    random_line = st.builds(
+        lambda c, m, e: (AffineFunction(c, m), e),
+        st.floats(min_value=0.0, max_value=1.5),
+        st.floats(min_value=-1.5, max_value=1.5), eps)
+    return st.one_of(
+        st.builds(shifted, p, st.floats(min_value=-2.0, max_value=2.0), eps),
+        st.builds(chord, p, p, eps), random_line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_lines())
+def test_measure_near_equals_the_bisection_oracle(case):
+    ell, eps = case
+    # where a level meets the peak of ell - omega the set's length is the
+    # square root of rounding, so the bound grows by how far the oracle
+    # moves when epsilon moves by 1e-14, some 45 units in the last place
+    conditioning = abs(bisection_measure(ell, eps + 1e-14)
+                       - bisection_measure(ell, eps - 1e-14))
+    value = bl.measure_near(ell, eps)
+    assert abs(value - bisection_measure(ell, eps)) <= 1e-10 + conditioning
+
+
+SQRT_HALF = math.sqrt(0.5)
+TANGENT = tangent_line(0.75)
+
+
+@pytest.mark.parametrize("intercept,slope,epsilon", [
+    (0.8, SQRT_HALF, 1e-3), (0.2, SQRT_HALF, 0.25), (0.8, -SQRT_HALF, 1e-3),
+    (1.3, -SQRT_HALF, 1e-3), (1.3, -SQRT_HALF, 0.25),
+    (1.3, -math.nextafter(SQRT_HALF, 1.0), 1e-3),
+    (0.8, 0.0, 1e-3), (0.9, 0.0, 1e-3), (0.5 + 0.5 * SQRT_HALF, 0.0, 1e-3),
+    (0.8, 1e300, 1e-3), (0.8, -1e300, 1e-3), (-0.75e300, 1e300, 0.25),
+    (-0.75e300, 1e300, 1.0),
+    (-1e300, 0.1, 1e-3), (-1e300, 0.1, 0.25), (-1e300, -1e300, 1e-3),
+    (0.8, 0.1, 1e-300), (0.5 + 0.5 * SQRT_HALF, 0.0, 1e-300),
+    (float(TANGENT.intercept), float(TANGENT.slope), 1e-300),
+])
+def test_measure_near_extreme_lines(capsys, intercept, slope, epsilon):
+    ell = AffineFunction(intercept, slope)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = bl.measure_near(ell, epsilon)
+        assert main(["analysis", "measure", "--intercept=%r" % intercept,
+                     "--slope=%r" % slope, "--epsilon=%r" % epsilon]) == 0
+    assert math.isfinite(value) and 0.0 <= value <= 1.0
+    assert json.loads(capsys.readouterr().out)["result"]["measure"] == value
+    # at the tangent with epsilon 1e-300 either answer is rounding, a set
+    # some 1e-8 wide
+    assert value == pytest.approx(bisection_measure(ell, epsilon), abs=1e-7)
+
+
 def test_best_affine_fit_equioscillates():
     ell = best_affine_fit()
     grid = np.linspace(0.5, 1.0, 2001)
@@ -157,6 +268,9 @@ def grid_hard_p(family, resolution=10 ** 4):
     return best_p, float(g_vec(np.array([best_p]))[0])
 
 
+FUNCTIONS = [(0, 0), (0, 1), (1, 0), (1, 1)]     # every map {0, 1} -> {0, 1}
+
+
 def quantum_targets():
     rng = np.random.default_rng(71)
     targets = {"fib4": bl.discretized_box(build_cover(2.0)),
@@ -175,6 +289,23 @@ def test_exact_search_reaches_the_grid_maximum(name):
     _, grid_gap = grid_hard_p(family)
     assert grid_gap <= cert.gap <= grid_gap + 1e-9
     assert cert.verify(1e-12)
+
+
+@pytest.mark.parametrize("name", ["pr", "ns", "singlet1", "fib4", "octahedron"])
+def test_recompute_gap_equals_the_per_line_loop(name):
+    if name == "pr":
+        target = bl.pr_box()
+    elif name == "ns":
+        rng = np.random.default_rng(5)
+        parts = [bl.pr_box()] + [bl.local_box(f, g, 2, 2) for f in FUNCTIONS
+                                 for g in FUNCTIONS]
+        target = bl.mix(parts, rng.dirichlet(np.ones(len(parts))))
+    else:
+        target = quantum_targets()[name]
+    cert = bl.find_hard_p(bl.affine_family(target, 1))
+    loop = min(abs(float(ell(cert.p_star)) - bl.omega(cert.p_star))
+               for ell in cert.family)
+    assert cert.recompute_gap() == loop
 
 
 def test_exact_search_on_the_t9_cover_box():

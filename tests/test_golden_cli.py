@@ -16,6 +16,9 @@ to omega(0.75) below.  The ``cover build`` golden was recorded again when
 cover files lost their always-empty ``"audit": {}`` entry.  The ``cover
 verify`` golden was recorded again, with new ``max_tv`` and ``mean_tv``,
 when ``verify_reduction`` began to draw every trial from one generator.
+The ``analysis measure`` golden was recorded again when ``measure_near``
+found its interval ends in closed form instead of by bisection; its measure
+is pinned to the earlier recording below.
 """
 
 import argparse
@@ -44,6 +47,9 @@ GAP_LINES = {(0.0, 0.5), (0.25, 0.0), (0.25, 0.25), (0.25, 0.5), (0.5, -0.5),
              (0.5, -0.25), (0.5, 0.0), (0.5, 0.25), (0.5, 0.5), (0.75, -0.5),
              (0.75, -0.25), (0.75, 0.0), (1.0, -0.5)}
 OPTIMIZE_GOLDEN = "06_game_optimize.txt"
+# the measure as recorded by the bisection search
+MEASURE_GOLDEN = "11_analysis_measure.txt"
+MEASURE = 0.1528297569543331
 
 
 def readme_commands() -> list:
@@ -125,6 +131,11 @@ def test_gap_certificate_keeps_its_first_recording(corpus):
 def test_optimize_golden_attains_omega(corpus):
     result = json.loads(corpus[OPTIMIZE_GOLDEN])["result"]
     assert abs(result["achieved"] - bl.omega(0.75)) <= 1e-15
+
+
+def test_measure_golden_keeps_its_bisection_recording(corpus):
+    result = json.loads(corpus[MEASURE_GOLDEN])["result"]
+    assert abs(result["measure"] - MEASURE) <= 1e-11
 
 
 if __name__ == "__main__":
