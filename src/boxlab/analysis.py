@@ -66,9 +66,12 @@ def line_intersections(ell: AffineFunction) -> list[float]:
 
     Reduces to the quadratic p^2 + (1-p)^2 = r(p)^2 with r(p) = 2*ell(p) - 1,
     discards spurious quadratic roots by back-substitution, and polishes
-    simple roots by Newton steps on ell - omega.  The back-substitution runs
-    before the polish, which could move a spurious root onto the real one:
-    at a real root r(p) >= 1/sqrt(2), at a spurious one r(p) <= -1/sqrt(2).
+    simple roots by Newton steps on ell - omega.  A discriminant within
+    rounding of zero is a tangency, a double root at the vertex, when ell is
+    within ROOT_TOL of omega there; otherwise its roots are simple.  The
+    back-substitution runs before the polish, which could move a spurious
+    root onto the real one: at a real root r(p) >= 1/sqrt(2), at a spurious
+    one r(p) <= -1/sqrt(2).
     """
     m, c = ell.slope, ell.intercept
     A, B, C = _omega_quadratic(c, m)
@@ -80,8 +83,12 @@ def line_intersections(ell: AffineFunction) -> list[float]:
             candidates = [-C / B]
     else:
         disc = B * B - 4.0 * A * C
-        if abs(disc) <= 1e-9 * max(B * B, abs(4.0 * A * C), 1.0):
-            candidates = [-B / (2.0 * A)]
+        vertex = -B / (2.0 * A)
+        # a near-zero disc is a tangency only if the line touches omega at
+        # the vertex; a line above it there crosses twice close together
+        if (abs(disc) <= 1e-9 * max(B * B, abs(4.0 * A * C), 1.0)
+                and abs(ell(vertex) - omega(vertex)) <= ROOT_TOL):
+            candidates = [vertex]
             double_root = True
         elif disc > 0.0:
             sq = np.sqrt(disc)

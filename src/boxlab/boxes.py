@@ -25,6 +25,20 @@ def check_distributions(probs: np.ndarray) -> None:
         raise ValueError("probabilities do not sum to 1 within %g" % NORM_TOL)
 
 
+def scatter_outputs(probs: np.ndarray, a_map: np.ndarray, b_map: np.ndarray,
+                    a_size: int, b_size: int) -> np.ndarray:
+    """Table [x, y, a, b] of probs [x, y, s, t] added up at a = a_map[x, s]
+    and b = b_map[y, t], in (s, t) order: per-input output maps applied to
+    a stack of joint distributions."""
+    n_x, n_y = probs.shape[:2]
+    cell = (np.arange(n_x)[:, None] * n_y + np.arange(n_y)) * a_size
+    index = cell[:, :, None, None] + a_map[:, None, :, None]
+    index *= b_size
+    index = index + b_map[None, :, None, :]
+    return np.bincount(index.ravel(), probs.ravel(), n_x * n_y * a_size
+                       * b_size).reshape(n_x, n_y, a_size, b_size)
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Joint distribution over (a, b) for one fixed input pair."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import (NORM_TOL, PATH_TABLE_CAP, CorrelationBox, local_box, mix,
-                    tv_closeness)
+                    scatter_outputs, tv_closeness)
 
 ENUMERATION_CAP = 10 ** 8
 DEDUP_TOL = 1e-12
@@ -158,8 +158,7 @@ def _response_tables(alice, bob, target: CorrelationBox,
         # [u, v, a_prefix, a, b_prefix, b]; the newest response is least significant
         u, v, ap, bp, a, b = rows.shape
         weights = rows.transpose(0, 1, 2, 4, 3, 5).reshape(u, v, ap * a, bp * b)
-    return np.einsum("uvpq,upa,vqb->uvab", weights,
-                     np.eye(a1)[s_map], np.eye(b1)[t_map])
+    return scatter_outputs(weights, s_map, t_map, a1, b1)
 
 
 def _protocol_strategies(protocol: DeterministicProtocol,
@@ -171,10 +170,13 @@ def _protocol_strategies(protocol: DeterministicProtocol,
     if entries > PATH_TABLE_CAP:
         raise ValueError("response-path table of %d entries exceeds %d"
                          % (entries, PATH_TABLE_CAP))
-    alice = ([np.reshape(m, (al.x1, -1)) for m in protocol.q_maps],
-             np.reshape(protocol.s_map, (al.x1, -1)))
-    bob = ([np.reshape(m, (al.y1, -1)) for m in protocol.r_maps],
-           np.reshape(protocol.t_map, (al.y1, -1)))
+    def maps(m, rows):
+        return np.array(m, dtype=np.intp).reshape(rows, -1)
+
+    alice = ([maps(m, al.x1) for m in protocol.q_maps],
+             maps(protocol.s_map, al.x1))
+    bob = ([maps(m, al.y1) for m in protocol.r_maps],
+           maps(protocol.t_map, al.y1))
     return alice, bob
 
 

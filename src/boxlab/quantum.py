@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PATH_TABLE_CAP, CorrelationBox, JointDistribution
+from .boxes import (PATH_TABLE_CAP, CorrelationBox, JointDistribution,
+                    scatter_outputs)
 
 UNITARY_TOL = 1e-10
 
@@ -63,41 +64,57 @@ def bloch_of(psi: np.ndarray) -> np.ndarray:
 
 
 def state_from_bloch(c: np.ndarray) -> np.ndarray:
-    """A pure state whose Bloch vector is the given unit vector."""
-    c = _require_unit_vector(c)
-    cx, cy, cz = c
-    theta = np.arccos(np.clip(cz, -1.0, 1.0))
-    phi = np.arctan2(cy, cx)
-    return np.array([np.cos(theta / 2.0),
-                     np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=np.complex128)
+    """Pure states [..., 2] whose Bloch vectors are the unit vectors [..., 3]."""
+    c = _require_unit_vectors(c)
+    theta = np.arccos(np.clip(c[..., 2], -1.0, 1.0))
+    phi = np.arctan2(c[..., 1], c[..., 0])
+    return np.stack([np.cos(theta / 2.0).astype(np.complex128),
+                     np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
 
 
-def _require_unit_vector(c) -> np.ndarray:
+def _require_unit_vectors(c) -> np.ndarray:
+    """``c`` as a float [..., 3] stack; raises unless every vector is unit."""
     c = np.asarray(c, dtype=np.float64)
-    if c.shape != (3,):
+    if c.shape[-1:] != (3,):
         raise ValueError("expected a 3-vector")
-    norm = np.linalg.norm(c)
-    if norm < 1e-12:
+    norm = np.linalg.norm(c, axis=-1)
+    if np.any(norm < 1e-12):
         raise ValueError("zero vector has no direction")
-    if abs(norm - 1.0) > UNITARY_TOL:
+    if not np.all(np.abs(norm - 1.0) <= UNITARY_TOL):     # NaN fails too
         raise ValueError("vector is not unit length")
     return c
 
 
-def unitary_for_point(c: np.ndarray) -> np.ndarray:
-    """A unitary U with bloch_of(U^-1 |1>) = c, phase-fixed for determinism.
+def _require_unit_vector(c) -> np.ndarray:
+    c = _require_unit_vectors(c)
+    if c.shape != (3,):
+        raise ValueError("expected a 3-vector")
+    return c
 
-    The global phase is chosen so that the largest-magnitude entry of the
-    first column of U is real positive.
+
+def unitary_for_point(c: np.ndarray) -> np.ndarray:
+    """Unitaries U [..., 2, 2] with bloch_of(U^-1 |1>) = c for unit vectors
+    c [..., 3], phase-fixed for determinism.
+
+    U^-1 has columns [psi_perp, psi] for the state psi of c, so U^-1 |1> =
+    psi.  The global phase is chosen so that the largest-magnitude entry of
+    the first column of U is real positive, the first of two equal ones.
     """
     psi = state_from_bloch(c)
-    # U^-1 has columns [psi_perp, psi]; then U^-1 |1> = psi.
-    psi_perp = np.array([-np.conj(psi[1]), np.conj(psi[0])], dtype=np.complex128)
-    u = np.column_stack([psi_perp, psi]).conj().T
-    col = u[:, 0]
-    pivot = col[np.argmax(np.abs(col))]
-    u = u * (np.conj(pivot) / abs(pivot))
-    return u
+    # rows conj(psi_perp) = (-psi_1, psi_0) and conj(psi)
+    u = np.stack([np.stack([-psi[..., 1], psi[..., 0]], axis=-1), psi.conj()],
+                 axis=-2)
+    col = u[..., :, 0]
+    pivot = np.take_along_axis(col, np.abs(col).argmax(axis=-1)[..., None],
+                               axis=-1)[..., None]
+    # conj(pivot) / |pivot| as numpy's complex scalars divide: each part
+    # times 1 / |pivot|, and |.| by hypot; its complex array loops round
+    # differently
+    scale = 1.0 / np.hypot(pivot.real, pivot.imag)
+    phase = np.empty_like(pivot)
+    phase.real = pivot.real * scale
+    phase.imag = -pivot.imag * scale
+    return u * phase
 
 
 @dataclass(frozen=True)
@@ -180,19 +197,24 @@ def bell_box(spec: BellBoxSpec, state: np.ndarray = PHI_PLUS) -> CorrelationBox:
     """Exact correlation box from measuring ``state`` as ``spec`` prescribes.
 
     Alice's inputs go in blocks whose U (x) V stacks hold at most
-    PATH_TABLE_CAP entries, 16 per input pair.
+    PATH_TABLE_CAP entries, 16 per input pair.  One block is the table
+    itself; several fill a table made for them, which keeps the peak at one
+    table and one block.
     """
     us, vs = np.array(spec.alice_unitaries), np.array(spec.bob_unitaries)
-    table = np.zeros((spec.x_size, spec.y_size, spec.a_size, spec.b_size))
     rows = max(1, PATH_TABLE_CAP // (16 * spec.y_size))
+
+    def block(start):
+        x = slice(start, start + rows)
+        return scatter_outputs(measurement_probs(us[x, None], vs[None], state),
+                               spec.alice_post[x], spec.bob_post,
+                               spec.a_size, spec.b_size)
+
+    if spec.x_size <= rows:
+        return CorrelationBox(block(0))
+    table = np.empty((spec.x_size, spec.y_size, spec.a_size, spec.b_size))
     for start in range(0, spec.x_size, rows):
-        stop = min(start + rows, spec.x_size)
-        probs = measurement_probs(us[start:stop, None], vs[None], state)
-        x, y = np.ogrid[:stop - start, :spec.y_size]
-        # outputs that share a label add up in (s, t) order
-        np.add.at(table[start:stop], (x[..., None, None], y[..., None, None],
-                                      spec.alice_post[start:stop, None, :, None],
-                                      spec.bob_post[None, :, None, :]), probs)
+        table[start:start + rows] = block(start)
     return CorrelationBox(table)
 
 

@@ -5,18 +5,24 @@ deterministic latitude/longitude probe grid is checked against the cover,
 and each probe's nearest-cover distance plus an analytic bound on its grid
 cell's half-diagonal gives a sound upper bound on the true covering radius.
 
-The audit is an exact nearest-point search in numpy, in three steps.
-Seed: the inverse spherical Fibonacci mapping (Keinert, Innmann, Saenger
-and Stamminger, ACM TOG 34(6), 2015) names 4 lattice points near each
-probe; the distance to the best is an upper bound on the probe's nearest
-distance, since it is the distance to a real point.  Prune: a probe whose
-seed plus cell bound is no larger than a value already found cannot change
-the result.  Finish: the probes left get their exact distance by brute
-force over every point.  Distances are sqrt((p - q)**2 summed over x, y, z
-in turn), the float formula of a cKDTree query, so the certified radius
-equals a k-d tree audit's to the bit.  On a Fibonacci lattice one or two
-probes reach the finish, in any order of the points; other point sets (the
-octahedron) fall back to brute force over most probes.
+The audit is an exact nearest-point search in numpy.  On a Fibonacci
+lattice it runs coarse to fine.  Seed: the inverse spherical Fibonacci
+mapping (Keinert, Innmann, Saenger and Stamminger, ACM TOG 34(6), 2015)
+names 4 lattice points near a point of the sphere; the distance to the
+best is an upper bound on its nearest distance, since it is the distance
+to a real point.  Coarse: the center of each 2 x 2 block of grid cells is
+seeded.  The nearest distance is 1-Lipschitz and the center is a corner of
+each of the block's cells, so the seed plus twice the larger cell bound
+bounds the values of the block's 4 probes, and a block whose bound is no
+larger than a value already found is skipped.  Fine: the probes of the
+blocks left are seeded and pruned in the same way.  Finish: the probes
+left get their exact distance by brute force over every point, one to
+three probes on the cover ladder.  Other point sets (the octahedron, a
+rotated lattice) skip seeds and coarse pass, which mean nothing off the
+lattice, and give every probe its exact distance.  Distances are
+sqrt((p - q)**2 summed over x, y, z in turn), the float formula of a
+cKDTree query, so the certified radius equals a k-d tree audit's to the
+bit, whatever the path or the order of the points.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import CorrelationBox, check_distributions
+from .boxes import PATH_TABLE_CAP, CorrelationBox, check_distributions
 from .quantum import (KET1, SINGLET, _haar, bloch_of, measurement_probs,
                       simple_bell_spec, unitary_for_point)
 
@@ -42,6 +48,10 @@ OCTAHEDRON_PROBES = 20000
 # T = 3,481 audit twice as fast as one PATH_TABLE_CAP block and its peak 9x
 # smaller
 DISTANCE_BLOCK = 2 ** 15
+# margin of a coarse audit bound for the float error of the triangle
+# inequality it rests on: a few units in the last place of distances of at
+# most 2, so it does not change which probes are finished in practice
+ROUNDING = 64 * np.finfo(np.float64).eps
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
@@ -72,43 +82,55 @@ def _nearest(probes: np.ndarray, points: np.ndarray, reduce) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _lattice_seeds(cols: np.ndarray, sin_t: np.ndarray, cos_t: np.ndarray,
-                   cos_p: np.ndarray, sin_p: np.ndarray,
-                   phis: np.ndarray) -> np.ndarray:
-    """Distance from each probe [row, column] of a theta/phi grid to the best
-    of 4 points whose indices the inverse spherical Fibonacci mapping picks.
+def _lattice_rows(n: int, cos_t: np.ndarray) -> np.ndarray:
+    """The terms of the inverse spherical Fibonacci mapping that are the same
+    along a row of probes at polar cosine ``cos_t``, one column per row.
 
-    ``cols`` holds the points' x, y and z as contiguous rows.  Read as the
-    lattice of ``fibonacci_points(n)``, point i sits at (2 pi i / GOLDEN,
-    z_0 - 2i/n) in the (azimuth, z) plane after a turn by pi / GOLDEN, and
-    index steps of the Fibonacci numbers F_k and F_(k+1) span that lattice
-    with short vectors in the latitude zone k of Keinert et al.  The probe's
-    cell in that basis has 4 corners, whose indices are integers.
+    Read as the lattice of ``fibonacci_points(n)``, point i sits at
+    (2 pi i / GOLDEN, z_0 - 2i/n) in the (azimuth, z) plane after a turn by
+    pi / GOLDEN, and index steps of the Fibonacci numbers F_k and F_(k+1)
+    span that lattice with short vectors in the latitude zone k of Keinert et
+    al.  The rows are F_k and F_(k+1), each step's azimuth (taken to the
+    representative nearest 0) and z, the determinant of the two steps, and
+    the row's z offset from point 0.
     """
-    n = cols.shape[1]
-    # zone k and the index steps F_k, F_(k+1) are the same along a row
     k = np.maximum(2.0, np.floor(
         np.log(n * np.pi * np.sqrt(5.0) * (1.0 - cos_t * cos_t))
         / np.log(GOLDEN * GOLDEN)))
-    f = np.round(GOLDEN ** np.stack([k, k + 1.0]) / np.sqrt(5.0))[:, :, None]
-    # each step's azimuth, taken to the representative nearest 0, and z
+    f = np.round(GOLDEN ** np.stack([k, k + 1.0]) / np.sqrt(5.0))
     step_phi = 2.0 * np.pi * (f / GOLDEN - np.round(f / GOLDEN))
     step_z = -2.0 * f / n
     det = step_phi[0] * step_z[1] - step_phi[1] * step_z[0]
-    # the probe's offset from point 0, solved in the (F_k, F_(k+1)) basis
-    u = phis - np.pi / GOLDEN
-    w = (cos_t - (1.0 - 1.0 / n))[:, None]
-    base = (f[0] * np.floor((step_z[1] * u - step_phi[1] * w) / det)
-            + f[1] * np.floor((step_phi[0] * w - step_z[0] * u) / det))
-    px = sin_t[:, None] * cos_p
-    py = sin_t[:, None] * sin_p
-    pz = cos_t[:, None]
+    return np.stack([f[0], f[1], step_phi[0], step_phi[1], step_z[0],
+                     step_z[1], det, cos_t - (1.0 - 1.0 / n)])
+
+
+def _lattice_seeds(cols: np.ndarray, rows: np.ndarray, sin_t: np.ndarray,
+                   cos_t: np.ndarray, phi: np.ndarray, cos_p: np.ndarray,
+                   sin_p: np.ndarray) -> np.ndarray:
+    """Distance from each probe to the best of 4 points whose indices the
+    inverse spherical Fibonacci mapping picks.
+
+    ``cols`` holds the points' x, y and z as contiguous rows.  ``rows`` holds
+    the ``_lattice_rows`` terms of each probe's row; with ``sin_t`` and
+    ``cos_t`` it broadcasts against the probe's azimuth ``phi`` and its
+    cosine and sine.  The probe's offset from point 0, solved in the
+    (F_k, F_(k+1)) basis, names a cell of the lattice whose 4 corners are
+    the candidates.
+    """
+    f0, f1, phi0, phi1, z0, z1, det, w = rows
+    u = phi - np.pi / GOLDEN
+    base = (f0 * np.floor((z1 * u - phi1 * w) / det)
+            + f1 * np.floor((phi0 * w - z0 * u) / det))
+    px = sin_t * cos_p
+    py = sin_t * sin_p
     best = None
-    for step in (0.0, f[0], f[1], f[0] + f[1]):
-        i = np.clip(base + step, 0, n - 1).astype(np.intp)
-        d2 = np.square(px - cols[0].take(i))
-        d2 += np.square(py - cols[1].take(i))
-        d2 += np.square(pz - cols[2].take(i))
+    for step in (0.0, f0, f1, f0 + f1):
+        # indices past either end take the end point, a real point as well
+        i = (base + step).astype(np.intp)
+        d2 = np.square(px - cols[0].take(i, mode="clip"))
+        d2 += np.square(py - cols[1].take(i, mode="clip"))
+        d2 += np.square(cos_t - cols[2].take(i, mode="clip"))
         best = d2 if best is None else np.minimum(best, d2, out=best)
     return np.sqrt(best)
 
@@ -120,20 +142,30 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
     sphere point s lies in some cell, so d(s, cover) <= d(probe, cover) +
     d(s, probe), and d(s, probe) is at most the cell's half-diagonal chord,
     bounded through the geodesic metric ds^2 = dtheta^2 + sin^2(theta) dphi^2.
-    The result is the largest d(probe, cover) + cell bound.
+    The result is the largest d(probe, cover) + cell bound, the probe's
+    value.
 
-    Blocks of grid rows of about DISTANCE_BLOCK probes go through three
-    steps.  Seed: each probe's distance to the best of 4 Fibonacci lattice
-    candidates (``_lattice_seeds``), an upper bound on its exact distance
-    for any point set.  Prune: a probe whose seed plus cell bound is at most
-    the largest value found so far cannot raise it; the block's largest
-    bound is resolved first.  Finish: the other probes get their exact
-    distance by brute force over all points.  The seeds read the points in
-    order of descending z, which is the index order of a Fibonacci lattice,
-    so Fibonacci covers in any order leave one or two probes to finish;
-    other point sets (the octahedron) fall back to brute force over most
-    probes.  The finish is a min over all points, so the order does not
-    change the result.
+    The points are read in order of descending z.  If they are then
+    ``fibonacci_points(T)``, the search runs coarse to fine over blocks of
+    grid rows, each of at most DISTANCE_BLOCK probes.  Coarse: the center c
+    of each 2 x 2 block of cells gets a seed, its distance to the best of 4
+    lattice candidates (``_lattice_seeds``) and so at least d(c, cover).  c
+    is a corner of each of the block's cells, so d(c, probe) is at most the
+    probe's cell bound; d(., cover) is 1-Lipschitz, so the seed plus twice
+    the larger cell bound of the block's rows, plus ``ROUNDING``, bounds
+    the values of its 4 probes.  A 2 x 2 block whose bound is at most the
+    largest value found so far cannot raise it; each block of rows resolves
+    its 2 x 2 block of largest bound first, then the others above the value
+    found.  Fine: their probes get their own seeds, and a probe whose seed
+    plus cell bound is at most the largest value so far drops out, the
+    largest first.  Finish: the probes left get their exact distance by
+    brute force over all points; one to three probes on the cover ladder.
+
+    Any other point set (the octahedron, a rotated or scattered one) skips
+    seeds and coarse pass, which mean nothing off the lattice: every probe
+    gets its exact distance, in blocks of rows.  Either way the result is
+    the largest value over all probes, so it does not depend on the order
+    of the points or on the path taken.
     """
     points = np.asarray(points, dtype=np.float64)
     points = points[np.argsort(-points[:, 2], kind="stable")]
@@ -151,31 +183,72 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
     sin_max[(thetas - d_theta / 2.0 < np.pi / 2.0)
             & (np.pi / 2.0 < thetas + d_theta / 2.0)] = 1.0
     cell_bound = 0.5 * np.hypot(d_theta, sin_max * d_phi)
-    cols = np.ascontiguousarray(points.T)
 
-    def finish(flat, start):
-        """Largest exact distance + cell bound over these probes, given by
-        their flat index in the block of rows from ``start``."""
-        i, j = np.divmod(flat, n_phi)
-        i += start
+    def finish(i, j):
+        """Largest exact distance + cell bound over the probes [i, j]."""
         probes = np.column_stack([sin_t[i] * cos_p[j], sin_t[i] * sin_p[j],
                                   cos_t[i]])
         dists = np.sqrt(_nearest(probes, points, np.min))
         return float((dists + cell_bound[i]).max())
 
-    rows = max(1, DISTANCE_BLOCK // n_phi)
+    if not np.array_equal(points, fibonacci_points(len(points))):
+        rows = max(1, DISTANCE_BLOCK // n_phi)
+        certified = 0.0
+        for start in range(0, n_theta, rows):
+            flat = np.arange(start * n_phi, min(start + rows, n_theta) * n_phi)
+            certified = max(certified, finish(*np.divmod(flat, n_phi)))
+        return certified
+
+    cols = np.ascontiguousarray(points.T)
+    # 2 x 2 block [a, b] holds grid rows 2a and 2a + 1 (only 2a at an odd
+    # last row) and grid columns 2b and 2b + 1; its center is a corner of
+    # each of its cells, so within a cell bound of each of its probes
+    lo = np.arange(0, n_theta, 2)
+    hi = np.minimum(lo + 1, n_theta - 1)
+    theta_c = 0.5 * (thetas[lo] + thetas[hi])
+    phi_c = np.arange(1, n_phi, 2) * d_phi
+    sin_c, cos_c = np.sin(theta_c), np.cos(theta_c)
+    cos_pc, sin_pc = np.cos(phi_c), np.sin(phi_c)
+    fine, coarse = np.split(_lattice_rows(len(points), np.concatenate(
+        [cos_t, cos_c])), [n_theta], axis=1)
+    extra = 2.0 * np.maximum(cell_bound[lo], cell_bound[hi]) + ROUNDING
+    corner_i, corner_j = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+
+    def resolve(a, b, certified):
+        """The largest value so far once the probes of the 2 x 2 blocks
+        [a, b] are seeded, pruned (largest bound first) and finished."""
+        i = (2 * a[:, None] + corner_i).ravel()
+        j = (2 * b[:, None] + corner_j).ravel()
+        keep = i < n_theta
+        i, j = i[keep], j[keep]
+        bound = _lattice_seeds(cols, fine[:, i], sin_t[i], cos_t[i], phis[j],
+                               cos_p[j], sin_p[j])
+        bound += cell_bound[i]
+        top = int(bound.argmax())
+        if bound[top] <= certified:
+            return certified
+        certified = max(certified, finish(i[top:top + 1], j[top:top + 1]))
+        rest = np.flatnonzero(bound > certified)
+        if rest.size:
+            certified = max(certified, finish(i[rest], j[rest]))
+        return certified
+
+    n_b = len(phi_c)
+    rows = max(1, DISTANCE_BLOCK // (4 * n_b))
     certified = 0.0
-    for start in range(0, n_theta, rows):
+    for start in range(0, len(theta_c), rows):
         r = slice(start, start + rows)
-        bound = _lattice_seeds(cols, sin_t[r], cos_t[r], cos_p, sin_p, phis)
-        bound += cell_bound[r, None]
+        bound = _lattice_seeds(cols, coarse[:, r, None], sin_c[r, None],
+                               cos_c[r, None], phi_c, cos_pc, sin_pc)
+        bound += extra[r, None]
         top = int(bound.argmax())
         if bound.flat[top] <= certified:
             continue
-        certified = max(certified, finish(np.array([top]), start))
-        rest = np.flatnonzero(bound > certified)
-        if rest.size:
-            certified = max(certified, finish(rest, start))
+        a, b = divmod(top, n_b)
+        certified = resolve(np.array([start + a]), np.array([b]), certified)
+        a, b = np.divmod(np.flatnonzero(bound > certified), n_b)
+        if a.size:
+            certified = resolve(start + a, b, certified)
     return certified
 
 
@@ -243,7 +316,7 @@ def discretized_box(cover: SphereCover) -> CorrelationBox:
 
 def cover_bell_spec(cover: SphereCover):
     """BELL spec reproducing discretized_box by measuring the singlet."""
-    us = [unitary_for_point(c) for c in cover.points]
+    us = unitary_for_point(cover.points)
     return simple_bell_spec(us, us)
 
 
@@ -261,19 +334,10 @@ def reduce_measurement(u: np.ndarray, v: np.ndarray,
     return i, j
 
 
-def verify_reduction(cover: SphereCover, trials: int,
-                     seed: int = 0) -> tuple[float, float]:
-    """Largest and mean exact TV error of the 1-query nearest-point
-    reduction over ``trials`` Haar pairs (U, V), a Monte-Carlo estimate
-    bounded by the covering radius.
-
-    One generator seeded with ``SeedSequence([seed])`` draws every trial:
-    trial t is the t-th pair of ``quantum.random_unitary`` calls on it.  So
-    the first n trials are the same for every ``trials`` >= n.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+def _reduction_tvs(cover: SphereCover, rng: np.random.Generator,
+                   trials: int) -> np.ndarray:
+    """Exact TV error of the nearest-point reduction on the next ``trials``
+    Haar pairs (U, V) that ``rng`` draws."""
     # per trial, U's real and imaginary parts, then V's
     draws = rng.normal(size=(trials, 4, 2, 2))
     uv = _haar(draws[:, 0::2] + 1j * draws[:, 1::2])    # [trial, (U, V), 2, 2]
@@ -286,8 +350,32 @@ def verify_reduction(cover: SphereCover, trials: int,
     approx = _singlet_rows((points[i, None, :] @ points[j, :, None])[:, 0, 0])
     check_distributions(exact)
     check_distributions(approx)
-    tvs = 0.5 * np.abs(exact - approx).sum(axis=(1, 2))
-    return float(tvs.max()), float(tvs.mean())
+    return 0.5 * np.abs(exact - approx).sum(axis=(1, 2))
+
+
+def verify_reduction(cover: SphereCover, trials: int,
+                     seed: int = 0) -> tuple[float, float]:
+    """Largest and mean exact TV error of the 1-query nearest-point
+    reduction over ``trials`` Haar pairs (U, V), a Monte-Carlo estimate
+    bounded by the covering radius.
+
+    One generator seeded with ``SeedSequence([seed])`` draws every trial:
+    trial t is the t-th pair of ``quantum.random_unitary`` calls on it.  So
+    the first n trials are the same for every ``trials`` >= n.  Trials go
+    in blocks whose draws hold at most PATH_TABLE_CAP entries, 16 per trial,
+    so memory does not grow past one block; the mean is the sum of the
+    blocks' sums over ``trials``, which is ``tvs.mean()`` in one block.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    block = PATH_TABLE_CAP // 16
+    worst, total = 0.0, 0.0
+    for start in range(0, trials, block):
+        tvs = _reduction_tvs(cover, rng, min(block, trials - start))
+        worst = max(worst, float(tvs.max()))
+        total += tvs.sum()
+    return worst, float(total / trials)
 
 
 def cover_to_json(cover: SphereCover) -> str:

@@ -47,6 +47,25 @@ def test_tangent_line_intersections_double_root():
         assert roots[1] == pytest.approx(p0, abs=1e-6)
 
 
+def test_close_crossings_are_both_reported():
+    # the tangent at 0.75 raised by 1e-10 crosses omega about 1.4e-5 either
+    # side of 0.75; the discriminant is then within the tangency snap, and
+    # the vertex, 1e-10 above omega, is no root
+    tangent = tangent_line(0.75)
+    ell = AffineFunction(tangent.intercept + 1e-10, tangent.slope)
+    roots = bl.line_intersections(ell)
+    ps = np.linspace(0.7499, 0.7501, 200001)
+    g = ell(ps) - bl.omega(ps)
+    crossings = ps[:-1][np.sign(g[1:]) != np.sign(g[:-1])]
+    assert len(crossings) == 2
+    assert roots == pytest.approx(crossings.tolist(), abs=2e-9)
+    assert roots[0] == pytest.approx(0.749986, abs=1e-6)
+    assert roots[1] == pytest.approx(0.750014, abs=1e-6)
+    # the exact tangent still touches: one double root
+    touch = bl.line_intersections(tangent)
+    assert len(touch) == 2 and touch[0] == touch[1]
+
+
 def test_secant_line_intersections_exact():
     # chord through (0.5, omega(0.5)) and (1, 1)
     p1, p2 = 0.5, 1.0

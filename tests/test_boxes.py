@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
-from boxlab.boxes import box_from_json, box_to_json
+from boxlab.boxes import box_from_json, box_to_json, scatter_outputs
 
 
 def test_pr_box_rows():
@@ -157,3 +157,22 @@ def test_mix_preserves_nonsignaling():
     for _ in range(20):
         w = rng.random()
         assert bl.is_nonsignaling(bl.mix(ns_boxes, [w, 1.0 - w]))
+
+
+def test_scatter_outputs_equals_add_at_and_the_one_hot_einsum():
+    rng = np.random.default_rng(17)
+    for x, y, s, t, a, b in ((5, 4, 3, 2, 2, 3), (2, 2, 16, 16, 2, 2),
+                             (3, 1, 4, 2, 1, 3)):
+        probs = rng.random((x, y, s, t))
+        a_map = rng.integers(0, a, (x, s))
+        b_map = rng.integers(0, b, (y, t))
+        got = scatter_outputs(probs, a_map, b_map, a, b)
+        want = np.zeros((x, y, a, b))
+        xs, ys = np.ogrid[:x, :y]
+        np.add.at(want, (xs[..., None, None], ys[..., None, None],
+                         a_map[:, None, :, None], b_map[None, :, None, :]),
+                  probs)
+        assert got.tobytes() == want.tobytes()
+        one_hot = np.einsum("uvpq,upa,vqb->uvab", probs, np.eye(a)[a_map],
+                            np.eye(b)[b_map])
+        assert got.tobytes() == one_hot.tobytes()

@@ -37,6 +37,49 @@ def test_unitary_for_point_rejects_zero():
         bl.unitary_for_point(np.zeros(3))
 
 
+def reference_unitary_for_point(c):
+    """The per-point formula: U^-1 has columns [psi_perp, psi], and the
+    largest entry of U's first column is made real positive."""
+    theta = np.arccos(np.clip(c[2], -1.0, 1.0))
+    phi = np.arctan2(c[1], c[0])
+    psi = np.array([np.cos(theta / 2.0),
+                    np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=np.complex128)
+    psi_perp = np.array([-np.conj(psi[1]), np.conj(psi[0])],
+                        dtype=np.complex128)
+    u = np.column_stack([psi_perp, psi]).conj().T
+    col = u[:, 0]
+    pivot = col[np.argmax(np.abs(col))]
+    return u * (np.conj(pivot) / abs(pivot))
+
+
+def test_unitary_for_point_stack_equals_the_per_point_formula():
+    rng = np.random.default_rng(61)
+    scattered = rng.normal(size=(1000, 3))
+    scattered /= np.linalg.norm(scattered, axis=1, keepdims=True)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, -1.0]])
+    sets = [build_cover(eps).points for eps in (2.0, 0.5, 0.4, 0.3, 0.25,
+                                                0.2, 0.05)]
+    sets += [bl.octahedron_cover().points, poles, scattered]
+    for points in sets:
+        stacked = bl.unitary_for_point(points)
+        assert stacked.shape == (len(points), 2, 2)
+        # bit for bit, signed zeros included
+        want = np.array([reference_unitary_for_point(c) for c in points])
+        assert stacked.tobytes() == want.tobytes()
+        per_point = np.array([bl.unitary_for_point(c) for c in points])
+        assert per_point.tobytes() == want.tobytes()
+    grid = bl.unitary_for_point(scattered[:12].reshape(3, 4, 3))
+    assert grid.tobytes() == bl.unitary_for_point(scattered[:12]).tobytes()
+    spec = cover_bell_spec(build_cover(0.3))
+    assert (np.array(spec.alice_unitaries).tobytes()
+            == np.array([reference_unitary_for_point(c)
+                         for c in build_cover(0.3).points]).tobytes())
+    for bad in ([poles[0], np.zeros(3)], [poles[0], [np.nan, 0.0, 1.0]],
+                np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            bl.unitary_for_point(bad)
+
+
 def test_random_unitary_is_unitary_and_uniform():
     points = []
     for _ in range(10 ** 4):

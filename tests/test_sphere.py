@@ -234,6 +234,33 @@ def test_verify_reduction_memory_grows_with_trials_not_t_squared():
     assert peak < 50e6
 
 
+def test_verify_reduction_runs_in_blocks_of_trials(monkeypatch):
+    cover = bl.build_cover(0.3)
+    tvs = reference_tvs(cover, 1000, 9)
+
+    def peak_of(trials):
+        tracemalloc.start()
+        try:
+            got = bl.verify_reduction(cover, trials, seed=9)
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # blocks of 64 trials: 1000 trials span 16 blocks of one stream
+    monkeypatch.setattr(sphere, "PATH_TABLE_CAP", 16 * 64)
+    (max_tv, mean_tv), _ = peak_of(1000)
+    assert max_tv == float(tvs.max())
+    assert mean_tv == float(sum(tvs[s:s + 64].sum()
+                                for s in range(0, 1000, 64)) / 1000)
+    assert mean_tv == pytest.approx(float(tvs.mean()), rel=1e-14)
+    monkeypatch.setattr(sphere, "PATH_TABLE_CAP", 16 * 4096)
+    _, one_block = peak_of(4096)
+    _, blocks = peak_of(3 * 4096 + 100)
+    # four blocks take the memory of one, about 3 MB; 12,388 trials in one
+    # block take 9 MB
+    assert blocks < 1.5 * one_block
+
+
 def test_import_leaves_scipy_out(tmp_path):
     # import, cover building and the CLI's cover command, one after another
     code = """
@@ -256,6 +283,17 @@ print(seen)
     assert out.strip() == "[False, False, False, False]"
 
 
+# T in 4..60 whose lattice audit finishes two probes, one per call: the
+# 2 x 2 block with the largest coarse bound finishes its top probe first,
+# and these lattices hold their largest value in another block
+TWO_FINISHES = (5, 6, 8, 10, 12, 14, 15, 17, 18, 19, 21, 22, 25, 27, 28, 30,
+                31, 32, 37, 40, 41, 42, 43, 44, 45, 46, 48, 49, 50, 51, 52,
+                54, 55, 56, 58)
+# probes finished on the cover ladder, equal for a permuted cover
+LADDER_FINISHES = {2.0: [1], 0.5: [1], 0.4: [1, 1], 0.3: [1, 1],
+                   0.25: [1, 1], 0.2: [1], 0.05: [1, 1, 1]}
+
+
 def test_audit_equals_the_kdtree_audit_on_fibonacci_lattices(monkeypatch):
     counted = finished_probes(monkeypatch)
     for t in range(4, 61):
@@ -265,7 +303,8 @@ def test_audit_equals_the_kdtree_audit_on_fibonacci_lattices(monkeypatch):
         assert got == kdtree_audit(points, 100 * t)
         assert type(got) is float
         # the lattice seed is exact around the maximum: one probe finishes
-        assert sum(counted) == 1
+        # per 2 x 2 block that holds a value above those found before
+        assert counted == ([1, 1] if t in TWO_FINISHES else [1])
 
 
 @pytest.mark.parametrize("eps", LADDER)
@@ -275,8 +314,7 @@ def test_audit_equals_the_kdtree_audit_on_the_cover_ladder(monkeypatch, eps):
     got = audit_cover(points, 100 * len(points))
     assert got == kdtree_audit(points, 100 * len(points))
     assert type(got) is float
-    # T = 3,481 has 11 blocks of rows, and a second block finishes a probe
-    assert sum(counted) == (2 if eps == 0.05 else 1)
+    assert counted == LADDER_FINISHES[eps]
     cover = bl.build_cover(eps)
     assert np.array_equal(cover.points, points)
     assert cover.covering_radius == got
@@ -284,22 +322,56 @@ def test_audit_equals_the_kdtree_audit_on_the_cover_ladder(monkeypatch, eps):
     counted.clear()
     order = np.random.default_rng(43).permutation(len(points))
     assert audit_cover(points[order], 100 * len(points)) == got
-    assert sum(counted) <= 2
+    assert counted == LADDER_FINISHES[eps]
 
 
-def test_audit_equals_the_kdtree_audit_on_other_point_sets():
+def test_audit_equals_the_kdtree_audit_on_a_large_lattice(monkeypatch):
+    counted = finished_probes(monkeypatch)
+    points = fibonacci_points(9670)
+    assert audit_cover(points, 967000) == kdtree_audit(points, 967000)
+    assert counted == [1, 1]
+
+
+def probe_count(n_probes):
+    n_theta = max(4, int(np.ceil(np.sqrt(n_probes / 2.0))))
+    return n_theta, 2 * n_theta * n_theta
+
+
+def test_audit_equals_the_kdtree_audit_on_odd_grid_edges(monkeypatch):
+    # 400 and 700 probes make grids of 15 and 19 rows: the last 2 x 2 block
+    # of rows holds one row
+    counted = finished_probes(monkeypatch)
+    for t in (4, 5, 7):
+        points = fibonacci_points(t)
+        assert audit_cover(points, 100 * t) == kdtree_audit(points, 100 * t)
+    assert [probe_count(100 * t)[0] % 2 for t in (4, 5, 7)] == [1, 0, 1]
+    assert counted == [1, 1, 1, 1]
+
+
+def test_audit_equals_the_kdtree_audit_on_other_point_sets(monkeypatch):
+    counted = finished_probes(monkeypatch)
     rng = np.random.default_rng(41)
+    turn = np.linalg.qr(rng.normal(size=(3, 3)))[0]
     for t in (4, 9, 55, 218):
         lattice = fibonacci_points(t)
         scattered = rng.normal(size=(t, 3))
         scattered /= np.linalg.norm(scattered, axis=1, keepdims=True)
-        for points in (lattice[::-1], lattice[rng.permutation(t)], scattered):
+        for points in (lattice[::-1], lattice[rng.permutation(t)]):
             assert audit_cover(points, 100 * t) == kdtree_audit(points, 100 * t)
+        # off the lattice every probe gets its exact distance
+        for points in (scattered, lattice @ turn.T):
+            counted.clear()
+            assert audit_cover(points, 100 * t) == kdtree_audit(points, 100 * t)
+            assert sum(counted) == probe_count(100 * t)[1]
     octahedron = np.vstack([np.eye(3), -np.eye(3)])
-    radius = audit_cover(octahedron, 20000)
-    assert radius == kdtree_audit(octahedron, 20000)
+    for probes in (600, 20000):
+        counted.clear()
+        radius = audit_cover(octahedron, probes)
+        assert radius == kdtree_audit(octahedron, probes)
+        assert sum(counted) == probe_count(probes)[1]
+        assert type(radius) is float
+    assert radius == 0.9286412092862907
     assert bl.octahedron_cover().covering_radius == radius
-    assert type(radius) is float
 
 
 def test_audit_blocks_are_bounded_in_memory():
