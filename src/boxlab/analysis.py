@@ -13,11 +13,11 @@ import numpy as np
 
 from .boxes import PATH_TABLE_CAP
 from .games import omega, omega_prime
-from .protocols import AffineFunction
+from .protocols import (AffineFunction, Alphabets, check_bound_digits,
+                        counting_bound)
 
 ROOT_TOL = 1e-10
 HALF_INTERVAL = 0.5  # |[1/2, 1]|
-SCHEDULE_DIGIT_CAP = 4300  # Python's default limit on int-to-str conversion
 ABOVE_OMEGA_TOL = 1e-12     # lines this far above omega still take the envelope
 
 
@@ -276,8 +276,8 @@ def find_hard_p(family, resolution: int = 10 ** 4, *, description: str = "",
     return GapCertificate(description, k, family, best_p, gap, resolution)
 
 
-def certificate_to_json(cert: GapCertificate, version: str = "") -> str:
-    payload = {
+def certificate_to_payload(cert: GapCertificate, version: str = "") -> dict:
+    return {
         "description": cert.description,
         "k": cert.k,
         "family": [[ell.intercept, ell.slope] for ell in cert.family],
@@ -286,7 +286,10 @@ def certificate_to_json(cert: GapCertificate, version: str = "") -> str:
         "resolution": cert.resolution,
         "version": version,
     }
-    return json.dumps(payload)
+
+
+def certificate_to_json(cert: GapCertificate, version: str = "") -> str:
+    return json.dumps(certificate_to_payload(cert, version))
 
 
 def certificate_from_json(text: str) -> GapCertificate:
@@ -319,21 +322,14 @@ def epsilon_schedule(x_size: int, y_size: int, a_size: int, b_size: int,
         raise ValueError("k_max must be at least 1")
     if not (np.isfinite(c) and c > 0.0):
         raise ValueError("c must be finite and positive")
-    if min(x_size, y_size, a_size, b_size) < 1:
-        raise ValueError("alphabet sizes must be positive")
-    # digits of the largest bound, 2 a^k log10(2x) + 2 b^k log10(2y), summed
-    # from logarithms so that the estimate itself cannot overflow
-    digits = sum(10.0 ** min(k_max * math.log10(n)
-                             + math.log10(2.0 * math.log10(2 * size)), 300.0)
-                 for size, n in ((x_size, a_size), (y_size, b_size)))
-    if digits > SCHEDULE_DIGIT_CAP:
-        raise ValueError("the k = %d bound has about %.3g digits, more than %d"
-                         % (k_max, digits, SCHEDULE_DIGIT_CAP))
+    # the bounds are counting_bound's; the k_max one has the most digits
+    al = Alphabets(2, 2, 2, 2, x_size, y_size, a_size, b_size)
+    check_bound_digits(al, k_max)
     c_exact = Fraction(c)
     bounds = []
     eps_exact = []
     for k in range(1, k_max + 1):
-        bound = (2 * x_size) ** (2 * a_size ** k) * (2 * y_size) ** (2 * b_size ** k)
+        bound = counting_bound(al, k)
         bounds.append(bound)
         eps_exact.append((c_exact / (k * k * bound)) ** 2)
     return EpsilonSchedule(c_exact, tuple(bounds), tuple(eps_exact),

@@ -217,9 +217,9 @@ def is_nonsignaling(box: CorrelationBox, tol: float = NS_TOL) -> bool:
     return bool(dev_a <= tol and dev_b <= tol)
 
 
-def box_to_json(box: CorrelationBox) -> str:
-    """Serialize to the canonical JSON format; round-trips doubles exactly."""
-    payload = {
+def box_to_payload(box: CorrelationBox) -> dict:
+    """The canonical file form as a dict; round-trips doubles exactly."""
+    return {
         "x_size": box.x_size,
         "y_size": box.y_size,
         "a_size": box.a_size,
@@ -229,11 +229,9 @@ def box_to_json(box: CorrelationBox) -> str:
             for x in range(box.x_size)
         ],
     }
-    return json.dumps(payload)
 
 
-def box_from_json(text: str) -> CorrelationBox:
-    payload = json.loads(text)
+def box_from_payload(payload: dict) -> CorrelationBox:
     x_size, y_size = payload["x_size"], payload["y_size"]
     a_size, b_size = payload["a_size"], payload["b_size"]
     table = np.empty((x_size, y_size, a_size, b_size))
@@ -244,3 +242,11 @@ def box_from_json(text: str) -> CorrelationBox:
                 raise ValueError("table row has wrong length")
             table[x, y] = row.reshape(a_size, b_size)
     return CorrelationBox(table)
+
+
+def box_to_json(box: CorrelationBox) -> str:
+    return json.dumps(box_to_payload(box))
+
+
+def box_from_json(text: str) -> CorrelationBox:
+    return box_from_payload(json.loads(text))

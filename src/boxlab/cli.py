@@ -5,12 +5,24 @@ where a row schema exists) that embeds the resolved config, the seed, and
 the tool version, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 precondition violation, 3 acceptance-suite failure.
+
+Each command parses its argv once and reads each input file once.  When the
+first two arguments name a command, ``main`` parses the rest with that
+command's own parser, recorded while ``build_parser`` builds it, into a
+namespace that already holds ``group`` and ``cmd``.  That is what the full
+parser does after its two levels of subcommand choice, so the namespace,
+every error and every help text are the same.  Everything else goes through
+the full parser: no command named, arguments the command's parser leaves
+over, ``--schema``, ``-h`` above a command, and unknown groups or commands.
+Input files are decoded once into dicts for the ``*_from_payload`` parsers,
+and outputs are emitted from the ``*_to_payload`` dicts.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import itertools
 import json
 import os
@@ -18,15 +30,37 @@ import sys
 
 import numpy as np
 
-from . import __version__, acceptance, analysis, boxes, games, protocols, sphere
+from . import __version__, analysis, boxes, games, protocols, sphere
 from .boxes import PATH_TABLE_CAP
 from .protocols import AffineFunction, BINARY, Alphabets
 
 DEFAULT_SEED = 20230405
 
 
+def _lazy_import(name: str):
+    """Module ``name``, entered in sys.modules and in its package as an
+    import enters it, but compiled and run on first use of an attribute."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, attr = name.rpartition(".")
+    setattr(sys.modules[package], attr, module)
+    return module
+
+
+# Only `suite acceptance` uses it.  Without bytecode caches, compiling and
+# running it cost every CLI start about 3.5 ms; lazily it costs a file
+# lookup, and it is still in sys.modules for tools that look for it there.
+acceptance = _lazy_import("boxlab.acceptance")
+
+
 def _load_payload(path: str, parse):
-    """Parse a box, cover or protocol file with ``parse`` (a ``*_from_json``).
+    """Build a box, cover or protocol with ``parse`` (a ``*_from_payload``)
+    from the file's one JSON decoding.
 
     The file holds either the bare object or a command's output, which wraps
     it in a {config, result, version} envelope.
@@ -38,7 +72,7 @@ def _load_payload(path: str, parse):
         if isinstance(payload, dict) and payload.keys() == {"config", "result",
                                                             "version"}:
             payload = payload["result"]
-        return parse(json.dumps(payload))
+        return parse(payload)
     except KeyError as exc:
         raise ValueError("%s: missing field %s" % (path, exc)) from None
     except (TypeError, IndexError, ValueError) as exc:
@@ -57,7 +91,7 @@ def _parse_box(token: str) -> boxes.CorrelationBox:
                                [int(v) for v in g.split(",")],
                                a_size=2, b_size=2)
     if token.startswith("file:"):
-        return _load_payload(token[5:], boxes.box_from_json)
+        return _load_payload(token[5:], boxes.box_from_payload)
     raise ValueError("unknown box form %r" % token)
 
 
@@ -100,7 +134,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
 
 def cmd_box_show(args):
     box = _parse_box(args.box)
-    _emit(args, json.loads(boxes.box_to_json(box)))
+    _emit(args, boxes.box_to_payload(box))
 
 
 def _sample_blocks(box, x, y, rng, n):
@@ -167,10 +201,10 @@ def cmd_game_optimize(args):
 # --- protocol ----------------------------------------------------------
 
 def cmd_protocol_run(args):
-    protocol = _load_payload(args.protocol, protocols.protocol_from_json)
+    protocol = _load_payload(args.protocol, protocols.protocol_from_payload)
     target = _parse_box(args.target)
     induced = protocols.induced_box(protocol, target)
-    payload = {"induced_box": json.loads(boxes.box_to_json(induced))}
+    payload = {"induced_box": boxes.box_to_payload(induced)}
     if args.source is not None:
         # protocols.check_reduction on the induced box already built
         tv = boxes.tv_closeness(induced, _parse_box(args.source))
@@ -187,6 +221,7 @@ def _alphabets_from_args(args) -> Alphabets:
 
 def cmd_protocol_enumerate(args):
     al = _alphabets_from_args(args)
+    protocols.check_bound_digits(al, args.k)
     count = protocols.count_protocols(al, args.k)
     payload = {"count": count, "bound": protocols.counting_bound(al, args.k)}
     if not args.count_only:
@@ -194,7 +229,7 @@ def cmd_protocol_enumerate(args):
             raise ValueError("refusing to list more than 10^4 protocols; "
                              "use --count-only")
         payload["protocols"] = [
-            json.loads(protocols.protocol_to_json(pi))
+            protocols.protocol_to_payload(pi)
             for pi in protocols.enumerate_protocols(al, args.k)]
     _emit(args, payload)
 
@@ -224,7 +259,7 @@ def cmd_analysis_gap(args):
     family = protocols.affine_family(target, args.k)
     cert = analysis.find_hard_p(family, resolution=args.resolution,
                                 description=args.target, k=args.k)
-    _emit(args, json.loads(analysis.certificate_to_json(cert, __version__)))
+    _emit(args, analysis.certificate_to_payload(cert, __version__))
 
 
 def cmd_analysis_schedule(args):
@@ -242,7 +277,7 @@ def cmd_analysis_schedule(args):
 
 def cmd_cover_build(args):
     cover = sphere.build_cover(args.epsilon)
-    _emit(args, json.loads(sphere.cover_to_json(cover)))
+    _emit(args, sphere.cover_to_payload(cover))
 
 
 def cmd_cover_verify(args):
@@ -254,7 +289,7 @@ def cmd_cover_verify(args):
 
 def _load_cover(args) -> sphere.SphereCover:
     if args.cover:
-        return _load_payload(args.cover, sphere.cover_from_json)
+        return _load_payload(args.cover, sphere.cover_from_payload)
     if args.epsilon is None:
         raise ValueError("need --epsilon or --cover")
     return sphere.build_cover(args.epsilon)
@@ -294,7 +329,9 @@ CSV_SCHEMAS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaves: dict) -> argparse.ArgumentParser:
+    """The full parser; each command's own parser goes into ``leaves``,
+    keyed by (group, cmd)."""
     parser = argparse.ArgumentParser(
         prog="boxlab",
         description="correlation-box simulation and verification experiments")
@@ -310,99 +347,122 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--format", choices=("json", "csv"),
                              default="json")
 
-    box = top.add_parser("box").add_subparsers(dest="cmd", required=True)
-    p = box.add_parser("show"); p.add_argument("--box", required=True)
+    def group(name):
+        """The adder of group ``name``'s commands, each entered in leaves."""
+        cmds = top.add_parser(name).add_subparsers(dest="cmd", required=True)
+
+        def command(cmd):
+            leaves[name, cmd] = p = cmds.add_parser(cmd)
+            return p
+        return command
+
+    box = group("box")
+    p = box("show"); p.add_argument("--box", required=True)
     common(p); p.set_defaults(func=cmd_box_show)
-    p = box.add_parser("sample")
+    p = box("sample")
     p.add_argument("--box", required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--n", type=int, default=1000)
     common(p, seed=True, fmt=True); p.set_defaults(func=cmd_box_sample)
-    p = box.add_parser("tv")
+    p = box("tv")
     p.add_argument("--box", required=True); p.add_argument("--other", required=True)
     common(p); p.set_defaults(func=cmd_box_tv)
 
-    game = top.add_parser("game").add_subparsers(dest="cmd", required=True)
-    p = game.add_parser("eval")
+    game = group("game")
+    p = game("eval")
     p.add_argument("--box", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, default=0.5)
     common(p); p.set_defaults(func=cmd_game_eval)
-    p = game.add_parser("omega"); p.add_argument("--p", type=float, required=True)
+    p = game("omega"); p.add_argument("--p", type=float, required=True)
     common(p); p.set_defaults(func=cmd_game_omega)
-    p = game.add_parser("bound")
+    p = game("bound")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, default=0.5)
     common(p); p.set_defaults(func=cmd_game_bound)
-    p = game.add_parser("optimize")
+    p = game("optimize")
     p.add_argument("--p", type=float, required=True)
     common(p); p.set_defaults(func=cmd_game_optimize)
 
-    proto = top.add_parser("protocol").add_subparsers(dest="cmd", required=True)
-    p = proto.add_parser("run")
+    proto = group("protocol")
+    p = proto("run")
     p.add_argument("--protocol", required=True, help="protocol JSON file")
     p.add_argument("--target", required=True)
     p.add_argument("--source", help="check an epsilon-error reduction")
     p.add_argument("--epsilon", type=float, default=0.0)
     common(p); p.set_defaults(func=cmd_protocol_run)
-    p = proto.add_parser("enumerate")
+    p = proto("enumerate")
     p.add_argument("--binary", action="store_true")
     p.add_argument("--x2", type=int, default=2); p.add_argument("--y2", type=int, default=2)
     p.add_argument("--a2", type=int, default=2); p.add_argument("--b2", type=int, default=2)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
     common(p); p.set_defaults(func=cmd_protocol_enumerate)
-    p = proto.add_parser("family")
+    p = proto("family")
     p.add_argument("--target", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--up-to-k", action="store_true")
     common(p, fmt=True); p.set_defaults(func=cmd_protocol_family)
 
-    ana = top.add_parser("analysis").add_subparsers(dest="cmd", required=True)
-    p = ana.add_parser("intersections")
+    ana = group("analysis")
+    p = ana("intersections")
     p.add_argument("--intercept", type=float, required=True)
     p.add_argument("--slope", type=float, required=True)
     common(p); p.set_defaults(func=cmd_analysis_intersections)
-    p = ana.add_parser("measure")
+    p = ana("measure")
     p.add_argument("--intercept", type=float, required=True)
     p.add_argument("--slope", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     common(p); p.set_defaults(func=cmd_analysis_measure)
-    p = ana.add_parser("gap")
+    p = ana("gap")
     p.add_argument("--target", default="octahedron")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--resolution", type=int, default=10 ** 4)
     common(p); p.set_defaults(func=cmd_analysis_gap)
-    p = ana.add_parser("schedule")
+    p = ana("schedule")
     p.add_argument("--x2", type=int, default=2); p.add_argument("--y2", type=int, default=2)
     p.add_argument("--a2", type=int, default=2); p.add_argument("--b2", type=int, default=2)
     p.add_argument("--k-max", type=int, default=3)
     p.add_argument("--c", type=float, default=0.01)
     common(p, fmt=True); p.set_defaults(func=cmd_analysis_schedule)
 
-    cover = top.add_parser("cover").add_subparsers(dest="cmd", required=True)
-    p = cover.add_parser("build")
+    cover = group("cover")
+    p = cover("build")
     p.add_argument("--epsilon", type=float, required=True)
     common(p); p.set_defaults(func=cmd_cover_build)
-    p = cover.add_parser("verify")
+    p = cover("verify")
     p.add_argument("--epsilon", type=float); p.add_argument("--cover")
     p.add_argument("--trials", type=int, default=1000)
     common(p, seed=True); p.set_defaults(func=cmd_cover_verify)
 
-    suite = top.add_parser("suite").add_subparsers(dest="cmd", required=True)
-    p = suite.add_parser("acceptance")
+    suite = group("suite")
+    p = suite("acceptance")
     common(p); p.set_defaults(func=cmd_suite_acceptance)
 
     return parser
 
 
-# built once, on import: parse_args keeps no state, so every main call shares it
-_PARSER = build_parser()
+# built once, on import: parsing keeps no state, so every main call shares it
+_LEAVES: dict = {}
+_PARSER = build_parser(_LEAVES)
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, through the named command's own parser
+    when ``argv`` names one and that parser leaves nothing over."""
+    leaf = _LEAVES.get(tuple(argv[:2]))
+    if leaf is not None:
+        args, extra = leaf.parse_known_args(
+            argv[2:], argparse.Namespace(schema=False, group=argv[0],
+                                         cmd=argv[1]))
+        if not extra:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     if getattr(args, "schema", False):
         for cmd, schema in CSV_SCHEMAS.items():
             print("%s: %s" % (cmd, schema))

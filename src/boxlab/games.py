@@ -66,13 +66,14 @@ class PlanarStrategy:
             raise ValueError("angles must lie in [0, 2*pi)")
 
     def to_bell_spec(self) -> BellBoxSpec:
-        def u_for(theta):
-            return unitary_for_point(np.array([np.sin(theta), 0.0, np.cos(theta)]))
+        def unitaries(angles):
+            """One stacked unitary_for_point call for a party's angles."""
+            t = np.array(angles)
+            return list(unitary_for_point(
+                np.stack([np.sin(t), np.zeros_like(t), np.cos(t)], axis=-1)))
 
-        return simple_bell_spec(
-            [u_for(t) for t in self.alice_angles],
-            [u_for(t) for t in self.bob_angles],
-        )
+        return simple_bell_spec(unitaries(self.alice_angles),
+                                unitaries(self.bob_angles))
 
     def to_box(self) -> CorrelationBox:
         return bell_box(self.to_bell_spec(), SINGLET)

@@ -19,6 +19,7 @@ from .boxes import (NORM_TOL, PATH_TABLE_CAP, CorrelationBox, local_box, mix,
                     scatter_outputs, tv_closeness)
 
 ENUMERATION_CAP = 10 ** 8
+SCHEDULE_DIGIT_CAP = 4300  # Python's default limit on int-to-str conversion
 DEDUP_TOL = 1e-12
 
 
@@ -220,6 +221,52 @@ def check_reduction(protocol, target: CorrelationBox, source: CorrelationBox,
     return achieved <= epsilon, achieved
 
 
+def _digits(terms) -> float:
+    """Decimal digits, as log10, of the product of base ** e over the
+    (base, log10 e) terms; each term is capped at 10^300 digits, so neither
+    the product nor the estimate is ever built or overflows."""
+    return sum(10.0 ** min(log_e + math.log10(math.log10(base)), 300.0)
+               for base, log_e in terms if base > 1)
+
+
+def _log10_power(n: int, k: int) -> float:
+    """log10 of n ** k; k past 2^20 gives a capped _digits term either way."""
+    return min(k, 1 << 20) * math.log10(n)
+
+
+def _log10_geometric(n: int, k: int) -> float:
+    """log10 of 1 + n + ... + n^(k-1), for k >= 1."""
+    if n == 1:
+        return math.log10(k)
+    power = _log10_power(n, k)
+    return power + math.log10((1.0 - 10.0 ** -power) / (n - 1))
+
+
+def count_digits(al: Alphabets, k: int) -> float:
+    """Decimal digits (log10) of count_protocols(al, k), from logarithms."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    terms = [(al.a1, math.log10(al.x1) + _log10_power(al.a2, k)),
+             (al.b1, math.log10(al.y1) + _log10_power(al.b2, k))]
+    if k:
+        terms += [(al.x2, math.log10(al.x1) + _log10_geometric(al.a2, k)),
+                  (al.y2, math.log10(al.y1) + _log10_geometric(al.b2, k))]
+    return _digits(terms)
+
+
+def check_bound_digits(al: Alphabets, k: int) -> None:
+    """Refuse, from logarithms and before it is built, a counting_bound(al, k)
+    of more than SCHEDULE_DIGIT_CAP digits; with binary outer alphabets the
+    bound is at least count_protocols(al, k), so that count is refused too."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    digits = _digits([(2 * al.x2, math.log10(2.0) + _log10_power(al.a2, k)),
+                      (2 * al.y2, math.log10(2.0) + _log10_power(al.b2, k))])
+    if digits > SCHEDULE_DIGIT_CAP:
+        raise ValueError("the k = %d bound has about %.3g digits, more than %d"
+                         % (k, digits, SCHEDULE_DIGIT_CAP))
+
+
 def count_protocols(al: Alphabets, k: int) -> int:
     """Exact number of deterministic k-query protocols over the given alphabets."""
     n = 1
@@ -237,6 +284,11 @@ def counting_bound(al: Alphabets, k: int) -> int:
 
 
 def _refuse_past_cap(al: Alphabets, k: int) -> None:
+    # the estimate first: a count a digit or more past the cap is never built
+    digits = count_digits(al, k)
+    if digits > math.log10(ENUMERATION_CAP) + 1:
+        raise ValueError("protocol count of about 10^%.3g exceeds cap %d"
+                         % (digits, ENUMERATION_CAP))
     total = count_protocols(al, k)
     if total > ENUMERATION_CAP:
         raise ValueError("protocol count %d exceeds cap %d"
@@ -361,9 +413,9 @@ def local_deterministic_boxes():
     return out
 
 
-def protocol_to_json(protocol: DeterministicProtocol) -> str:
+def protocol_to_payload(protocol: DeterministicProtocol) -> dict:
     al = protocol.alphabets
-    payload = {
+    return {
         "alphabets": [al.x1, al.y1, al.a1, al.b1, al.x2, al.y2, al.a2, al.b2],
         "k": protocol.k,
         "q_maps": [list(m) for m in protocol.q_maps],
@@ -371,11 +423,9 @@ def protocol_to_json(protocol: DeterministicProtocol) -> str:
         "s_map": list(protocol.s_map),
         "t_map": list(protocol.t_map),
     }
-    return json.dumps(payload)
 
 
-def protocol_from_json(text: str) -> DeterministicProtocol:
-    payload = json.loads(text)
+def protocol_from_payload(payload: dict) -> DeterministicProtocol:
     al = Alphabets(*payload["alphabets"])
     return DeterministicProtocol(
         al, int(payload["k"]),
@@ -383,3 +433,11 @@ def protocol_from_json(text: str) -> DeterministicProtocol:
         tuple(tuple(m) for m in payload["r_maps"]),
         tuple(payload["s_map"]), tuple(payload["t_map"]),
     )
+
+
+def protocol_to_json(protocol: DeterministicProtocol) -> str:
+    return json.dumps(protocol_to_payload(protocol))
+
+
+def protocol_from_json(text: str) -> DeterministicProtocol:
+    return protocol_from_payload(json.loads(text))

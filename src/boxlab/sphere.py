@@ -362,14 +362,17 @@ def verify_reduction(cover: SphereCover, trials: int,
     One generator seeded with ``SeedSequence([seed])`` draws every trial:
     trial t is the t-th pair of ``quantum.random_unitary`` calls on it.  So
     the first n trials are the same for every ``trials`` >= n.  Trials go
-    in blocks whose draws hold at most PATH_TABLE_CAP entries, 16 per trial,
-    so memory does not grow past one block; the mean is the sum of the
-    blocks' sums over ``trials``, which is ``tvs.mean()`` in one block.
+    in blocks of PATH_TABLE_CAP // 128: a trial's arrays (the draws, the Haar
+    pair, the snapped points, the exact and snapped tables) take about 706
+    bytes, under 128 float64 entries, so one block's arrays stay within
+    PATH_TABLE_CAP entries and memory does not grow past one block.  The
+    mean is the sum of the blocks' sums over ``trials``, which is
+    ``tvs.mean()`` in one block.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    block = PATH_TABLE_CAP // 16
+    block = PATH_TABLE_CAP // 128
     worst, total = 0.0, 0.0
     for start in range(0, trials, block):
         tvs = _reduction_tvs(cover, rng, min(block, trials - start))
@@ -378,23 +381,21 @@ def verify_reduction(cover: SphereCover, trials: int,
     return worst, float(total / trials)
 
 
-def cover_to_json(cover: SphereCover) -> str:
-    payload = {
+def cover_to_payload(cover: SphereCover) -> dict:
+    return {
         "points": cover.points.tolist(),
         "covering_radius": cover.covering_radius,
     }
-    return json.dumps(payload)
 
 
-def cover_from_json(text: str) -> SphereCover:
-    """Cover from ``cover_to_json`` text, with its radius audited again.
+def cover_from_payload(payload: dict) -> SphereCover:
+    """Cover from a ``cover_to_payload`` dict, with its radius audited again.
 
     The points are audited at the probe count of ``build_cover``, then of
     ``octahedron_cover``; the cover carries the first audit that is at most
     the file's ``covering_radius``, so the files of both load with the same
     radius.  A file whose radius is below both audits is refused.
     """
-    payload = json.loads(text)
     claimed = SphereCover(np.asarray(payload["points"], dtype=np.float64),
                           float(payload["covering_radius"]))
     audits = []
@@ -404,3 +405,11 @@ def cover_from_json(text: str) -> SphereCover:
             return SphereCover(claimed.points, audits[-1])
     raise ValueError("covering_radius %r is below the audited radius %r"
                      % (claimed.covering_radius, min(audits)))
+
+
+def cover_to_json(cover: SphereCover) -> str:
+    return json.dumps(cover_to_payload(cover))
+
+
+def cover_from_json(text: str) -> SphereCover:
+    return cover_from_payload(json.loads(text))

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -456,3 +457,225 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- one parse per command ---------------------------------------------
+
+# argvs for the command dispatch against the full parser: README and
+# benchmark-style commands, help at each level, --schema, unknown names,
+# missing and bad values, extra arguments, "--" and abbreviations
+ARGV_CORPUS = [
+    "box show --box pr",
+    "box show --box pr --out shown.json",
+    "box sample --box local:0,1:1,0 --x 1 --y 0 --n 300 --seed 7 --format csv",
+    "box tv --box pr --other local:0,0:0,0",
+    "game eval --box pr --p 0.3 --q 0.7",
+    "game omega --p 0.75",
+    "game bound --p 0.6 --q 0.55",
+    "game optimize --p 0.96",
+    "protocol run --protocol identity.json --target pr --source pr --epsilon 0.1",
+    "protocol enumerate --binary --k 2 --count-only",
+    "protocol enumerate --x2 3 --y2 2 --a2 3 --b2 2 --k 1 --count-only",
+    "protocol family --target pr --k 1 --up-to-k --format csv",
+    "analysis intersections --intercept -0.5 --slope 1.25",
+    "analysis measure --intercept 0.8 --slope 0.1 --epsilon 1e-3",
+    "analysis gap --target octahedron --k 1",
+    "analysis schedule --k-max 2 --c 0.01 --format csv",
+    "cover build --epsilon 0.5",
+    "cover verify --cover cover.json --trials 150 --seed 3",
+    "suite acceptance --out acceptance.json",
+    "", "-h", "--help", "box -h", "box show -h", "box show --box pr -h",
+    "game omega --help", "suite acceptance -h",
+    "--schema", "--schema box show --box pr", "box show --box pr --schema",
+    "nope", "nope show", "box nope", "box", "box --x", "--nope",
+    "game omega", "box sample --box pr", "box show --box", "box show --out",
+    "game omega --p x", "game omega --p", "box sample --box pr --x a --y 0",
+    "box sample --box pr --x 0 --y 0 --format xml",
+    "analysis gap --k 1.5", "game omega --p 0.5 extra",
+    "game omega --p 0.5 --nope 1", "game omega --p 0.5 -x",
+    "game omega --p 0.5 --p 0.6", "game omega --p -0.5",
+    "analysis intersections --intercept -1 --slope -2",
+    "game omega -- --p 0.5", "game omega --p 0.5 --", "-- game omega --p 0.5",
+    "game -- omega --p 0.5", "game omega --p=0.5", "game omega --p=",
+    "box sample --bo pr --x 0 --y 0", "protocol enumerate --bin --k 1 --count",
+    "protocol enumerate --b --k 1", "protocol family --target pr --k 1 --up",
+    "analysis measure --int 0.8 --s 0.1 --e 0.01", "cover verify --tr 5",
+    "box show --box=pr", "box show -h --box", "game omega --p 0.5 --he",
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS)
+def test_dispatch_parses_as_the_full_parser(capsys, argv):
+    argv = argv.split()
+    assert (parse_outcome(capsys, cli._parse, argv)
+            == parse_outcome(capsys, cli._PARSER.parse_args, argv))
+
+
+def test_dispatch_table_holds_every_command():
+    from test_golden_cli import parser_commands
+
+    assert sorted(cli._LEAVES) == sorted(parser_commands())
+
+
+def command_files(path):
+    """The input files ARGV_CORPUS names, written in ``path``."""
+    (path / "identity.json").write_text(
+        protocol_to_json(bl.identity_protocol()))
+    (path / "cover.json").write_text(cover_to_json(octahedron_cover()))
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS)
+def test_main_through_dispatch_equals_main_through_the_full_parser(
+        capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    command_files(tmp_path)
+    monkeypatch.setattr(acceptance, "run_all", lambda: [])
+
+    def outcome():
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        return code, captured.out, captured.err, files
+
+    dispatched = outcome()
+    monkeypatch.setattr(cli, "_LEAVES", {})
+    assert outcome() == dispatched
+
+
+def test_commands_skip_the_full_parser(capsys, monkeypatch, tmp_path):
+    def nested(argv):
+        raise AssertionError("parsed by the full parser")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", nested)
+    monkeypatch.chdir(tmp_path)
+    command_files(tmp_path)
+    for argv in ARGV_CORPUS[:18]:           # the commands, not the suite
+        assert main(argv.split() + ["--out", "out.json"]) == 0, argv
+    capsys.readouterr()
+
+
+# the *_to_json texts of the serializers that built them from JSON strings
+PR_BOX_JSON = (
+    '{"x_size": 2, "y_size": 2, "a_size": 2, "b_size": 2, "table": '
+    '[[[0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, 0.5]], '
+    '[[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0]]]}')
+IDENTITY_JSON = (
+    '{"alphabets": [2, 2, 2, 2, 2, 2, 2, 2], "k": 1, "q_maps": [[0, 1]], '
+    '"r_maps": [[0, 1]], "s_map": [0, 1, 0, 1], "t_map": [0, 1, 0, 1]}')
+OCTAHEDRON_JSON = (
+    '{"points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], '
+    '[-1.0, -0.0, -0.0], [-0.0, -1.0, -0.0], [-0.0, -0.0, -1.0]], '
+    '"covering_radius": 0.9286412092862907}')
+CERTIFICATE_JSON = (
+    '{"description": "two lines", "k": 1, "family": [[0.75, 0.0], '
+    '[0.5, 0.5]], "p_star": 0.5, "gap": 0.10355339059327373, '
+    '"resolution": 10000, "version": "0.1.0"}')
+
+
+def test_payloads_round_trip_and_keep_their_json_text():
+    from boxlab import analysis, boxes, sphere
+
+    box = bl.pr_box()
+    assert boxes.box_to_json(box) == PR_BOX_JSON
+    again = boxes.box_from_payload(boxes.box_to_payload(box))
+    assert again.table.tobytes() == box.table.tobytes()
+    mixed = bl.mix([bl.pr_box(), bl.local_box((0, 1), (1, 1), 2, 2)],
+                   [0.1, 0.9])
+    again = boxes.box_from_payload(boxes.box_to_payload(mixed))
+    assert again.table.tobytes() == mixed.table.tobytes()
+
+    pi = bl.identity_protocol()
+    assert protocol_to_json(pi) == IDENTITY_JSON
+    assert protocols.protocol_from_payload(
+        protocols.protocol_to_payload(pi)) == pi
+
+    cover = octahedron_cover()
+    assert cover_to_json(cover) == OCTAHEDRON_JSON
+    again = sphere.cover_from_payload(sphere.cover_to_payload(cover))
+    assert again.points.tobytes() == cover.points.tobytes()
+    assert again.covering_radius == cover.covering_radius
+
+    family = [protocols.AffineFunction(0.75, 0.0),
+              protocols.AffineFunction(0.5, 0.5)]
+    cert = analysis.find_hard_p(family, description="two lines", k=1)
+    assert analysis.certificate_to_json(cert, "0.1.0") == CERTIFICATE_JSON
+    assert analysis.certificate_from_json(json.dumps(
+        analysis.certificate_to_payload(cert, "0.1.0"))) == cert
+
+
+@pytest.mark.parametrize("envelope", [False, True])
+def test_each_input_file_is_decoded_once(capsys, monkeypatch, tmp_path,
+                                         envelope):
+    def write(name, text):
+        if envelope:
+            text = json.dumps({"config": {}, "result": json.loads(text),
+                               "version": bl.__version__})
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    box = write("box.json", bl.box_to_json(bl.pr_box()))
+    other = write("other.json", bl.box_to_json(bl.local_box((0, 1), (1, 0),
+                                                            2, 2)))
+    proto = write("identity.json", protocol_to_json(bl.identity_protocol()))
+    cover = write("cover.json", cover_to_json(octahedron_cover()))
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(
+        text) or loads(text, **kw))
+    for argv, files in [
+            (["box", "show", "--box", "file:" + box], 1),
+            (["box", "tv", "--box", "file:" + box, "--other", "file:" + other],
+             2),
+            (["protocol", "run", "--protocol", proto, "--target",
+              "file:" + box, "--source", "file:" + other], 3),
+            (["cover", "verify", "--cover", cover, "--trials", "20"], 1)]:
+        decoded.clear()
+        assert main(argv) == 0, argv
+        assert len(decoded) == files, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    "protocol enumerate --binary --k 11",
+    "protocol enumerate --binary --k 11 --count-only",
+    "protocol enumerate --binary --k 40",
+    "protocol enumerate --binary --k 40 --count-only",
+    "protocol enumerate --x2 3 --y2 3 --a2 3 --b2 3 --k 7 --count-only",
+    "protocol enumerate --x2 2 --y2 3 --a2 3 --b2 2 --k 40",
+    "protocol enumerate --binary --k -1 --count-only",
+    "protocol enumerate --binary --k 1" + "0" * 400,
+    "protocol family --target pr --k 11",
+    "protocol family --target pr --k 25",
+    "protocol family --target pr --k 40 --up-to-k",
+    "analysis gap --target pr --k 11",
+    "analysis gap --k 40",
+])
+def test_doubly_exponential_counts_are_refused_before_they_are_built(
+        capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_protocol_enumerate_counts_up_to_the_digit_cap(capsys):
+    # 4^(2 * 2^10) * 4^(2 * 2^10) has 2467 digits, the count 2465
+    result = run_json(capsys, "protocol", "enumerate", "--binary", "--k", "10",
+                      "--count-only")["result"]
+    assert result["bound"] == 4 ** (4 * 2 ** 10)
+    assert result["count"] == protocols.count_protocols(BINARY, 10)
+    assert len(str(result["count"])) == 2465

@@ -97,3 +97,23 @@ def test_bell_boxes_respect_quantum_ceiling():
         box = bl.bell_box(spec, bl.SINGLET)
         for p in ps:
             assert bl.win_prob(box, float(p), 0.5) <= bl.omega(float(p)) + 1e-9
+
+
+def per_point_box(strategy):
+    """to_box as four scalar unitary_for_point calls, one per angle."""
+    def u_for(theta):
+        return bl.unitary_for_point(np.array([np.sin(theta), 0.0, np.cos(theta)]))
+
+    spec = bl.simple_bell_spec([u_for(t) for t in strategy.alice_angles],
+                               [u_for(t) for t in strategy.bob_angles])
+    return bl.bell_box(spec, bl.SINGLET)
+
+
+def test_to_box_equals_the_per_point_unitaries():
+    # the stacked np.sin and np.cos could round apart from the scalar ones;
+    # 0.96, 0.975 and 0.99 are where the old optimizer stalled
+    ps = np.concatenate([np.linspace(0.5, 1.0, 3001),
+                         [0.75, 0.96, 0.975, 0.99, np.nextafter(1.0, 0.0)]])
+    for p in ps:
+        s = bl.optimal_strategy(float(p))
+        assert s.to_box().table.tobytes() == per_point_box(s).table.tobytes()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -334,3 +336,32 @@ def test_affine_function_rejects_non_finite_coefficients(bad):
         AffineFunction(0.5, bad)
     ell = AffineFunction(np.float64(0.5), 0.25)
     assert float(ell(1.0)) == 0.75
+
+
+def test_count_digits_is_log10_of_the_count():
+    for sizes in [(2,) * 8, (2, 2, 2, 2, 3, 2, 3, 2), (1, 2, 1, 3, 1, 2, 1, 5),
+                  (2, 2, 2, 2, 1, 1, 1, 1), (3, 2, 2, 4, 2, 3, 1, 2)]:
+        al = Alphabets(*sizes)
+        for k in range(8):
+            count = bl.count_protocols(al, k)
+            assert protocols.count_digits(al, k) == pytest.approx(
+                math.log10(count), rel=1e-12, abs=1e-12)
+    # past 2^20 queries every term is capped at 10^300 digits
+    assert protocols.count_digits(BINARY, 10 ** 500) == 4e300
+    with pytest.raises(ValueError):
+        protocols.count_digits(BINARY, -1)
+
+
+def test_a_count_far_past_the_cap_is_refused_unbuilt(monkeypatch):
+    def build(al, k):
+        raise AssertionError("built the count")
+
+    monkeypatch.setattr(protocols, "count_protocols", build)
+    with pytest.raises(ValueError, match="about 10"):
+        next(bl.enumerate_protocols(BINARY, 3))
+    with pytest.raises(ValueError, match="about 10"):
+        bl.affine_family(bl.pr_box(), 25)
+    monkeypatch.undo()
+    # within a digit of the cap the exact count decides, as before
+    with pytest.raises(ValueError, match="protocol count 268435456 exceeds"):
+        bl.affine_family(bl.pr_box(), 3, up_to_k=True)

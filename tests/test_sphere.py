@@ -247,18 +247,33 @@ def test_verify_reduction_runs_in_blocks_of_trials(monkeypatch):
             tracemalloc.stop()
 
     # blocks of 64 trials: 1000 trials span 16 blocks of one stream
-    monkeypatch.setattr(sphere, "PATH_TABLE_CAP", 16 * 64)
+    monkeypatch.setattr(sphere, "PATH_TABLE_CAP", 128 * 64)
     (max_tv, mean_tv), _ = peak_of(1000)
     assert max_tv == float(tvs.max())
     assert mean_tv == float(sum(tvs[s:s + 64].sum()
                                 for s in range(0, 1000, 64)) / 1000)
     assert mean_tv == pytest.approx(float(tvs.mean()), rel=1e-14)
-    monkeypatch.setattr(sphere, "PATH_TABLE_CAP", 16 * 4096)
+    monkeypatch.setattr(sphere, "PATH_TABLE_CAP", 128 * 4096)
     _, one_block = peak_of(4096)
     _, blocks = peak_of(3 * 4096 + 100)
     # four blocks take the memory of one, about 3 MB; 12,388 trials in one
     # block take 9 MB
     assert blocks < 1.5 * one_block
+
+
+def test_verify_reduction_blocks_stay_within_the_table_cap():
+    # two real blocks of PATH_TABLE_CAP // 128 trials at T = 97; one block of
+    # PATH_TABLE_CAP // 16 trials peaked at about 185 MB
+    cover = bl.build_cover(0.3)
+    assert cover.size == 97
+    trials = sphere.PATH_TABLE_CAP // 128 + 100
+    tracemalloc.start()
+    try:
+        bl.verify_reduction(cover, trials, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sphere.PATH_TABLE_CAP * 8
 
 
 def test_import_leaves_scipy_out(tmp_path):
