@@ -5,7 +5,6 @@ and the epsilon_k budget schedule.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from .protocols import (AffineFunction, Alphabets, check_bound_digits,
 
 ROOT_TOL = 1e-10
 HALF_INTERVAL = 0.5  # |[1/2, 1]|
-ABOVE_OMEGA_TOL = 1e-12     # lines this far above omega still take the envelope
 
 
 def omega_second_derivative(x: float) -> float:
@@ -61,86 +59,57 @@ def _omega_quadratic(c: float, m: float):
     return 2.0 - 4.0 * m * m, -2.0 - 4.0 * m * r0, 1.0 - r0 * r0
 
 
-def line_intersections(ell: AffineFunction) -> list[float]:
-    """Roots of ell(p) = omega(p) in [1/2, 1]; a tangency appears twice.
+def _omega_roots(c, m):
+    """Roots in [1/2, 1] of c + m*p = omega(p), for floats or equal-length
+    arrays of intercepts c and slopes m: (smaller, larger), NaN where a line
+    has fewer than two; a line with one root has it first.
 
-    Reduces to the quadratic p^2 + (1-p)^2 = r(p)^2 with r(p) = 2*ell(p) - 1,
-    discards spurious quadratic roots by back-substitution, and polishes
-    simple roots by Newton steps on ell - omega.  A discriminant within
-    rounding of zero is a tangency, a double root at the vertex, when ell is
-    within ROOT_TOL of omega there; otherwise its roots are simple.  The
-    back-substitution runs before the polish, which could move a spurious
-    root onto the real one: at a real root r(p) >= 1/sqrt(2), at a spurious
-    one r(p) <= -1/sqrt(2).
+    The candidates are the stable roots q/A and C/q of ``_omega_quadratic``,
+    or, where the discriminant is at or below zero, the vertex twice: a
+    tangency.  Back-substitution (c + m*p >= 1/2, so r(p) >= 0) discards
+    the spurious ones.  A simple root inside [1/2, 1] is kept as it is; a
+    tangency, or a root that rounding puts just outside, is kept at the
+    nearest point of [1/2, 1] only when the line is within ROOT_TOL of
+    omega there.  Where |c| or |m| passes about 1e154 the coefficients
+    overflow and their roots fail these tests.
     """
-    m, c = ell.slope, ell.intercept
-    A, B, C = _omega_quadratic(c, m)
-    scale = max(abs(A), abs(B), abs(C), 1.0)
-    candidates: list[float] = []
-    double_root = False
-    if abs(A) <= 1e-14 * scale:
-        if abs(B) > 1e-14 * scale:
-            candidates = [-C / B]
-    else:
+    with np.errstate(all="ignore"):
+        A, B, C = _omega_quadratic(c, m)
         disc = B * B - 4.0 * A * C
-        vertex = -B / (2.0 * A)
-        # a near-zero disc is a tangency only if the line touches omega at
-        # the vertex; a line above it there crosses twice close together
-        if (abs(disc) <= 1e-9 * max(B * B, abs(4.0 * A * C), 1.0)
-                and abs(ell(vertex) - omega(vertex)) <= ROOT_TOL):
-            candidates = [vertex]
-            double_root = True
-        elif disc > 0.0:
-            sq = np.sqrt(disc)
-            candidates = [(-B - sq) / (2.0 * A), (-B + sq) / (2.0 * A)]
+        simple = disc > 0.0
+        q = -0.5 * (B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B))
+        first = q / A                   # the vertex where disc <= 0
+        kept = []
+        for p in (first, np.where(simple, C / q, first)):
+            near = np.minimum(np.maximum(p, 0.5), 1.0)
+            line = c + m * near
+            keep = (line >= 0.5) & ((simple & (p == near))
+                                    | (abs(line - omega(near)) <= ROOT_TOL))
+            kept.append(np.where(keep, near, np.nan))
+        return np.fmin(*kept), np.maximum(*kept)
 
-    roots: list[float] = []
-    for p in candidates:
-        if 2.0 * ell(p) - 1.0 < 0.0:
-            continue  # spurious branch: sqrt is nonnegative
-        if not double_root:
-            # Newton polish on h(p) = ell(p) - omega(p); simple roots only
-            for _ in range(50):
-                h = ell(p) - omega(p)
-                dh = m - omega_prime(p)
-                if abs(dh) < 1e-14 or abs(h) < 1e-15:
-                    break
-                p = p - h / dh
-        if not (0.5 - 1e-12 <= p <= 1.0 + 1e-12):
-            continue
-        p = float(np.clip(p, 0.5, 1.0))
-        if abs(ell(p) - omega(p)) > ROOT_TOL:
-            continue
-        roots.append(p)
-    if double_root and roots:
-        roots = roots * 2
-    roots.sort()
-    if len(roots) > 2:
-        raise AssertionError("affine line with more than two omega intersections")
-    return roots
+
+def line_intersections(ell: AffineFunction) -> list[float]:
+    """Roots of ell(p) = omega(p) in [1/2, 1], ascending; a tangency appears
+    twice.  ``_omega_roots`` says how tangencies and the ends are decided."""
+    return [float(p) for p in _omega_roots(ell.intercept, ell.slope)
+            if not np.isnan(p)]
 
 
 def _level_set_length(c: float, m: float, level: float) -> float:
     """Length of {p in [1/2, 1]: c + m*p - omega(p) >= level}.
 
     The set is an interval, g = ell - omega being concave.  Its ends are
-    among 1/2, 1, the root of r and the roots of the quadratic of
-    ``_omega_quadratic`` for the intercept c - level; between neighbouring
-    cuts membership does not change and is read at the midpoint.  Where
-    |c| or |m| passes about 1e154 the coefficients overflow and their roots
-    fail the range test; then the line misses omega, or the ends lie within
-    1/|m| of the root of r.
+    among 1/2, 1, the root of r and the roots of the line shifted by
+    -level; between neighbouring cuts membership does not change and is
+    read at the midpoint.  Where |c| or |m| passes about 1e154 the roots
+    overflow; then the line misses omega, or the ends lie within 1/|m| of
+    the root of r.
     """
     shifted = c - level
-    A, B, C = _omega_quadratic(shifted, m)
-    cuts = [0.5, 1.0]
+    cuts = [0.5, 1.0, *map(float, _omega_roots(shifted, m))]
     if m != 0.0:
         cuts.append((0.5 - shifted) / m)            # r = 0
-    disc = B * B - 4.0 * A * C
-    if disc >= 0.0:
-        # stable roots; A = 2 - 4 m^2 is not 0 for any float m
-        q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
-        cuts += [q / A, C / q] if q != 0.0 else [q / A]
     cuts = sorted(p for p in cuts if 0.5 <= p <= 1.0)
     length = 0.0
     for a, b in zip(cuts, cuts[1:]):
@@ -155,8 +124,8 @@ def measure_near(ell: AffineFunction, epsilon: float) -> float:
 
     g(p) = ell(p) - omega(p) is concave, so {g >= -eps} and {g >= +eps} are
     intervals; the answer is the length difference, normalized by 1/2.
-    Closed form, exact up to rounding: the interval ends are roots of one
-    quadratic, no search.
+    Closed form, exact up to rounding: the interval ends are roots of the
+    line shifted by +eps and by -eps, no search.
     """
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be finite and positive")
@@ -168,7 +137,13 @@ def measure_near(ell: AffineFunction, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class GapCertificate:
-    """Finite witness that no line of a family meets omega at p_star."""
+    """Finite witness that no line of a family meets omega at p_star.
+
+    ``resolution`` is the number of candidate points p at which
+    ``find_hard_p`` evaluated the family: |family| x resolution is the
+    size of the array that search evaluates, which the benchmark's
+    ``analysis.find_hard_p.matrix_mb`` gauge reports.
+    """
 
     description: str
     k: int
@@ -192,88 +167,113 @@ def _min_distance(intercepts: np.ndarray, slopes: np.ndarray,
     """min over lines of |ell(p) - omega(p)| at each p, in blocks of lines
     of at most PATH_TABLE_CAP entries."""
     rows = max(1, PATH_TABLE_CAP // len(ps))
-    target = omega(ps)
+    target = omega(ps)[:, None]
     best = np.full(len(ps), np.inf)
     for start in range(0, len(intercepts), rows):
-        vals = intercepts[start:start + rows, None] \
-            + slopes[start:start + rows, None] * ps[None, :]
+        # one row a point, so each minimum runs along contiguous memory
+        vals = ps[:, None] * slopes[start:start + rows] \
+            + intercepts[start:start + rows]
         vals -= target
-        np.minimum(best, np.abs(vals, out=vals).min(axis=0), out=best)
+        np.minimum(best, np.abs(vals, out=vals).min(axis=1), out=best)
     return best
 
 
-def _rise_above_omega(intercepts: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """max over p in [1/2, 1] of ell(p) - omega(p), one value per line.
+def _envelope_breaks(c: np.ndarray, m: np.ndarray,
+                     lo: float, hi: float) -> tuple[list, list]:
+    """Upper envelope on [lo, hi] of lines sorted by slope, then intercept:
+    its breakpoints in [lo, hi), ascending, and the index of the line on
+    top from lo and from each breakpoint on.
 
-    ell - omega is concave, so the maximum is where omega' = slope, clipped
-    to the interval; 1/2 and 1 are checked as well against rounding.
-    """
-    t = _tangency(np.clip(slopes, 0.0, 0.5))
-    return np.maximum.reduce([intercepts + slopes * q - omega(q)
-                              for q in (0.5, t, 1.0)])
-
-
-def _envelope_breaks(intercepts: np.ndarray, slopes: np.ndarray) -> list:
-    """Breakpoints in (1/2, 1) of the upper envelope of the lines, ascending.
-
-    Starts at the line highest at 1/2 and moves to the nearest crossing with
-    a steeper line until that crossing is past 1.  A line left behind is
+    Starts at the line highest at lo and moves to the nearest crossing with
+    a steeper line until that crossing is past hi.  A line left behind is
     flatter than the current one, so it never returns.
     """
-    order = np.lexsort((intercepts, slopes))       # by slope, then intercept
-    c, m = intercepts[order], slopes[order]
-    at_half = c + m * 0.5
-    i = len(c) - 1 - int(np.argmax(at_half[::-1]))  # ties: the steepest
-    p, breaks = 0.5, []
+    at_lo = c + m * lo
+    i = len(c) - 1 - int(np.argmax(at_lo[::-1]))   # ties: the steepest
+    p, breaks, top = lo, [], [i]
     while True:
         steeper = int(np.searchsorted(m, m[i], side="right"))
         if steeper == len(m):
-            return breaks
+            return breaks, top
         cross = np.maximum((c[i] - c[steeper:]) / (m[steeper:] - m[i]), p)
         j = len(cross) - 1 - int(np.argmin(cross[::-1]))
-        if cross[j] >= 1.0:
-            return breaks
+        if cross[j] >= hi:
+            return breaks, top
         p, i = float(cross[j]), steeper + j
         breaks.append(p)
+        top.append(i)
 
 
-def find_hard_p(family, resolution: int = 10 ** 4, *, description: str = "",
-                k: int = 0) -> GapCertificate:
-    """Maximize g(p) = min_ell |ell(p) - omega(p)| over [1/2, 1].
+def _piece_candidates(intercepts: np.ndarray, slopes: np.ndarray,
+                      lo: float, hi: float) -> np.ndarray:
+    """The points of [lo, hi] where g can peak, on a piece where every line
+    lies wholly above or wholly below omega; the lines sorted by slope,
+    then intercept.
 
-    Exact when no line rises more than ABOVE_OMEGA_TOL above omega, as for
-    every family of a quantum target: then g = omega - U with U the upper
-    envelope of the lines, omega - ell is convex on each piece of U, and the
-    maximum is at 1/2, at 1 or at a breakpoint of U; ``resolution`` is
-    unused.  Otherwise a grid scan of ``resolution`` points with local
-    refinement down to width 1e-10, in blocks of lines of at most
-    PATH_TABLE_CAP entries.  Either way the first maximum wins, so ties go
-    to the smallest p.
+    There g = min(omega - U, L - omega), with U the upper envelope of the
+    lines below and L the lower envelope of those above.  Between the
+    breakpoints of U and L the active lines a (of U) and b (of L) are
+    fixed; omega - a is convex and b - omega concave, so min(...) peaks at
+    an end, at the tangency point of b, or where the two are equal, at a
+    root of the mean line (a + b)/2.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    at = 0.5 * (lo + hi)
+    above = intercepts + slopes * at > omega(at)
+    if not above.any():
+        return np.array([lo, *_envelope_breaks(intercepts, slopes, lo, hi)[0],
+                         hi])
+    below = ~above
+    cu, mu = intercepts[below], slopes[below]
+    upper = _envelope_breaks(cu, mu, lo, hi) if below.any() else ([], [])
+    # L is minus the upper envelope of the negated lines, in reverse order
+    cl, ml = -intercepts[above][::-1], -slopes[above][::-1]
+    lower = _envelope_breaks(cl, ml, lo, hi)
+    ends = np.array(sorted({lo, *upper[0], *lower[0], hi}))
+    start, stop = ends[:-1], ends[1:]
+    mid = 0.5 * (start + stop)
+    b = np.asarray(lower[1])[np.searchsorted(lower[0], mid, side="right")]
+    cb, mb = -cl[b], -ml[b]
+    points = [ends, np.clip(_tangency(np.clip(mb, 0.0, 0.5)), start, stop)]
+    if below.any():
+        a = np.asarray(upper[1])[np.searchsorted(upper[0], mid, side="right")]
+        roots = _omega_roots(0.5 * (cu[a] + cb), 0.5 * (mu[a] + mb))
+        points.append(np.clip(roots, start, stop).ravel())
+    # sorted, distinct, no NaN (p != p); np.unique imports numpy.ma, 1 MB
+    return np.array(sorted({p for p in np.concatenate(points).tolist()
+                            if p == p}))
+
+
+def find_hard_p(family, *, description: str = "",
+                k: int = 0) -> GapCertificate:
+    """Maximize g(p) = min_ell |ell(p) - omega(p)| over [1/2, 1], exactly.
+
+    Cuts [1/2, 1] wherever a line crosses omega, a tangency being no
+    crossing; on each piece every line lies wholly above or below omega,
+    and ``_piece_candidates`` lists the few points where g can peak there.
+    g is evaluated at the candidates in blocks of lines of at most
+    PATH_TABLE_CAP entries, and the first maximum in ascending p wins, so
+    ties go to the smallest p.  For a family at or below omega, as for
+    every quantum target, there is one piece and the candidates are 1/2,
+    1 and the breakpoints of the lines' upper envelope.
+    """
     family = tuple(family)
     if not family:
         raise ValueError("empty affine family")
     intercepts = np.array([ell.intercept for ell in family])
     slopes = np.array([ell.slope for ell in family])
-
-    if _rise_above_omega(intercepts, slopes).max() <= ABOVE_OMEGA_TOL:
-        ps = np.array([0.5, *_envelope_breaks(intercepts, slopes), 1.0])
-        best_p = float(ps[int(np.argmax(_min_distance(intercepts, slopes, ps)))])
-    else:
-        lo, hi = 0.5, 1.0
-        while True:
-            ps = np.linspace(lo, hi, resolution)
-            idx = int(np.argmax(_min_distance(intercepts, slopes, ps)))
-            best_p = float(ps[idx])
-            width = (hi - lo) / (resolution - 1)
-            if width < 1e-10:
-                break
-            lo = max(0.5, best_p - width)
-            hi = min(1.0, best_p + width)
-    gap = float(_min_distance(intercepts, slopes, np.array([best_p]))[0])
-    return GapCertificate(description, k, family, best_p, gap, resolution)
+    order = np.lexsort((intercepts, slopes))       # by slope, then intercept
+    intercepts, slopes = intercepts[order], slopes[order]
+    first, second = _omega_roots(intercepts, slopes)
+    crossing = first != second     # a tangency leaves its line on one side
+    roots = np.append(first[crossing], second[crossing])
+    cuts = sorted({0.5, 1.0, *roots[~np.isnan(roots)].tolist()})
+    # ascending: each piece's candidates are, and the pieces are
+    ps = np.concatenate([_piece_candidates(intercepts, slopes, lo, hi)
+                         for lo, hi in zip(cuts[:-1], cuts[1:])])
+    dist = _min_distance(intercepts, slopes, ps)
+    best = int(np.argmax(dist))
+    return GapCertificate(description, k, family, float(ps[best]),
+                          float(dist[best]), len(ps))
 
 
 def certificate_to_payload(cert: GapCertificate, version: str = "") -> dict:

@@ -178,7 +178,7 @@ def cmd_game_eval(args):
 
 
 def cmd_game_omega(args):
-    # the range check stays here: line_intersections evaluates omega outside it
+    # the range check stays here: games.omega does not check its argument
     if not 0.0 <= args.p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     _emit(args, {"omega": round(games.omega(args.p), 10)})
@@ -257,8 +257,7 @@ def cmd_analysis_measure(args):
 def cmd_analysis_gap(args):
     target = _parse_box(args.target)
     family = protocols.affine_family(target, args.k)
-    cert = analysis.find_hard_p(family, resolution=args.resolution,
-                                description=args.target, k=args.k)
+    cert = analysis.find_hard_p(family, description=args.target, k=args.k)
     _emit(args, analysis.certificate_to_payload(cert, __version__))
 
 
@@ -418,7 +417,6 @@ def build_parser(leaves: dict) -> argparse.ArgumentParser:
     p = ana("gap")
     p.add_argument("--target", default="octahedron")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--resolution", type=int, default=10 ** 4)
     common(p); p.set_defaults(func=cmd_analysis_gap)
     p = ana("schedule")
     p.add_argument("--x2", type=int, default=2); p.add_argument("--y2", type=int, default=2)

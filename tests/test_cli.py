@@ -442,7 +442,7 @@ def test_malformed_file_exits_2(capsys, tmp_path, kind, text):
 
 
 @pytest.mark.parametrize("argv", [
-    "analysis gap --resolution 1",
+    "analysis gap --k -1",
     "analysis measure --intercept 0.8 --slope 0.1 --epsilon nan",
     "box sample --box pr --x 0 --y 0 --n 0",
     "box sample --box pr --x 0 --y 0 --n -3",
@@ -582,7 +582,7 @@ OCTAHEDRON_JSON = (
 CERTIFICATE_JSON = (
     '{"description": "two lines", "k": 1, "family": [[0.75, 0.0], '
     '[0.5, 0.5]], "p_star": 0.5, "gap": 0.10355339059327373, '
-    '"resolution": 10000, "version": "0.1.0"}')
+    '"resolution": 2, "version": "0.1.0"}')
 
 
 def test_payloads_round_trip_and_keep_their_json_text():

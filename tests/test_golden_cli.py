@@ -18,7 +18,10 @@ verify`` golden was recorded again, with new ``max_tv`` and ``mean_tv``,
 when ``verify_reduction`` began to draw every trial from one generator.
 The ``analysis measure`` golden was recorded again when ``measure_near``
 found its interval ends in closed form instead of by bisection; its measure
-is pinned to the earlier recording below.
+is pinned to the earlier recording below.  The ``analysis gap`` golden was
+recorded again when ``find_hard_p`` became one exact search for every
+family: ``--resolution`` left its config, and the certificate's
+``resolution`` became the number of candidate points evaluated.
 """
 
 import argparse
