@@ -18,10 +18,13 @@ PATH_TABLE_CAP = 2 ** 22   # entries of one temporary array a kernel builds, 32 
 
 
 def check_distributions(probs: np.ndarray) -> None:
-    """Raise unless every table of a stack [..., a, b] is a distribution."""
-    if np.any(probs < -NORM_TOL):
+    """Raise unless every table of a stack [..., a, b] is a distribution.
+
+    Both tests are written so that a NaN entry fails them.
+    """
+    if not np.all(probs >= -NORM_TOL):
         raise ValueError("negative probability entry")
-    if np.any(np.abs(probs.sum(axis=(-2, -1)) - 1.0) > NORM_TOL):
+    if not np.all(np.abs(probs.sum(axis=(-2, -1)) - 1.0) <= NORM_TOL):
         raise ValueError("probabilities do not sum to 1 within %g" % NORM_TOL)
 
 

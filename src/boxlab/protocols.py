@@ -325,46 +325,95 @@ def affine_of(protocol: DeterministicProtocol,
     return AffineFunction(intercept, slope)
 
 
-def _sorted_distinct(values: np.ndarray):
-    """Each row sorted, and a mask of the entries np.unique of that row keeps."""
-    values = np.sort(values, axis=1)
-    keep = np.ones(values.shape, dtype=bool)
-    keep[:, 1:] = values[:, 1:] != values[:, :-1]
-    return values, keep
+def _dense_ids(values: np.ndarray):
+    """The distinct values ascending, and the index of each value among them.
+
+    Ids ascend with the values and are equal exactly where the values are ==.
+    """
+    flat = values.ravel()
+    order = np.argsort(flat)
+    pool = flat[order]
+    distinct = np.ones(len(pool), dtype=bool)
+    distinct[1:] = pool[1:] != pool[:-1]
+    ids = np.empty(len(pool), dtype=np.intp)
+    ids[order] = np.cumsum(distinct) - 1
+    return pool[distinct], ids.reshape(values.shape)
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct key."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return np.sort(order[first])
+
+
+def _id_rows(values: np.ndarray):
+    """``_dense_ids`` of a 2-D array, with each row's distinct ids ascending,
+    padded with the pool size (past every id) and cut to the widest row."""
+    pool, ids = _dense_ids(np.sort(values, axis=1))
+    ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = len(pool)
+    ids.sort(axis=1)
+    width = int(np.count_nonzero(ids < len(pool), axis=1).max())
+    return pool, np.ascontiguousarray(ids[:, :width])
+
+
+def _exact_lines(i_ids: np.ndarray, j_rows: np.ndarray,
+                 i_pool: np.ndarray, j_pool: np.ndarray):
+    """(intercept, slope) of the first of each distinct (I, J) pair, pairing
+    each I id with the J ids of its row, in that order.
+
+    A function of its own so that a run's keys are freed before the
+    caller yields its lines."""
+    n_j = len(j_pool)
+    keys = (i_ids[:, None] * n_j + j_rows)[j_rows < n_j]
+    i_ids, j_ids = np.divmod(keys[_first_occurrences(keys)], n_j)
+    intercepts = i_pool[i_ids]
+    return intercepts, j_pool[j_ids] - intercepts
 
 
 def _candidate_lines(eq: np.ndarray, ne: np.ndarray):
-    """(intercept, slope) arrays of every distinct-I x distinct-J pair.
+    """(intercept, slope) arrays of the first of each exact (I, J) pair.
 
-    The pairs come in the order (beta0, beta1, I, J), each of I and J
-    ascending, in blocks of at most PATH_TABLE_CAP pairs: a block is a run
-    of rows (Bob pair, I), each row paired with all of that Bob pair's J.
+    The candidates are, for each Bob pair, every distinct I paired with
+    every distinct J, in the order (beta0, beta1, I, J), each of I and J
+    ascending.  The I and J values are replaced by exact ids
+    (``_dense_ids``): equal ids are equal floats.  Each Bob pair keeps its
+    distinct ids in a row padded past the largest id, so a candidate is one
+    integer key i_id * n_J + j_id, and one pass keeps the first occurrence
+    of each key, in order.
+
+    The I and J values are built for at most PATH_TABLE_CAP // n_u Bob
+    pairs at a time, and their candidates in runs of (Bob pair, I) rows of
+    at most PATH_TABLE_CAP // 4 entries: a run's keys, sort order and masks
+    take about as much memory as one float64 array of PATH_TABLE_CAP
+    entries.  A pair met again in a later run is left to ``_first_per_key``.
     """
     n_u, n_v = eq.shape
-    total = n_v * n_v * n_u
-    rows = max(1, PATH_TABLE_CAP // n_u)
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        first = start // n_u
-        beta0, beta1 = np.divmod(np.arange(first, (stop - 1) // n_u + 1), n_v)
-        i_vals, i_keep = _sorted_distinct(0.5 * (eq[:, beta0] + eq[:, beta1]).T)
-        j_vals, j_keep = _sorted_distinct(0.5 * (eq[:, beta0] + ne[:, beta1]).T)
-        pair, i = np.divmod(np.arange(start, stop), n_u)
-        pair -= first
-        mask = i_keep[pair, i][:, None] & j_keep[pair]
-        intercepts = np.broadcast_to(i_vals[pair, i][:, None], mask.shape)[mask]
-        yield intercepts, j_vals[pair][mask] - intercepts
+    n_pairs = n_v * n_v
+    step = max(1, PATH_TABLE_CAP // n_u)
+    eq, ne = eq.T.copy(), ne.T.copy()           # rows by Bob's strategy
+    for first in range(0, n_pairs, step):
+        beta0, beta1 = np.divmod(np.arange(first, min(first + step, n_pairs)), n_v)
+        i_pool, i_rows = _id_rows(0.5 * (eq[beta0] + eq[beta1]))
+        j_pool, j_rows = _id_rows(0.5 * (eq[beta0] + ne[beta1]))
+        valid = i_rows < len(i_pool)
+        pair = np.repeat(np.arange(len(i_rows)), np.count_nonzero(valid, axis=1))
+        i_ids = i_rows[valid]                   # (Bob pair, I) rows, in order
+        rows = max(1, PATH_TABLE_CAP // 4 // j_rows.shape[1])
+        for start in range(0, len(i_ids), rows):
+            yield _exact_lines(i_ids[start:start + rows],
+                               j_rows[pair[start:start + rows]], i_pool, j_pool)
 
 
 def _first_per_key(intercepts: np.ndarray, slopes: np.ndarray):
-    """The first line of each ``AffineFunction.key``, in key order."""
-    keys = np.rint(np.stack([intercepts, slopes]) * (1.0 / DEDUP_TOL))
-    keys = keys.astype(np.int64)
-    order = np.lexsort(keys[::-1])             # stable: first seen stays first
-    keys = keys[:, order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
-    keep = order[first]
+    """The first line of each ``AffineFunction.key``, in their order: the
+    two rounded coefficients become dense ranks, combined into one key."""
+    scale = 1.0 / DEDUP_TOL
+    _, keys = _dense_ids(np.rint(intercepts * scale))
+    b_pool, b_ids = _dense_ids(np.rint(slopes * scale))
+    keep = _first_occurrences(keys * len(b_pool) + b_ids)
     return intercepts[keep], slopes[keep]
 
 
@@ -382,7 +431,14 @@ def affine_family(target: CorrelationBox, k: int, *,
     and (beta0, beta1) for Bob.  Its line has intercept
     I = (W_eq[alpha0, beta0] + W_eq[alpha0, beta1]) / 2 and slope J - I with
     J = (W_eq[alpha1, beta0] + W_ne[alpha1, beta1]) / 2, so for each Bob
-    pair only the distinct I and J values need combining.
+    pair only the distinct I and J values need combining.  The order is
+    (k, beta0, beta1, I, J), each of I and J ascending.
+
+    Every candidate line is a small integer key over exact ids of the I and
+    J values, and only the first of equal (I, J) pairs survives
+    (``_candidate_lines``).  A repeated pair has the ``AffineFunction.key``
+    of its first occurrence, so the survivors still hold the first line of
+    every key, and only they are rounded to keys (``_first_per_key``).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -394,7 +450,7 @@ def affine_family(target: CorrelationBox, k: int, *,
         eq, ne = _agreement(_response_tables(
             _all_strategies(al.x2, al.a2, 2, kk),
             _all_strategies(al.y2, al.b2, 2, kk), target, 2, 2))
-        # lines kept from earlier blocks come first, so they stay
+        # lines kept from earlier runs and query counts come first, so they stay
         for new_intercepts, new_slopes in _candidate_lines(eq, ne):
             intercepts, slopes = _first_per_key(
                 np.concatenate([intercepts, new_intercepts]),

@@ -101,6 +101,18 @@ def test_normalization_rejected():
         bl.CorrelationBox(np.array([[[[1.2, -0.2], [0.0, 0.0]]]]))
 
 
+@pytest.mark.parametrize("where", ["all", "one"])
+def test_nan_tables_rejected(where):
+    table = np.full((2, 2, 2, 2), np.nan)
+    if where == "one":
+        table = bl.pr_box().table.copy()
+        table[1, 0, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        bl.CorrelationBox(table)
+    with pytest.raises(ValueError):
+        bl.JointDistribution(table[1, 0])
+
+
 def test_out_of_range_errors():
     pr = bl.pr_box()
     with pytest.raises(ValueError):

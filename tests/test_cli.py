@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import boxlab as bl
-from boxlab import acceptance, cli, protocols
+from boxlab import acceptance, boxes, cli, protocols
 from boxlab.cli import main
 from boxlab.protocols import (BINARY, DeterministicProtocol, protocol_from_json,
                               protocol_to_json)
@@ -437,6 +437,21 @@ def test_malformed_file_exits_2(capsys, tmp_path, kind, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, out, err = run(capsys, *[a.format(path) for a in FILE_KINDS[kind][1]])
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: " % path) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "box show --box file:{}",
+    "protocol family --target file:{} --k 1",
+    "protocol family --target file:{} --k 0 --format csv",
+])
+def test_nan_box_file_exits_2_naming_the_file(capsys, tmp_path, argv):
+    payload = boxes.box_to_payload(bl.pr_box())
+    payload["table"][1][0][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv.format(path).split())
     assert code == 2 and out == ""
     assert err.startswith("error: %s: " % path) and err.count("\n") == 1
 

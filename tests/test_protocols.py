@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,14 +301,31 @@ def loop_family(target, k, up_to_k=False):
     return sorted(seen.values(), key=lambda ell: (ell.intercept, ell.slope))
 
 
+def singlet_box(rng, n):
+    spec = bl.simple_bell_spec([bl.random_unitary(rng) for _ in range(n)],
+                               [bl.random_unitary(rng) for _ in range(n)])
+    return bl.bell_box(spec, bl.SINGLET)
+
+
+def negative_zeros(box):
+    return bl.CorrelationBox(np.where(box.table == 0.0, -0.0, box.table))
+
+
 def loop_targets():
+    # the singlet and cover boxes have more exact-distinct (I, J) pairs than
+    # lines, so which pair of a key is kept first shows in the bits
     rng = np.random.default_rng(43)
     return {"pr": bl.pr_box(),
             "octahedron": bl.discretized_box(bl.octahedron_cover()),
             "cover4": bl.discretized_box(build_cover(2.0)),
             **{"binary%d" % i: bl.CorrelationBox(random_table(rng, (2, 2, 2, 2)))
                for i in range(3)},
-            "3232": bl.CorrelationBox(random_table(rng, (3, 2, 3, 2)))}
+            "3232": bl.CorrelationBox(random_table(rng, (3, 2, 3, 2))),
+            "singlet3": singlet_box(rng, 3),
+            "singlet4": singlet_box(rng, 4),
+            "cover7": bl.discretized_box(build_cover(1.2)),
+            "pr-negative-zeros": negative_zeros(bl.pr_box()),
+            "local-negative-zeros": negative_zeros(bl.local_box([0, 1], [1, 1]))}
 
 
 @pytest.mark.parametrize("name", loop_targets())
@@ -318,14 +337,64 @@ def test_family_equals_the_loop(name, k, up_to_k):
         == loop_family(target, k, up_to_k)
 
 
-@pytest.mark.parametrize("name", ["octahedron", "binary0"])
-def test_family_in_small_blocks_equals_the_loop(monkeypatch, name):
-    # a block of a few (Bob pair, I) rows: lines met again in later blocks
-    # must keep the representative found first
+@pytest.mark.parametrize("name", ["octahedron", "binary0", "singlet4"])
+@pytest.mark.parametrize("up_to_k", [False, True], ids=["k", "up-to-k"])
+def test_family_in_small_blocks_equals_the_loop(monkeypatch, name, up_to_k):
+    # blocks of a few Bob pairs and runs of a few (Bob pair, I) rows: lines
+    # met again in later runs must keep the representative found first
     target = loop_targets()[name]
     monkeypatch.setattr(protocols, "PATH_TABLE_CAP", 100)
-    assert bl.affine_family(target, 1, up_to_k=True) \
-        == loop_family(target, 1, up_to_k=True)
+    assert bl.affine_family(target, 1, up_to_k=up_to_k) \
+        == loop_family(target, 1, up_to_k=up_to_k)
+
+
+def test_family_memory_on_the_t11_cover_box():
+    # 56 MB is the peak of the former kernel, which rounded and lexsorted
+    # every candidate line; exact ids take about 26 MB
+    target = bl.discretized_box(build_cover(0.9))
+    assert target.x_size == 11
+    tracemalloc.start()
+    try:
+        bl.affine_family(target, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56e6
+
+
+def test_candidate_arrays_stay_under_a_small_cap(monkeypatch):
+    # T=7: 28 strategies a party and 784 Bob pairs, so a cap of 1,000
+    # entries splits the I and J values into 23 blocks of Bob pairs
+    target = bl.discretized_box(build_cover(1.2))
+    family = bl.affine_family(target, 1)
+    cap = 1000
+    monkeypatch.setattr(protocols, "PATH_TABLE_CAP", cap)
+    sizes = []
+
+    def inside(frame):
+        while frame is not None:
+            if frame.f_code is protocols._candidate_lines.__code__:
+                return True
+            frame = frame.f_back
+        return False
+
+    def record(frame, event, arg):
+        # every named array of the kernel and of what it calls, and what
+        # each returns or yields
+        values = list(frame.f_locals.values())
+        if event == "return":
+            values += arg if isinstance(arg, tuple) else [arg]
+        sizes.extend(v.size for v in values if isinstance(v, np.ndarray))
+        return record
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: record if inside(frame) else None)
+    try:
+        small = bl.affine_family(target, 1)
+    finally:
+        sys.settrace(old)
+    assert small == family
+    assert len(sizes) > 1000 and max(sizes) <= cap
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
