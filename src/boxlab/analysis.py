@@ -155,8 +155,8 @@ class GapCertificate:
     def recompute_gap(self) -> float:
         intercepts = np.array([ell.intercept for ell in self.family])
         slopes = np.array([ell.slope for ell in self.family])
-        return float(np.abs(intercepts + slopes * self.p_star
-                            - omega(self.p_star)).min())
+        return float(_min_distance(intercepts, slopes,
+                                   np.array([self.p_star]))[0])
 
     def verify(self, tol: float = 1e-12) -> bool:
         return abs(self.recompute_gap() - self.gap) <= tol

@@ -6,16 +6,21 @@ the tool version, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 precondition violation, 3 acceptance-suite failure.
 
+``COMMANDS`` declares each command in one row: its handler, its arguments
+in order, whether it takes --seed, and its CSV header and row note.
+``build_parser`` builds every parser from the rows; --format is offered
+exactly where a row has a CSV header, and --schema prints those headers.
+
 Each command parses its argv once and reads each input file once.  When the
 first two arguments name a command, ``main`` parses the rest with that
-command's own parser, recorded while ``build_parser`` builds it, into a
-namespace that already holds ``group`` and ``cmd``.  That is what the full
-parser does after its two levels of subcommand choice, so the namespace,
-every error and every help text are the same.  Everything else goes through
-the full parser: no command named, arguments the command's parser leaves
-over, ``--schema``, ``-h`` above a command, and unknown groups or commands.
-Input files are decoded once into dicts for the ``*_from_payload`` parsers,
-and outputs are emitted from the ``*_to_payload`` dicts.
+command's own parser into a namespace already holding ``group`` and ``cmd``,
+as the full parser does after its two levels of subcommand choice, so the
+namespace, every error and every help text are the same.  All else goes
+through the full parser: no command named, arguments the command's parser
+leaves over, ``--schema``, ``-h`` above a command, and unknown groups or
+commands.  Input files are decoded once into dicts for the
+``*_from_payload`` parsers, and outputs are emitted from the
+``*_to_payload`` dicts.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import itertools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -137,26 +143,21 @@ def cmd_box_show(args):
     _emit(args, boxes.box_to_payload(box))
 
 
-def _sample_blocks(box, x, y, rng, n):
-    """Yield (start, a, b) for the draws of boxes.sample in blocks of at most
-    PATH_TABLE_CAP; consecutive draws continue one stream, so the blocks
-    are the draws of a single n-draw call."""
-    for start in range(0, n, PATH_TABLE_CAP):
-        a, b = boxes.sample(box, x, y, rng, min(PATH_TABLE_CAP, n - start))
-        yield start, a, b
-
-
 def cmd_box_sample(args):
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     box = _parse_box(args.box)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-    blocks = _sample_blocks(box, args.x, args.y, rng, args.n)
+    # (start, a, b) in blocks of at most PATH_TABLE_CAP draws; they continue
+    # one stream, so together they are the draws of a single n-draw call
+    blocks = ((start, *boxes.sample(box, args.x, args.y, rng,
+                                    min(PATH_TABLE_CAP, args.n - start)))
+              for start in range(0, args.n, PATH_TABLE_CAP))
     if args.format == "csv":
         rows = itertools.chain.from_iterable(
             zip(range(start, start + a.size), a.tolist(), b.tolist())
             for start, a, b in blocks)
-        _emit(args, {}, csv_rows=rows, csv_header=("trial", "a", "b"))
+        _emit(args, {}, csv_rows=rows, csv_header=_csv_header(args))
         return
     counts = np.zeros((box.a_size, box.b_size), dtype=np.int64)
     for _, a, b in blocks:
@@ -213,14 +214,10 @@ def cmd_protocol_run(args):
     _emit(args, payload)
 
 
-def _alphabets_from_args(args) -> Alphabets:
-    if args.binary:
-        return BINARY
-    return Alphabets(2, 2, 2, 2, args.x2, args.y2, args.a2, args.b2)
-
-
 def cmd_protocol_enumerate(args):
-    al = _alphabets_from_args(args)
+    al = Alphabets(2, 2, 2, 2, args.x2, args.y2, args.a2, args.b2)
+    if args.binary and al != BINARY:
+        raise ValueError("--binary conflicts with an inner size other than 2")
     protocols.check_bound_digits(al, args.k)
     count = protocols.count_protocols(al, args.k)
     payload = {"count": count, "bound": protocols.counting_bound(al, args.k)}
@@ -239,7 +236,7 @@ def cmd_protocol_family(args):
     family = protocols.affine_family(target, args.k, up_to_k=args.up_to_k)
     rows = [(ell.intercept, ell.slope) for ell in family]
     _emit(args, {"size": len(rows), "lines": [list(r) for r in rows]},
-          csv_rows=rows, csv_header=("intercept", "slope"))
+          csv_rows=rows, csv_header=_csv_header(args))
 
 
 # --- analysis ----------------------------------------------------------
@@ -269,7 +266,7 @@ def cmd_analysis_schedule(args):
     _emit(args, {"bounds": [str(b) for b in sched.bounds],
                  "eps": list(sched.eps),
                  "identity_exact": sched.verify_identity()},
-          csv_rows=rows, csv_header=("k", "bound", "epsilon"))
+          csv_rows=rows, csv_header=_csv_header(args))
 
 
 # --- cover -------------------------------------------------------------
@@ -280,18 +277,15 @@ def cmd_cover_build(args):
 
 
 def cmd_cover_verify(args):
-    cover = _load_cover(args)
+    if args.cover:
+        cover = _load_payload(args.cover, sphere.cover_from_payload)
+    elif args.epsilon is None:
+        raise ValueError("need --epsilon or --cover")
+    else:
+        cover = sphere.build_cover(args.epsilon)
     max_tv, mean_tv = sphere.verify_reduction(cover, args.trials, seed=args.seed)
     _emit(args, {"T": cover.size, "covering_radius": cover.covering_radius,
                  "max_tv": max_tv, "mean_tv": mean_tv})
-
-
-def _load_cover(args) -> sphere.SphereCover:
-    if args.cover:
-        return _load_payload(args.cover, sphere.cover_from_payload)
-    if args.epsilon is None:
-        raise ValueError("need --epsilon or --cover")
-    return sphere.build_cover(args.epsilon)
 
 
 # --- suite -------------------------------------------------------------
@@ -319,125 +313,97 @@ def _jsonable(value):
     return value
 
 
-# --- parser ------------------------------------------------------------
+# --- command table -----------------------------------------------------
 
-CSV_SCHEMAS = {
-    "box sample": "trial,a,b  (one row per draw)",
-    "protocol family": "intercept,slope  (one row per distinct line)",
-    "analysis schedule": "k,bound,epsilon  (one row per query count)",
+# argument specs, (flag, add_argument keywords), each written once
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_FLOAT = {"type": float, "required": True}
+_FLAG = {"action": "store_true"}
+_BOX = ("--box", _REQUIRED)
+_TARGET = ("--target", _REQUIRED)
+_P = ("--p", _FLOAT)
+_Q = ("--q", {"type": float, "default": 0.5})
+_K = ("--k", _INT)
+_EPSILON = ("--epsilon", _FLOAT)
+_LINE = (("--intercept", _FLOAT), ("--slope", _FLOAT))
+_INNER = tuple(("--" + size, {"type": int, "default": 2})
+               for size in ("x2", "y2", "a2", "b2"))
+_OUT = ("--out", {"help": "output file (default: stdout)"})
+_SEED = ("--seed", {"type": int, "default": DEFAULT_SEED})
+_FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json"})
+
+
+class Command(NamedTuple):
+    """One command: its handler, its arguments before --out, whether --seed
+    follows, and the CSV header and row note that add --format."""
+
+    func: Callable
+    arguments: tuple = ()
+    seed: bool = False
+    csv_header: tuple = ()
+    csv_note: str = ""
+
+
+COMMANDS = {
+    ("box", "show"): Command(cmd_box_show, (_BOX,)),
+    ("box", "sample"): Command(cmd_box_sample, (
+        _BOX, ("--x", _INT), ("--y", _INT),
+        ("--n", {"type": int, "default": 1000})), seed=True,
+        csv_header=("trial", "a", "b"), csv_note="one row per draw"),
+    ("box", "tv"): Command(cmd_box_tv, (_BOX, ("--other", _REQUIRED))),
+    ("game", "eval"): Command(cmd_game_eval, (_BOX, _P, _Q)),
+    ("game", "omega"): Command(cmd_game_omega, (_P,)),
+    ("game", "bound"): Command(cmd_game_bound, (_P, _Q)),
+    ("game", "optimize"): Command(cmd_game_optimize, (_P,)),
+    ("protocol", "run"): Command(cmd_protocol_run, (
+        ("--protocol", {"required": True, "help": "protocol JSON file"}),
+        _TARGET, ("--source", {"help": "check an epsilon-error reduction"}),
+        ("--epsilon", {"type": float, "default": 0.0}))),
+    ("protocol", "enumerate"): Command(cmd_protocol_enumerate, (
+        ("--binary", _FLAG), *_INNER, _K, ("--count-only", _FLAG))),
+    ("protocol", "family"): Command(cmd_protocol_family, (
+        _TARGET, _K, ("--up-to-k", _FLAG)), csv_header=("intercept", "slope"),
+        csv_note="one row per distinct line"),
+    ("analysis", "intersections"): Command(cmd_analysis_intersections, _LINE),
+    ("analysis", "measure"): Command(cmd_analysis_measure, (*_LINE, _EPSILON)),
+    ("analysis", "gap"): Command(cmd_analysis_gap, (
+        ("--target", {"default": "octahedron"}),
+        ("--k", {"type": int, "default": 1}))),
+    ("analysis", "schedule"): Command(cmd_analysis_schedule, (
+        *_INNER, ("--k-max", {"type": int, "default": 3}),
+        ("--c", {"type": float, "default": 0.01})),
+        csv_header=("k", "bound", "epsilon"),
+        csv_note="one row per query count"),
+    ("cover", "build"): Command(cmd_cover_build, (_EPSILON,)),
+    ("cover", "verify"): Command(cmd_cover_verify, (
+        ("--epsilon", {"type": float}), ("--cover", {}),
+        ("--trials", {"type": int, "default": 1000})), seed=True),
+    ("suite", "acceptance"): Command(cmd_suite_acceptance),
 }
 
 
+def _csv_header(args) -> tuple:
+    return COMMANDS[args.group, args.cmd].csv_header
+
+
 def build_parser(leaves: dict) -> argparse.ArgumentParser:
-    """The full parser; each command's own parser goes into ``leaves``,
-    keyed by (group, cmd)."""
+    """The full parser, one subparser a COMMANDS row; each command's own
+    parser goes into ``leaves``, keyed by (group, cmd)."""
     parser = argparse.ArgumentParser(
         prog="boxlab",
         description="correlation-box simulation and verification experiments")
     parser.add_argument("--schema", action="store_true",
                         help="print the CSV schemas and exit")
     top = parser.add_subparsers(dest="group")
-
-    def common(sub, seed=False, fmt=False):
-        sub.add_argument("--out", help="output file (default: stdout)")
-        if seed:
-            sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        if fmt:
-            sub.add_argument("--format", choices=("json", "csv"),
-                             default="json")
-
-    def group(name):
-        """The adder of group ``name``'s commands, each entered in leaves."""
-        cmds = top.add_parser(name).add_subparsers(dest="cmd", required=True)
-
-        def command(cmd):
-            leaves[name, cmd] = p = cmds.add_parser(cmd)
-            return p
-        return command
-
-    box = group("box")
-    p = box("show"); p.add_argument("--box", required=True)
-    common(p); p.set_defaults(func=cmd_box_show)
-    p = box("sample")
-    p.add_argument("--box", required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--n", type=int, default=1000)
-    common(p, seed=True, fmt=True); p.set_defaults(func=cmd_box_sample)
-    p = box("tv")
-    p.add_argument("--box", required=True); p.add_argument("--other", required=True)
-    common(p); p.set_defaults(func=cmd_box_tv)
-
-    game = group("game")
-    p = game("eval")
-    p.add_argument("--box", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, default=0.5)
-    common(p); p.set_defaults(func=cmd_game_eval)
-    p = game("omega"); p.add_argument("--p", type=float, required=True)
-    common(p); p.set_defaults(func=cmd_game_omega)
-    p = game("bound")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, default=0.5)
-    common(p); p.set_defaults(func=cmd_game_bound)
-    p = game("optimize")
-    p.add_argument("--p", type=float, required=True)
-    common(p); p.set_defaults(func=cmd_game_optimize)
-
-    proto = group("protocol")
-    p = proto("run")
-    p.add_argument("--protocol", required=True, help="protocol JSON file")
-    p.add_argument("--target", required=True)
-    p.add_argument("--source", help="check an epsilon-error reduction")
-    p.add_argument("--epsilon", type=float, default=0.0)
-    common(p); p.set_defaults(func=cmd_protocol_run)
-    p = proto("enumerate")
-    p.add_argument("--binary", action="store_true")
-    p.add_argument("--x2", type=int, default=2); p.add_argument("--y2", type=int, default=2)
-    p.add_argument("--a2", type=int, default=2); p.add_argument("--b2", type=int, default=2)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    common(p); p.set_defaults(func=cmd_protocol_enumerate)
-    p = proto("family")
-    p.add_argument("--target", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--up-to-k", action="store_true")
-    common(p, fmt=True); p.set_defaults(func=cmd_protocol_family)
-
-    ana = group("analysis")
-    p = ana("intersections")
-    p.add_argument("--intercept", type=float, required=True)
-    p.add_argument("--slope", type=float, required=True)
-    common(p); p.set_defaults(func=cmd_analysis_intersections)
-    p = ana("measure")
-    p.add_argument("--intercept", type=float, required=True)
-    p.add_argument("--slope", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    common(p); p.set_defaults(func=cmd_analysis_measure)
-    p = ana("gap")
-    p.add_argument("--target", default="octahedron")
-    p.add_argument("--k", type=int, default=1)
-    common(p); p.set_defaults(func=cmd_analysis_gap)
-    p = ana("schedule")
-    p.add_argument("--x2", type=int, default=2); p.add_argument("--y2", type=int, default=2)
-    p.add_argument("--a2", type=int, default=2); p.add_argument("--b2", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--c", type=float, default=0.01)
-    common(p, fmt=True); p.set_defaults(func=cmd_analysis_schedule)
-
-    cover = group("cover")
-    p = cover("build")
-    p.add_argument("--epsilon", type=float, required=True)
-    common(p); p.set_defaults(func=cmd_cover_build)
-    p = cover("verify")
-    p.add_argument("--epsilon", type=float); p.add_argument("--cover")
-    p.add_argument("--trials", type=int, default=1000)
-    common(p, seed=True); p.set_defaults(func=cmd_cover_verify)
-
-    suite = group("suite")
-    p = suite("acceptance")
-    common(p); p.set_defaults(func=cmd_suite_acceptance)
-
+    for group, rows in itertools.groupby(COMMANDS.items(), lambda r: r[0][0]):
+        cmds = top.add_parser(group).add_subparsers(dest="cmd", required=True)
+        for key, row in rows:
+            leaves[key] = p = cmds.add_parser(key[1])
+            specs = row.arguments + (_OUT,) + (_SEED,) * row.seed
+            for flag, keywords in specs + (_FORMAT,) * bool(row.csv_header):
+                p.add_argument(flag, **keywords)
+            p.set_defaults(func=row.func)
     return parser
 
 
@@ -462,8 +428,11 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     if getattr(args, "schema", False):
-        for cmd, schema in CSV_SCHEMAS.items():
-            print("%s: %s" % (cmd, schema))
+        for (group, cmd), row in COMMANDS.items():
+            if row.csv_header:
+                print("%s %s: %s  (%s)" % (group, cmd,
+                                           ",".join(row.csv_header),
+                                           row.csv_note))
         return 0
     if not hasattr(args, "func"):
         _PARSER.print_help()

@@ -255,11 +255,16 @@ def count_digits(al: Alphabets, k: int) -> float:
 
 
 def check_bound_digits(al: Alphabets, k: int) -> None:
-    """Refuse, from logarithms and before it is built, a counting_bound(al, k)
-    of more than SCHEDULE_DIGIT_CAP digits; with binary outer alphabets the
-    bound is at least count_protocols(al, k), so that count is refused too."""
+    """Refuse response alphabets of one letter, where counting_bound(al, k)
+    is no bound, and, from logarithms and before it is built, a bound of
+    more than SCHEDULE_DIGIT_CAP digits.  With binary outer alphabets and
+    |A|, |B| >= 2 the bound is at least count_protocols(al, k), so that
+    count is refused too."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    if min(al.a2, al.b2) < 2:
+        raise ValueError("the counting bound needs response alphabets of at "
+                         "least 2 letters")
     digits = _digits([(2 * al.x2, math.log10(2.0) + _log10_power(al.a2, k)),
                       (2 * al.y2, math.log10(2.0) + _log10_power(al.b2, k))])
     if digits > SCHEDULE_DIGIT_CAP:
@@ -279,7 +284,8 @@ def count_protocols(al: Alphabets, k: int) -> int:
 
 
 def counting_bound(al: Alphabets, k: int) -> int:
-    """(2|X|)^(2|A|^k) * (2|Y|)^(2|B|^k), valid for binary outer alphabets."""
+    """(2|X|)^(2|A|^k) * (2|Y|)^(2|B|^k), a bound on the count for binary
+    outer alphabets and |A|, |B| >= 2."""
     return (2 * al.x2) ** (2 * al.a2 ** k) * (2 * al.y2) ** (2 * al.b2 ** k)
 
 
@@ -289,6 +295,11 @@ def _refuse_past_cap(al: Alphabets, k: int) -> None:
     if digits > math.log10(ENUMERATION_CAP) + 1:
         raise ValueError("protocol count of about 10^%.3g exceeds cap %d"
                          % (digits, ENUMERATION_CAP))
+    # a count that grows with k is at least 2^k, so past log2 of the cap only
+    # a constant count (a 1x1x1x1 target's) is left, and it takes k steps
+    if k > math.log2(ENUMERATION_CAP):
+        raise ValueError("k = %d is more than log2 of cap %d"
+                         % (k, ENUMERATION_CAP))
     total = count_protocols(al, k)
     if total > ENUMERATION_CAP:
         raise ValueError("protocol count %d exceeds cap %d"

@@ -320,6 +320,7 @@ def test_exact_search_reaches_the_grid_maximum(name):
     _, grid_gap = grid_hard_p(family)
     assert grid_gap <= cert.gap <= grid_gap + 1e-9
     assert cert.verify(1e-12)
+    assert cert.recompute_gap() == cert.gap
 
 
 @pytest.mark.parametrize("name", ["pr", "ns", "singlet1", "fib4", "octahedron"])

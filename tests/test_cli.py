@@ -382,6 +382,15 @@ def test_schema_flag(capsys):
     assert "intercept,slope" in out
 
 
+def test_format_is_offered_exactly_by_the_schema_commands(capsys):
+    code, out, _ = run(capsys, "--schema")
+    assert code == 0
+    listed = {tuple(line.split(":")[0].split()) for line in out.splitlines()}
+    offered = {key for key, leaf in cli._LEAVES.items()
+               if any(a.dest == "format" for a in leaf._actions)}
+    assert len(listed) == 3 and offered == listed
+
+
 def test_output_file_atomic_write(capsys, tmp_path):
     out = tmp_path / "omega.json"
     code, _, _ = run(capsys, "game", "omega", "--p", "0.5",
@@ -677,11 +686,26 @@ def test_each_input_file_is_decoded_once(capsys, monkeypatch, tmp_path,
     "protocol family --target pr --k 40 --up-to-k",
     "analysis gap --target pr --k 11",
     "analysis gap --k 40",
+    # the counting bound is no bound for 1-letter response alphabets
+    "protocol enumerate --x2 2 --y2 2 --a2 1 --b2 1 --k 2 --count-only",
+    "protocol enumerate --x2 1 --y2 1 --a2 1 --b2 1 --k 10000000000 "
+    "--count-only",
+    "protocol enumerate --x2 2 --y2 2 --a2 1 --b2 1 --k 30000000 --count-only",
+    "analysis schedule --x2 1 --y2 1 --a2 1 --b2 1 --k-max 3000000",
+    # a 1x1x1x1 target has 16 protocols at every k
+    "analysis gap --target file:{} --k 100000",
+    "protocol family --target file:{} --k 3000000",
+    # --binary sets every inner size to 2
+    "protocol enumerate --binary --x2 3 --k 1 --count-only",
+    "protocol enumerate --binary --b2 1 --k 1",
 ])
 def test_doubly_exponential_counts_are_refused_before_they_are_built(
-        capsys, argv):
+        capsys, tmp_path, argv):
+    path = tmp_path / "one.json"
+    path.write_text('{"x_size": 1, "y_size": 1, "a_size": 1, "b_size": 1, '
+                    '"table": [[[1.0]]]}')
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv.split())
+    code, out, err = run(capsys, *argv.format(path).split())
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

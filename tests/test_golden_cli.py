@@ -5,7 +5,11 @@ The commands run in order, in one fresh working directory, with the
 README's relative file names: ``identity.json`` is the identity protocol
 and ``cover.json`` comes from ``cover build``.  A command that writes
 ``--out FILE`` is compared on that file's bytes, every other one on its
-stdout.  To record the goldens again, run this file as a script.
+stdout.  ``help.json`` pins the parser apart from any command's output:
+the help text of every parser, each command's argument specs and
+``boxlab --schema``.  It was recorded from the hand-written parser, before
+``cli.COMMANDS`` declared the commands.  To record the goldens again, run
+this file as a script.
 
 The ``analysis gap`` golden was recorded again when ``affine_family`` began
 to return its lines sorted; before, they came in the hash order of a set.
@@ -31,6 +35,7 @@ import json
 import os
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -41,6 +46,9 @@ from boxlab.protocols import protocol_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# help texts, argument specs and --schema of the parser; not a *.txt file,
+# so the README corpus above does not count it
+SURFACE = GOLDEN / "help.json"
 
 # the octahedron k=1 certificate as first recorded, with the lines as a set
 GAP_GOLDEN = "12_analysis_gap.txt"
@@ -63,14 +71,44 @@ def readme_commands() -> list:
             if line.startswith("boxlab ")]
 
 
+def subparsers(parser) -> dict:
+    """The parser's subcommand parsers by name; none for a command."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
 def parser_commands() -> list:
     """Every (group, command) pair the boxlab parser accepts."""
-    def choices(parser):
-        return next(a.choices for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
+    return [(group, cmd) for group, sub in subparsers(cli._PARSER).items()
+            for cmd in subparsers(sub)]
 
-    return [(group, cmd) for group, sub in choices(cli._PARSER).items()
-            for cmd in choices(sub)]
+
+def cli_surface() -> dict:
+    """Help text of every parser, each command's argument specs in order,
+    and the ``--schema`` output, at a fixed 80-column width."""
+    def spec(action):
+        return {"dest": action.dest, "option_strings": action.option_strings,
+                "action": type(action).__name__,
+                "default": action.default, "required": action.required,
+                "type": getattr(action.type, "__name__", action.type),
+                "choices": (None if action.choices is None
+                            else list(action.choices)),
+                "nargs": action.nargs, "const": action.const,
+                "metavar": action.metavar, "help": action.help}
+
+    helps, specs = {}, {}
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        helps["boxlab"] = cli._PARSER.format_help()
+        for group, sub in subparsers(cli._PARSER).items():
+            helps["boxlab " + group] = sub.format_help()
+            for cmd, leaf in subparsers(sub).items():
+                name = "boxlab %s %s" % (group, cmd)
+                helps[name] = leaf.format_help()
+                specs[name] = [spec(a) for a in leaf._actions]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["--schema"]) == 0
+    return {"help": helps, "arguments": specs, "schema": stdout.getvalue()}
 
 
 def golden_name(index: int, argv: list) -> str:
@@ -108,6 +146,10 @@ def corpus(tmp_path_factory):
 def test_corpus_covers_every_readme_command():
     names = {golden_name(i, argv) for i, argv in enumerate(readme_commands())}
     assert names == {p.name for p in GOLDEN.glob("*.txt")}
+
+
+def test_parser_surface_matches_golden():
+    assert cli_surface() == json.loads(SURFACE.read_text(encoding="utf-8"))
 
 
 def test_every_command_is_documented():
@@ -148,3 +190,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in run_corpus(Path(tmp)).items():
             (GOLDEN / name).write_bytes(data)
+    SURFACE.write_text(json.dumps(cli_surface(), indent=1) + "\n",
+                       encoding="utf-8")

@@ -434,3 +434,34 @@ def test_a_count_far_past_the_cap_is_refused_unbuilt(monkeypatch):
     # within a digit of the cap the exact count decides, as before
     with pytest.raises(ValueError, match="protocol count 268435456 exceeds"):
         bl.affine_family(bl.pr_box(), 3, up_to_k=True)
+
+
+def test_a_constant_count_is_refused_past_log2_of_the_cap(monkeypatch):
+    one = bl.CorrelationBox(np.ones((1, 1, 1, 1)))
+    al = Alphabets(2, 2, 2, 2, 1, 1, 1, 1)
+    # 16 protocols at every k: the count never reaches the cap
+    assert bl.count_protocols(al, 26) == 16
+    assert bl.affine_family(one, 26) == bl.affine_family(one, 0)
+
+    def build(*args):
+        raise AssertionError("built the strategies or the count")
+
+    monkeypatch.setattr(protocols, "_all_strategies", build)
+    monkeypatch.setattr(protocols, "count_protocols", build)
+    for k in (27, 3 * 10 ** 6):
+        with pytest.raises(ValueError, match="log2 of cap"):
+            bl.affine_family(one, k)
+        with pytest.raises(ValueError, match="log2 of cap"):
+            next(bl.enumerate_protocols(al, k))
+
+
+def test_the_counting_bound_is_refused_for_one_letter_responses():
+    # (2|X|)^(2|A|^k) needs |A|, |B| >= 2: here the bound is below the count
+    al = Alphabets(2, 2, 2, 2, 2, 2, 1, 1)
+    assert bl.counting_bound(al, 2) < bl.count_protocols(al, 2)
+    for sizes in [(2, 2, 1, 1), (1, 1, 1, 1), (2, 2, 2, 1), (3, 2, 1, 2)]:
+        with pytest.raises(ValueError, match="at least 2 letters"):
+            protocols.check_bound_digits(Alphabets(2, 2, 2, 2, *sizes), 1)
+        with pytest.raises(ValueError, match="at least 2 letters"):
+            bl.epsilon_schedule(*sizes, 3, 0.01)
+    protocols.check_bound_digits(BINARY, 10)
