@@ -12,10 +12,10 @@ from .quantum import (PHI_PLUS, SINGLET, BellBoxSpec, bell_box, bloch_of,
 from .games import (PlanarStrategy, achieved_win_prob, biased_bound, omega,
                     optimal_strategy, planar_win_prob, win_prob)
 from .protocols import (AffineFunction, Alphabets, BINARY,
-                        DeterministicProtocol, RandomizedProtocol, affine_family,
-                        affine_of, check_reduction, count_protocols,
-                        counting_bound, enumerate_protocols, identity_protocol,
-                        induced_box, induced_box_randomized)
+                        DeterministicProtocol, LineFamily, RandomizedProtocol,
+                        affine_family, affine_of, check_reduction,
+                        count_protocols, counting_bound, enumerate_protocols,
+                        identity_protocol, induced_box, induced_box_randomized)
 from .analysis import (EpsilonSchedule, GapCertificate, best_affine_fit,
                        epsilon_schedule, find_hard_p, line_intersections,
                        measure_near, omega_second_derivative, tangent_line)

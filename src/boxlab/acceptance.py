@@ -125,17 +125,14 @@ def criterion_intersections() -> CriterionResult:
 
 def criterion_sqrt_eps_measure() -> CriterionResult:
     """measure_near <= 8*sqrt(eps); tangent-line log-log slope is 0.5 +- 0.05."""
-    tangent_points = (0.55, 0.6, 0.7, 0.75, 0.8)
-    lines = [analysis.tangent_line(p0) for p0 in tangent_points]
-    lines.append(analysis.best_affine_fit())
-    bound_ok = all(analysis.measure_near(ell, eps) <= 8.0 * np.sqrt(eps)
-                   for ell in lines for eps in (1e-2, 1e-3, 1e-4))
-    slopes = []
+    lines = [analysis.tangent_line(p0) for p0 in (0.55, 0.6, 0.7, 0.75, 0.8)]
+    family = protocols.LineFamily.of([*lines, analysis.best_affine_fit()])
     eps_grid = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-    for ell in lines[:-1]:
-        measures = np.array([analysis.measure_near(ell, e) for e in eps_grid])
-        slope = np.polyfit(np.log(eps_grid), np.log(measures), 1)[0]
-        slopes.append(float(slope))
+    measures = np.array([analysis.measure_near(family, e) for e in eps_grid])
+    bound_ok = bool((measures[:3] <= 8.0 * np.sqrt(eps_grid[:3, None])).all())
+    # each tangent's log-log fit; the fitted line has no power law
+    slopes = [float(np.polyfit(np.log(eps_grid), np.log(column), 1)[0])
+              for column in measures[:, :-1].T]
     slope_ok = all(abs(s - 0.5) <= 0.05 for s in slopes)
     return CriterionResult("sqrt_eps_measure_law", bound_ok and slope_ok,
                            {"bound_ok": bound_ok, "slopes": slopes})

@@ -4,7 +4,7 @@ and the epsilon_k budget schedule.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,11 +12,13 @@ import numpy as np
 
 from .boxes import PATH_TABLE_CAP
 from .games import omega, omega_prime
-from .protocols import (AffineFunction, Alphabets, check_bound_digits,
-                        counting_bound)
+from .protocols import (AffineFunction, Alphabets, LineFamily,
+                        check_bound_digits, counting_bound)
 
 ROOT_TOL = 1e-10
-HALF_INTERVAL = 0.5  # |[1/2, 1]|
+# 0, 1/2 and 1 as 0-d arrays, which numpy combines with the few-element
+# arrays of a one-line call faster than Python floats; 1/2 is |[1/2, 1]|
+_ZERO, _HALF, _ONE = np.array(0.0), np.array(0.5), np.array(1.0)
 
 
 def omega_second_derivative(x: float) -> float:
@@ -51,94 +53,88 @@ def best_affine_fit() -> AffineFunction:
     return AffineFunction(c, m)
 
 
-def _omega_quadratic(c: float, m: float):
-    """(A, B, C) with A p^2 + B p + C = p^2 + (1-p)^2 - r(p)^2 and
-    r(p) = 2*(c + m*p) - 1: c + m*p = omega(p) where r(p) >= 0 and the
-    quadratic is zero."""
-    r0 = 2.0 * c - 1.0
-    return 2.0 - 4.0 * m * m, -2.0 - 4.0 * m * r0, 1.0 - r0 * r0
+@np.errstate(all="ignore")
+def _omega_roots(c, m) -> np.ndarray:
+    """Both roots in [1/2, 1] of c + m*p = omega(p), unordered, for floats
+    or broadcastable arrays c and m: an array [root, ...], NaN where a line
+    has fewer than two.
 
-
-def _omega_roots(c, m):
-    """Roots in [1/2, 1] of c + m*p = omega(p), for floats or equal-length
-    arrays of intercepts c and slopes m: (smaller, larger), NaN where a line
-    has fewer than two; a line with one root has it first.
-
-    The candidates are the stable roots q/A and C/q of ``_omega_quadratic``,
-    or, where the discriminant is at or below zero, the vertex twice: a
-    tangency.  Back-substitution (c + m*p >= 1/2, so r(p) >= 0) discards
-    the spurious ones.  A simple root inside [1/2, 1] is kept as it is; a
-    tangency, or a root that rounding puts just outside, is kept at the
-    nearest point of [1/2, 1] only when the line is within ROOT_TOL of
-    omega there.  Where |c| or |m| passes about 1e154 the coefficients
-    overflow and their roots fail these tests.
+    With r(p) = 2*(c + m*p) - 1 the line meets omega where r(p) >= 0 and
+    A p^2 + B p + C = p^2 + (1-p)^2 - r(p)^2 is zero: at the stable roots
+    q/A and C/q, or, where the discriminant is at or below zero, at the
+    vertex twice, a tangency.  Back-substitution (r(p) >= 0) discards the
+    spurious ones.  A simple root inside [1/2, 1] is kept as it is; a
+    tangency, or a root rounded just outside, is kept at the nearest point
+    of [1/2, 1] only when the line is within ROOT_TOL of omega there.  Past
+    |c| or |m| of about 1e154 the coefficients overflow and their roots
+    fail these tests.
     """
-    with np.errstate(all="ignore"):
-        A, B, C = _omega_quadratic(c, m)
-        disc = B * B - 4.0 * A * C
-        simple = disc > 0.0
-        q = -0.5 * (B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B))
-        first = q / A                   # the vertex where disc <= 0
-        kept = []
-        for p in (first, np.where(simple, C / q, first)):
-            near = np.minimum(np.maximum(p, 0.5), 1.0)
-            line = c + m * near
-            keep = (line >= 0.5) & ((simple & (p == near))
-                                    | (abs(line - omega(near)) <= ROOT_TOL))
-            kept.append(np.where(keep, near, np.nan))
-        return np.fmin(*kept), np.maximum(*kept)
+    r0, m4 = 2.0 * c - _ONE, 4.0 * m
+    A, B, C = 2.0 - m4 * m, -2.0 - m4 * r0, _ONE - r0 * r0
+    disc = B * B - 4.0 * A * C
+    simple = disc > _ZERO
+    q = -0.5 * (B + np.copysign(np.sqrt(np.maximum(disc, _ZERO)), B))
+    first = q / A                       # the vertex where disc <= 0
+    # both roots in one array, so each test below is one call
+    p = np.array((first, np.where(simple, C / q, first)))
+    near = np.minimum(np.maximum(p, _HALF), _ONE)
+    line = c + m * near
+    keep = (line >= _HALF) & ((simple & (p == near))
+                            | (abs(line - omega(near)) <= ROOT_TOL))
+    return np.where(keep, near, np.nan)
 
 
 def line_intersections(ell: AffineFunction) -> list[float]:
     """Roots of ell(p) = omega(p) in [1/2, 1], ascending; a tangency appears
     twice.  ``_omega_roots`` says how tangencies and the ends are decided."""
-    return [float(p) for p in _omega_roots(ell.intercept, ell.slope)
-            if not np.isnan(p)]
+    return sorted(float(p) for p in _omega_roots(ell.intercept, ell.slope)
+                  if not np.isnan(p))
 
 
-def _level_set_length(c: float, m: float, level: float) -> float:
-    """Length of {p in [1/2, 1]: c + m*p - omega(p) >= level}.
+@np.errstate(all="ignore")
+def measure_near(lines, epsilon: float):
+    """Relative measure of {p in [1/2, 1]: |ell(p) - omega(p)| <= epsilon}
+    of one ``AffineFunction`` (a float) or of each line of a ``LineFamily``
+    (a float64 array), in closed form, exact up to rounding.
 
-    The set is an interval, g = ell - omega being concave.  Its ends are
-    among 1/2, 1, the root of r and the roots of the line shifted by
-    -level; between neighbouring cuts membership does not change and is
-    read at the midpoint.  Where |c| or |m| passes about 1e154 the roots
-    overflow; then the line misses omega, or the ends lie within 1/|m| of
-    the root of r.
+    g = ell - omega is concave, so at each level -eps and +eps, {g >= level}
+    is an interval with ends among 1/2, 1, the root of r and the roots of
+    the line shifted by -level, found for both levels at once; a cut
+    outside [1/2, 1], or none, moves to the nearer end.  Membership is read
+    at the midpoint of each piece between cuts, and the answer is the
+    difference of the two lengths over 1/2.  Where |c| or |m| passes about
+    1e154 the roots overflow; then the line misses omega, or the ends lie
+    within 1/|m| of the root of r.
     """
-    shifted = c - level
-    cuts = [0.5, 1.0, *map(float, _omega_roots(shifted, m))]
-    if m != 0.0:
-        cuts.append((0.5 - shifted) / m)            # r = 0
-    cuts = sorted(p for p in cuts if 0.5 <= p <= 1.0)
-    length = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
-        if c + m * mid - omega(mid) >= level:
-            length += b - a
-    return length
-
-
-def measure_near(ell: AffineFunction, epsilon: float) -> float:
-    """Relative measure of {p in [1/2, 1]: |ell(p) - omega(p)| <= epsilon}.
-
-    g(p) = ell(p) - omega(p) is concave, so {g >= -eps} and {g >= +eps} are
-    intervals; the answer is the length difference, normalized by 1/2.
-    Closed form, exact up to rounding: the interval ends are roots of the
-    line shifted by +eps and by -eps, no search.
-    """
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
+    epsilon = float(epsilon)
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be finite and positive")
-    c, m, epsilon = float(ell.intercept), float(ell.slope), float(epsilon)
-    outer = _level_set_length(c, m, -epsilon)
-    inner = _level_set_length(c, m, epsilon)
-    return max(outer - inner, 0.0) / HALF_INTERVAL
+    family = isinstance(lines, LineFamily)
+    if family:                                  # columns [line, 1]
+        c, m = lines.intercepts[:, None], lines.slopes[:, None]
+    else:
+        c, m = float(lines.intercept), float(lines.slope)
+    levels = np.array((-epsilon, epsilon))
+    shifted = c - levels                        # [line, level]
+    cuts = np.empty((5,) + shifted.shape)       # [cut, line, level]
+    cuts[0], cuts[1] = 0.5, 1.0
+    cuts[2:4] = _omega_roots.__wrapped__(shifted, m)    # under this errstate
+    np.divide(_HALF - shifted, m, cuts[4])                  # r = 0
+    np.fmax(np.fmin(cuts, _ONE, cuts), _HALF, cuts)
+    cuts.sort(axis=0)
+    lo, hi = cuts[:-1], cuts[1:]
+    mid = _HALF * (lo + hi)
+    # the member pieces of each level in ascending order, added to 0.0
+    lengths = np.add.reduce(hi - lo, where=c + m * mid - omega(mid) >= levels)
+    measure = np.maximum(lengths[..., 0] - lengths[..., 1], _ZERO) / _HALF
+    return measure if family else float(measure)
 
 
 @dataclass(frozen=True)
 class GapCertificate:
     """Finite witness that no line of a family meets omega at p_star.
 
+    ``family`` is the ``LineFamily`` searched, in the order it was given.
     ``resolution`` is the number of candidate points p at which
     ``find_hard_p`` evaluated the family: |family| x resolution is the
     size of the array that search evaluates, which the benchmark's
@@ -147,15 +143,13 @@ class GapCertificate:
 
     description: str
     k: int
-    family: tuple          # AffineFunction entries
+    family: LineFamily
     p_star: float
     gap: float
     resolution: int
 
     def recompute_gap(self) -> float:
-        intercepts = np.array([ell.intercept for ell in self.family])
-        slopes = np.array([ell.slope for ell in self.family])
-        return float(_min_distance(intercepts, slopes,
+        return float(_min_distance(self.family.intercepts, self.family.slopes,
                                    np.array([self.p_star]))[0])
 
     def verify(self, tol: float = 1e-12) -> bool:
@@ -256,13 +250,12 @@ def find_hard_p(family, *, description: str = "",
     every quantum target, there is one piece and the candidates are 1/2,
     1 and the breakpoints of the lines' upper envelope.
     """
-    family = tuple(family)
-    if not family:
+    if not isinstance(family, LineFamily):
+        family = LineFamily.of(family)
+    if not len(family):
         raise ValueError("empty affine family")
-    intercepts = np.array([ell.intercept for ell in family])
-    slopes = np.array([ell.slope for ell in family])
-    order = np.lexsort((intercepts, slopes))       # by slope, then intercept
-    intercepts, slopes = intercepts[order], slopes[order]
+    order = np.lexsort((family.intercepts, family.slopes))  # slope, intercept
+    intercepts, slopes = family.intercepts[order], family.slopes[order]
     first, second = _omega_roots(intercepts, slopes)
     crossing = first != second     # a tangency leaves its line on one side
     roots = np.append(first[crossing], second[crossing])
@@ -277,10 +270,11 @@ def find_hard_p(family, *, description: str = "",
 
 
 def certificate_to_payload(cert: GapCertificate, version: str = "") -> dict:
+    family = cert.family
     return {
         "description": cert.description,
         "k": cert.k,
-        "family": [[ell.intercept, ell.slope] for ell in cert.family],
+        "family": np.column_stack((family.intercepts, family.slopes)).tolist(),
         "p_star": cert.p_star,
         "gap": cert.gap,
         "resolution": cert.resolution,
@@ -288,14 +282,10 @@ def certificate_to_payload(cert: GapCertificate, version: str = "") -> dict:
     }
 
 
-def certificate_to_json(cert: GapCertificate, version: str = "") -> str:
-    return json.dumps(certificate_to_payload(cert, version))
-
-
-def certificate_from_json(text: str) -> GapCertificate:
-    payload = json.loads(text)
-    family = tuple(AffineFunction(c, m) for c, m in payload["family"])
-    return GapCertificate(payload["description"], int(payload["k"]), family,
+def certificate_from_payload(payload: dict) -> GapCertificate:
+    lines = np.array(payload["family"], dtype=np.float64).reshape(-1, 2)
+    return GapCertificate(payload["description"], int(payload["k"]),
+                          LineFamily(lines[:, 0], lines[:, 1]),
                           float(payload["p_star"]), float(payload["gap"]),
                           int(payload["resolution"]))
 

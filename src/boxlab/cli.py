@@ -234,8 +234,8 @@ def cmd_protocol_enumerate(args):
 def cmd_protocol_family(args):
     target = _parse_box(args.target)
     family = protocols.affine_family(target, args.k, up_to_k=args.up_to_k)
-    rows = [(ell.intercept, ell.slope) for ell in family]
-    _emit(args, {"size": len(rows), "lines": [list(r) for r in rows]},
+    rows = np.column_stack((family.intercepts, family.slopes)).tolist()
+    _emit(args, {"size": len(rows), "lines": rows},
           csv_rows=rows, csv_header=_csv_header(args))
 
 

@@ -9,7 +9,6 @@ the most recent response least significant.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -123,10 +122,40 @@ class AffineFunction:
         return (round(self.intercept * scale), round(self.slope * scale))
 
 
-def _check_target(protocol: DeterministicProtocol, target: CorrelationBox) -> None:
-    al = protocol.alphabets
-    if target.table.shape != (al.x2, al.y2, al.a2, al.b2):
-        raise ValueError("target alphabets do not match the protocol")
+@dataclass(frozen=True, eq=False)
+class LineFamily:
+    """Lines intercepts[i] + slopes[i] * p in the order given, held as two
+    read-only float64 copies checked once to be finite and 1-D of equal
+    length: no object per line.  Iterating yields ``AffineFunction``s."""
+
+    intercepts: np.ndarray
+    slopes: np.ndarray
+
+    def __post_init__(self):
+        for name in ("intercepts", "slopes"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            if not np.isfinite(values).all():
+                raise ValueError("coefficients must be finite")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if self.intercepts.shape != self.slopes.shape or self.slopes.ndim != 1:
+            raise ValueError("need 1-D intercepts and slopes of equal length")
+
+    @classmethod
+    def of(cls, lines) -> "LineFamily":
+        """The family of an iterable of ``AffineFunction``s, in its order."""
+        pairs = [(ell.intercept, ell.slope) for ell in lines]
+        return cls(*np.array(pairs, dtype=np.float64).reshape(-1, 2).T)
+
+    def __len__(self):
+        return len(self.intercepts)
+
+    def __iter__(self):
+        return map(AffineFunction, self.intercepts.tolist(), self.slopes.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, LineFamily) and np.array_equal(
+            (self.intercepts, self.slopes), (other.intercepts, other.slopes))
 
 
 def identity_protocol(al: Alphabets = BINARY) -> DeterministicProtocol:
@@ -165,8 +194,9 @@ def _response_tables(alice, bob, target: CorrelationBox,
 def _protocol_strategies(protocol: DeterministicProtocol,
                          target: CorrelationBox):
     """Alice's x1 and Bob's y1 local strategies, in ``_response_tables`` form."""
-    _check_target(protocol, target)
     al = protocol.alphabets
+    if target.table.shape != (al.x2, al.y2, al.a2, al.b2):
+        raise ValueError("target alphabets do not match the protocol")
     entries = al.x1 * al.y1 * (al.a2 * al.b2) ** protocol.k
     if entries > PATH_TABLE_CAP:
         raise ValueError("response-path table of %d entries exceeds %d"
@@ -273,14 +303,13 @@ def check_bound_digits(al: Alphabets, k: int) -> None:
 
 
 def count_protocols(al: Alphabets, k: int) -> int:
-    """Exact number of deterministic k-query protocols over the given alphabets."""
-    n = 1
-    for i in range(k):
-        n *= al.x2 ** (al.x1 * al.a2 ** i)
-        n *= al.y2 ** (al.y1 * al.b2 ** i)
-    n *= al.a1 ** (al.x1 * al.a2 ** k)
-    n *= al.b1 ** (al.y1 * al.b2 ** k)
-    return n
+    """Exact number of deterministic k-query protocols over the given alphabets,
+    x2^(x1 G(a2)) y2^(y1 G(b2)) a1^(x1 a2^k) b1^(y1 b2^k), in closed form:
+    G(a) = 1 + a + ... + a^(k-1) query-map entries per input over k depths."""
+    g_a, g_b = (k if a == 1 else (a ** k - 1) // (a - 1)
+                for a in (al.a2, al.b2))
+    return (al.x2 ** (al.x1 * g_a) * al.y2 ** (al.y1 * g_b)
+            * al.a1 ** (al.x1 * al.a2 ** k) * al.b1 ** (al.y1 * al.b2 ** k))
 
 
 def counting_bound(al: Alphabets, k: int) -> int:
@@ -296,7 +325,7 @@ def _refuse_past_cap(al: Alphabets, k: int) -> None:
         raise ValueError("protocol count of about 10^%.3g exceeds cap %d"
                          % (digits, ENUMERATION_CAP))
     # a count that grows with k is at least 2^k, so past log2 of the cap only
-    # a constant count (a 1x1x1x1 target's) is left, and it takes k steps
+    # a constant count (a 1x1x1x1 target's) is left; its strategies take k steps
     if k > math.log2(ENUMERATION_CAP):
         raise ValueError("k = %d is more than log2 of cap %d"
                          % (k, ENUMERATION_CAP))
@@ -429,8 +458,9 @@ def _first_per_key(intercepts: np.ndarray, slopes: np.ndarray):
 
 
 def affine_family(target: CorrelationBox, k: int, *,
-                  up_to_k: bool = False) -> list[AffineFunction]:
-    """All distinct win-probability lines of deterministic k-query protocols.
+                  up_to_k: bool = False) -> LineFamily:
+    """All distinct win-probability lines of deterministic k-query protocols,
+    as a ``LineFamily``.
 
     With ``up_to_k`` the union over query counts 0..k is returned; the
     default is exactly k queries.  Lines are deduplicated with tolerance
@@ -467,8 +497,7 @@ def affine_family(target: CorrelationBox, k: int, *,
                 np.concatenate([intercepts, new_intercepts]),
                 np.concatenate([slopes, new_slopes]))
     order = np.lexsort((slopes, intercepts))
-    return [AffineFunction(c, m) for c, m in zip(intercepts[order].tolist(),
-                                                 slopes[order].tolist())]
+    return LineFamily(intercepts[order], slopes[order])
 
 
 def local_deterministic_boxes():
@@ -500,11 +529,3 @@ def protocol_from_payload(payload: dict) -> DeterministicProtocol:
         tuple(tuple(m) for m in payload["r_maps"]),
         tuple(payload["s_map"]), tuple(payload["t_map"]),
     )
-
-
-def protocol_to_json(protocol: DeterministicProtocol) -> str:
-    return json.dumps(protocol_to_payload(protocol))
-
-
-def protocol_from_json(text: str) -> DeterministicProtocol:
-    return protocol_from_payload(json.loads(text))

@@ -27,7 +27,6 @@ bit, whatever the path or the order of the points.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -406,10 +405,3 @@ def cover_from_payload(payload: dict) -> SphereCover:
     raise ValueError("covering_radius %r is below the audited radius %r"
                      % (claimed.covering_radius, min(audits)))
 
-
-def cover_to_json(cover: SphereCover) -> str:
-    return json.dumps(cover_to_payload(cover))
-
-
-def cover_from_json(text: str) -> SphereCover:
-    return cover_from_payload(json.loads(text))

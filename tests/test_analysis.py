@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 import boxlab as bl
 from boxlab import analysis
-from boxlab.analysis import (best_affine_fit, certificate_from_json,
-                             certificate_to_json, omega_second_derivative,
+from boxlab.analysis import (best_affine_fit, certificate_from_payload,
+                             certificate_to_payload, omega_second_derivative,
                              tangent_line)
 from boxlab.cli import main
 from boxlab.games import omega_prime
-from boxlab.protocols import AffineFunction
+from boxlab.protocols import AffineFunction, LineFamily
 from boxlab.sphere import build_cover
 
 
@@ -223,9 +223,7 @@ def test_measure_near_equals_the_bisection_oracle(case):
 
 SQRT_HALF = math.sqrt(0.5)
 TANGENT = tangent_line(0.75)
-
-
-@pytest.mark.parametrize("intercept,slope,epsilon", [
+EXTREME_LINES = [
     (0.8, SQRT_HALF, 1e-3), (0.2, SQRT_HALF, 0.25), (0.8, -SQRT_HALF, 1e-3),
     (1.3, -SQRT_HALF, 1e-3), (1.3, -SQRT_HALF, 0.25),
     (1.3, -math.nextafter(SQRT_HALF, 1.0), 1e-3),
@@ -235,7 +233,10 @@ TANGENT = tangent_line(0.75)
     (-1e300, 0.1, 1e-3), (-1e300, 0.1, 0.25), (-1e300, -1e300, 1e-3),
     (0.8, 0.1, 1e-300), (0.5 + 0.5 * SQRT_HALF, 0.0, 1e-300),
     (float(TANGENT.intercept), float(TANGENT.slope), 1e-300),
-])
+]
+
+
+@pytest.mark.parametrize("intercept,slope,epsilon", EXTREME_LINES)
 def test_measure_near_extreme_lines(capsys, intercept, slope, epsilon):
     ell = AffineFunction(intercept, slope)
     with warnings.catch_warnings():
@@ -248,6 +249,82 @@ def test_measure_near_extreme_lines(capsys, intercept, slope, epsilon):
     # at the tangent with epsilon 1e-300 either answer is rounding, a set
     # some 1e-8 wide
     assert value == pytest.approx(bisection_measure(ell, epsilon), abs=1e-7)
+
+
+def level_set_length(c, m, level):
+    """Oracle: measure_near's former scalar loop over the sorted cuts of one
+    level, which skipped the cuts outside [1/2, 1]."""
+    shifted = c - level
+    cuts = [0.5, 1.0, *map(float, analysis._omega_roots(shifted, m))]
+    if m != 0.0:
+        cuts.append((0.5 - shifted) / m)
+    cuts = sorted(p for p in cuts if 0.5 <= p <= 1.0)
+    length = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        if c + m * mid - bl.omega(mid) >= level:
+            length += b - a
+    return length
+
+
+def scalar_measure(c, m, epsilon):
+    """Oracle: measure_near's former scalar form."""
+    outer = level_set_length(c, m, -epsilon)
+    inner = level_set_length(c, m, epsilon)
+    return max(outer - inner, 0.0) / 0.5
+
+
+def seeded_near_lines(rng, epsilon, n):
+    """(intercepts, slopes): exact and shifted tangents of omega, chords of
+    omega, horizontal and random lines, and lines past 1e300."""
+    p0 = rng.uniform(0.5, 1.0, n)
+    tangent = [tangent_line(float(p)) for p in p0]
+    a, b = np.sort(rng.uniform(0.5, 1.0, (2, n)), axis=0)
+    b += 1e-9
+    chord = (bl.omega(b) - bl.omega(a)) / (b - a)
+    huge = rng.choice([-1.0, 1.0], (2, n)) \
+        * 10.0 ** rng.uniform(-300.0, 300.0, (2, n))
+    kinds = [(np.array([ell.intercept for ell in tangent]),
+              np.array([ell.slope for ell in tangent])),
+             (np.array([ell.intercept for ell in tangent])
+              + rng.uniform(-2.0, 2.0, n) * epsilon,
+              np.array([ell.slope for ell in tangent])),
+             (bl.omega(a) - chord * a, chord),
+             (rng.uniform(0.5, 1.2, n), np.zeros(n)),
+             (rng.uniform(0.0, 1.5, n), rng.uniform(-1.5, 1.5, n)),
+             (huge[0], huge[1])]
+    return (np.concatenate([c for c, _ in kinds]),
+            np.concatenate([m for _, m in kinds]))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_measure_near_of_a_family_equals_the_scalar_form_bit_for_bit():
+    # 10,819 (line, epsilon) cases, 30 lines of each of six kinds at each of
+    # 60 epsilons, and the extreme lines at their own epsilons
+    rng = np.random.default_rng(1601)
+    cases = 0
+    for epsilon in [*np.geomspace(1e-7, 0.25, 58).tolist(), 1.0, 1e-300]:
+        intercepts, slopes = seeded_near_lines(rng, epsilon, 30)
+        family = LineFamily(intercepts, slopes)
+        values = bl.measure_near(family, epsilon)
+        assert values.dtype == np.float64 and values.shape == (len(family),)
+        scalar = [bl.measure_near(ell, epsilon) for ell in family]
+        oracle = [scalar_measure(c, m, epsilon)
+                  for c, m in zip(intercepts.tolist(), slopes.tolist())]
+        assert bits(values) == bits(scalar) == bits(oracle)
+        cases += len(family)
+    for c, m, epsilon in EXTREME_LINES:
+        value = bl.measure_near(LineFamily([c], [m]), epsilon)
+        scalar = bl.measure_near(AffineFunction(c, m), epsilon)
+        assert bits(value) == bits(scalar) == bits(scalar_measure(c, m, epsilon))
+        cases += 1
+    assert cases >= 10 ** 4
+    assert bl.measure_near(LineFamily([], []), 1e-3).shape == (0,)
+    with pytest.raises(ValueError, match="epsilon"):
+        bl.measure_near(LineFamily([0.8], [0.1]), 0.0)
 
 
 def test_best_affine_fit_equioscillates():
@@ -370,7 +447,7 @@ def crossing_families():
     # where the envelope has no breakpoint
     ends = (bl.omega(0.51), bl.omega(0.99))
     slope = (ends[1] - ends[0]) / 0.48
-    families = {"pr": pr, "pr5": pr * 5,
+    families = {"pr": pr, "pr5": list(pr) * 5,
                 "chord": [AffineFunction(0.5, 0.0),
                           AffineFunction(ends[0] - slope * 0.51, slope)],
                 "raised": [AffineFunction(ell.intercept + 0.05, ell.slope)
@@ -405,8 +482,42 @@ def test_exact_search_on_families_that_cross_omega(name):
         assert 0.6 < cert.p_star < 0.9
 
 
+@pytest.mark.parametrize("name", CROSSING)
+def test_find_hard_p_takes_a_list_or_a_family(name):
+    lines = list(CROSSING[name])
+    family = LineFamily.of(lines)
+    cert = bl.find_hard_p(lines, description=name, k=1)
+    assert cert == bl.find_hard_p(family, description=name, k=1)
+    # the certificate holds the lines in the order given
+    assert cert.family == family
+
+
+@pytest.mark.parametrize("name", ["octahedron", "fib4"])
+def test_the_gap_pipeline_builds_no_line_objects(monkeypatch, capsys, name):
+    target = quantum_targets()[name]
+
+    def refuse(self):
+        raise AssertionError("built an AffineFunction")
+
+    monkeypatch.setattr(AffineFunction, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="built an AffineFunction"):
+        AffineFunction(0.5, 0.0)
+    family = bl.affine_family(target, 1)
+    cert = bl.find_hard_p(family, description=name, k=1)
+    payload = analysis.certificate_to_payload(cert)
+    assert cert.verify(1e-12) and len(payload["family"]) == len(family)
+    # and the CLI commands that print a certificate and a family
+    assert main(["analysis", "gap", "--target", "octahedron"]) == 0
+    assert main(["protocol", "family", "--target", "pr", "--k", "1",
+                 "--format", "csv"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    again = certificate_from_payload(json.loads(json.dumps(payload)))
+    assert again == cert
+
+
 def test_search_in_blocks_of_lines(monkeypatch):
-    family = bl.affine_family(bl.pr_box(), 1) * 5
+    family = list(bl.affine_family(bl.pr_box(), 1)) * 5
     whole = bl.find_hard_p(family)
     monkeypatch.setattr(analysis, "PATH_TABLE_CAP", 3 * whole.resolution)
     blocked = bl.find_hard_p(family)
@@ -443,7 +554,8 @@ def test_certificate_json_roundtrip_and_verify():
     target = bl.discretized_box(bl.octahedron_cover())
     family = bl.affine_family(target, 1, up_to_k=True)
     cert = bl.find_hard_p(family, description="octahedron k=1")
-    again = certificate_from_json(certificate_to_json(cert))
+    again = certificate_from_payload(
+        json.loads(json.dumps(certificate_to_payload(cert))))
     assert again.verify(1e-12)
     assert again.gap == cert.gap and again.p_star == cert.p_star
 

@@ -9,9 +9,9 @@ import pytest
 import boxlab as bl
 from boxlab import acceptance, boxes, cli, protocols
 from boxlab.cli import main
-from boxlab.protocols import (BINARY, DeterministicProtocol, protocol_from_json,
-                              protocol_to_json)
-from boxlab.sphere import cover_to_json, octahedron_cover
+from boxlab.protocols import (BINARY, DeterministicProtocol,
+                              protocol_from_payload, protocol_to_payload)
+from boxlab.sphere import cover_to_payload, octahedron_cover
 
 
 def run(capsys, *argv):
@@ -206,8 +206,8 @@ def constant_protocol(k: int) -> str:
     """A binary k-query protocol that always queries 0 and outputs 0."""
     maps = tuple((0,) * (2 * 2 ** d) for d in range(k))
     zeros = (0,) * (2 * 2 ** k)
-    return protocol_to_json(DeterministicProtocol(BINARY, k, maps, maps,
-                                                  zeros, zeros))
+    return json.dumps(protocol_to_payload(
+        DeterministicProtocol(BINARY, k, maps, maps, zeros, zeros)))
 
 
 def test_protocol_run_response_path_table_cap(capsys, tmp_path):
@@ -225,7 +225,7 @@ def test_protocol_run_response_path_table_cap(capsys, tmp_path):
 
 def test_protocol_run_identity(capsys, tmp_path):
     path = tmp_path / "identity.json"
-    path.write_text(protocol_to_json(bl.identity_protocol()))
+    path.write_text(json.dumps(protocol_to_payload(bl.identity_protocol())))
     payload = run_json(capsys, "protocol", "run", "--protocol", str(path),
                        "--target", "pr", "--source", "pr",
                        "--epsilon", "0.0")
@@ -245,7 +245,7 @@ def test_protocol_run_builds_the_induced_box_once(capsys, tmp_path,
     for k in (1, 2, 3):
         path = tmp_path / ("k%d.json" % k)
         path.write_text(constant_protocol(k))
-        protocol = protocol_from_json(path.read_text())
+        protocol = protocol_from_payload(json.loads(path.read_text()))
         want = bl.check_reduction(protocol, bl.pr_box(), bl.pr_box(), 0.1)
         monkeypatch.setattr(protocols, "induced_box", counting)
         calls.clear()
@@ -412,9 +412,10 @@ def test_byte_identical_reruns(capsys):
 FILE_KINDS = {
     "box": (lambda: bl.box_to_json(bl.pr_box()),
             ["box", "show", "--box", "file:{}"]),
-    "cover": (lambda: cover_to_json(octahedron_cover()),
+    "cover": (lambda: json.dumps(cover_to_payload(octahedron_cover())),
               ["cover", "verify", "--cover", "{}", "--trials", "20"]),
-    "protocol": (lambda: protocol_to_json(bl.identity_protocol()),
+    "protocol": (lambda: json.dumps(
+                     protocol_to_payload(bl.identity_protocol())),
                  ["protocol", "run", "--protocol", "{}", "--target", "pr"]),
 }
 
@@ -554,8 +555,9 @@ def test_dispatch_table_holds_every_command():
 def command_files(path):
     """The input files ARGV_CORPUS names, written in ``path``."""
     (path / "identity.json").write_text(
-        protocol_to_json(bl.identity_protocol()))
-    (path / "cover.json").write_text(cover_to_json(octahedron_cover()))
+        json.dumps(protocol_to_payload(bl.identity_protocol())))
+    (path / "cover.json").write_text(
+        json.dumps(cover_to_payload(octahedron_cover())))
 
 
 @pytest.mark.parametrize("argv", ARGV_CORPUS)
@@ -591,7 +593,8 @@ def test_commands_skip_the_full_parser(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
 
 
-# the *_to_json texts of the serializers that built them from JSON strings
+# the JSON texts of the payloads of the serializers that built them from
+# JSON strings
 PR_BOX_JSON = (
     '{"x_size": 2, "y_size": 2, "a_size": 2, "b_size": 2, "table": '
     '[[[0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, 0.5]], '
@@ -622,12 +625,12 @@ def test_payloads_round_trip_and_keep_their_json_text():
     assert again.table.tobytes() == mixed.table.tobytes()
 
     pi = bl.identity_protocol()
-    assert protocol_to_json(pi) == IDENTITY_JSON
+    assert json.dumps(protocol_to_payload(pi)) == IDENTITY_JSON
     assert protocols.protocol_from_payload(
         protocols.protocol_to_payload(pi)) == pi
 
     cover = octahedron_cover()
-    assert cover_to_json(cover) == OCTAHEDRON_JSON
+    assert json.dumps(cover_to_payload(cover)) == OCTAHEDRON_JSON
     again = sphere.cover_from_payload(sphere.cover_to_payload(cover))
     assert again.points.tobytes() == cover.points.tobytes()
     assert again.covering_radius == cover.covering_radius
@@ -635,9 +638,10 @@ def test_payloads_round_trip_and_keep_their_json_text():
     family = [protocols.AffineFunction(0.75, 0.0),
               protocols.AffineFunction(0.5, 0.5)]
     cert = analysis.find_hard_p(family, description="two lines", k=1)
-    assert analysis.certificate_to_json(cert, "0.1.0") == CERTIFICATE_JSON
-    assert analysis.certificate_from_json(json.dumps(
-        analysis.certificate_to_payload(cert, "0.1.0"))) == cert
+    assert json.dumps(analysis.certificate_to_payload(cert, "0.1.0")) \
+        == CERTIFICATE_JSON
+    assert analysis.certificate_from_payload(
+        json.loads(CERTIFICATE_JSON)) == cert
 
 
 @pytest.mark.parametrize("envelope", [False, True])
@@ -653,8 +657,10 @@ def test_each_input_file_is_decoded_once(capsys, monkeypatch, tmp_path,
     box = write("box.json", bl.box_to_json(bl.pr_box()))
     other = write("other.json", bl.box_to_json(bl.local_box((0, 1), (1, 0),
                                                             2, 2)))
-    proto = write("identity.json", protocol_to_json(bl.identity_protocol()))
-    cover = write("cover.json", cover_to_json(octahedron_cover()))
+    proto = write("identity.json",
+                  json.dumps(protocol_to_payload(bl.identity_protocol())))
+    cover = write("cover.json",
+                  json.dumps(cover_to_payload(octahedron_cover())))
     decoded = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(

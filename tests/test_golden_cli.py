@@ -42,7 +42,7 @@ import pytest
 import boxlab as bl
 from boxlab import cli
 from boxlab.cli import main
-from boxlab.protocols import protocol_to_json
+from boxlab.protocols import protocol_to_payload
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -118,7 +118,8 @@ def golden_name(index: int, argv: list) -> str:
 def run_corpus(workdir: Path) -> dict:
     """Run every README command in ``workdir``; name -> output bytes."""
     (workdir / "identity.json").write_text(
-        protocol_to_json(bl.identity_protocol()), encoding="utf-8")
+        json.dumps(protocol_to_payload(bl.identity_protocol())),
+        encoding="utf-8")
     outputs = {}
     cwd = os.getcwd()
     os.chdir(workdir)

@@ -1,5 +1,8 @@
+import itertools
+import json
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,9 +11,9 @@ from scipy.optimize import linprog
 
 import boxlab as bl
 from boxlab import protocols
-from boxlab.protocols import (BINARY, AffineFunction, Alphabets,
+from boxlab.protocols import (BINARY, AffineFunction, Alphabets, LineFamily,
                               local_deterministic_boxes,
-                              protocol_from_json, protocol_to_json)
+                              protocol_from_payload, protocol_to_payload)
 from boxlab.sphere import build_cover
 
 
@@ -189,7 +192,8 @@ def test_best_vs_average():
 
 def test_protocol_json_roundtrip():
     pi = bl.identity_protocol()
-    again = protocol_from_json(protocol_to_json(pi))
+    again = protocol_from_payload(json.loads(json.dumps(
+        protocol_to_payload(pi))))
     assert again == pi
 
 
@@ -333,7 +337,7 @@ def loop_targets():
 @pytest.mark.parametrize("up_to_k", [False, True], ids=["k", "up-to-k"])
 def test_family_equals_the_loop(name, k, up_to_k):
     target = loop_targets()[name]
-    assert bl.affine_family(target, k, up_to_k=up_to_k) \
+    assert list(bl.affine_family(target, k, up_to_k=up_to_k)) \
         == loop_family(target, k, up_to_k)
 
 
@@ -344,7 +348,7 @@ def test_family_in_small_blocks_equals_the_loop(monkeypatch, name, up_to_k):
     # met again in later runs must keep the representative found first
     target = loop_targets()[name]
     monkeypatch.setattr(protocols, "PATH_TABLE_CAP", 100)
-    assert bl.affine_family(target, 1, up_to_k=up_to_k) \
+    assert list(bl.affine_family(target, 1, up_to_k=up_to_k)) \
         == loop_family(target, 1, up_to_k=up_to_k)
 
 
@@ -405,6 +409,90 @@ def test_affine_function_rejects_non_finite_coefficients(bad):
         AffineFunction(0.5, bad)
     ell = AffineFunction(np.float64(0.5), 0.25)
     assert float(ell(1.0)) == 0.75
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_line_family_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        LineFamily([0.5, bad], [0.0, 0.25])
+    with pytest.raises(ValueError, match="finite"):
+        LineFamily([0.5, 0.75], [bad, 0.25])
+    with pytest.raises(ValueError, match="finite"):
+        LineFamily(np.array([0.5, 0.75, bad]), np.zeros(3))
+
+
+def test_line_family_refuses_ragged_or_nested_arrays():
+    with pytest.raises(ValueError, match="equal length"):
+        LineFamily([0.5, 0.75], [0.0])
+    with pytest.raises(ValueError, match="equal length"):
+        LineFamily([[0.5, 0.75]], [[0.0, 0.25]])
+
+
+def test_line_family_keeps_the_given_order_in_read_only_copies():
+    intercepts = np.array([0.75, 0.5, 0.5, 0.25])
+    slopes = np.array([0.0, 0.5, -0.25, 0.5])
+    family = LineFamily(intercepts, slopes)
+    assert family.intercepts.dtype == family.slopes.dtype == np.float64
+    assert family.intercepts.tolist() == [0.75, 0.5, 0.5, 0.25]
+    assert family.slopes.tolist() == [0.0, 0.5, -0.25, 0.5]
+    for values in (family.intercepts, family.slopes):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+    # the caller's arrays stay writable, and writing them leaves the family
+    intercepts[0] = 1.0
+    assert family.intercepts[0] == 0.75
+
+
+def test_line_family_len_and_equality():
+    lines = [AffineFunction(0.75, 0.0), AffineFunction(0.5, 0.5)]
+    family = LineFamily.of(lines)
+    assert len(family) == 2 and len(LineFamily([], [])) == 0
+    assert family == LineFamily([0.75, 0.5], [0.0, 0.5])
+    assert family != LineFamily([0.5, 0.75], [0.5, 0.0])       # order counts
+    assert family != LineFamily([0.75], [0.0])
+    assert family != LineFamily([0.75, 0.5], [0.0, 0.25])
+    assert (family == lines) is False                   # a list is no family
+    assert list(family) == lines
+
+
+def test_line_family_iterates_as_the_former_list():
+    # affine_family returned a list of AffineFunction with Python float
+    # coefficients; iterating the family gives the same, bit for bit
+    family = bl.affine_family(bl.discretized_box(build_cover(1.2)), 1)
+    lines = list(family)
+    assert len(lines) == len(family) > 1000
+    assert all(type(ell.intercept) is float and type(ell.slope) is float
+               for ell in lines)
+    pairs = np.array([(ell.intercept, ell.slope) for ell in lines])
+    assert pairs.tobytes() == np.column_stack(
+        (family.intercepts, family.slopes)).tobytes()
+
+
+def loop_count(al, k):
+    """Reference: count_protocols' former product over the query depths."""
+    n = 1
+    for i in range(k):
+        n *= al.x2 ** (al.x1 * al.a2 ** i)
+        n *= al.y2 ** (al.y1 * al.b2 ** i)
+    n *= al.a1 ** (al.x1 * al.a2 ** k)
+    n *= al.b1 ** (al.y1 * al.b2 ** k)
+    return n
+
+
+def test_count_protocols_closed_form_equals_the_loop():
+    for sizes in itertools.product((1, 2, 3), repeat=8):
+        al = Alphabets(*sizes)
+        for k in range(5):
+            assert bl.count_protocols(al, k) == loop_count(al, k), (sizes, k)
+
+
+def test_count_protocols_on_one_letter_responses_takes_no_loop():
+    # the loop took 0.58 s at k = 10^6; 10^10 steps would take hours
+    start = time.perf_counter()
+    assert bl.count_protocols(Alphabets(2, 2, 2, 2, 1, 1, 1, 1), 10**10) == 16
+    assert bl.count_protocols(Alphabets(2, 2, 2, 2, 2, 1, 1, 1), 10 ** 3) \
+        == 2 ** (2 * 10 ** 3) * 16
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_digits_is_log10_of_the_count():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import boxlab as bl
 from boxlab import sphere
 from boxlab.quantum import KET1
 from boxlab.sphere import (RADIUS_FIT, T_SCALING_CAP, audit_cover,
-                           cover_bell_spec, cover_from_json, cover_to_json,
+                           cover_bell_spec, cover_from_payload,
+                           cover_to_payload,
                            fibonacci_points, reduce_measurement)
 
 LADDER = (2.0, 0.5, 0.4, 0.3, 0.25, 0.2, 0.05)   # the benchmark's, and T = 4
@@ -453,24 +455,28 @@ def test_tv_bounded_by_half_chord_distance():
 def test_cover_json_roundtrip():
     for cover in (bl.build_cover(0.35), bl.build_cover(2.0),
                   bl.octahedron_cover()):
-        again = cover_from_json(cover_to_json(cover))
+        again = cover_from_payload(json.loads(json.dumps(
+            cover_to_payload(cover))))
         assert np.array_equal(cover.points, again.points)
         assert again.covering_radius == cover.covering_radius
 
 
-def test_cover_from_json_audits_the_radius():
+def test_cover_from_payload_audits_the_radius():
     cover = bl.build_cover(0.5)
-    text = cover_to_json(cover)
+    text = json.dumps(cover_to_payload(cover))
     # a larger claim loads with the audited radius
     loose = text.replace(repr(cover.covering_radius), "1.5")
-    assert cover_from_json(loose).covering_radius == cover.covering_radius
+    assert cover_from_payload(json.loads(loose)).covering_radius \
+        == cover.covering_radius
     order = np.random.default_rng(44).permutation(cover.size)
     shuffled = bl.SphereCover(cover.points[order], cover.covering_radius)
-    assert (cover_from_json(cover_to_json(shuffled)).covering_radius
-            == cover.covering_radius)
+    again = cover_from_payload(json.loads(json.dumps(
+        cover_to_payload(shuffled))))
+    assert again.covering_radius == cover.covering_radius
     for claim in ("0.001", "NaN", "-1.0"):
         with pytest.raises(ValueError, match="below the audited radius"):
-            cover_from_json(text.replace(repr(cover.covering_radius), claim))
+            cover_from_payload(json.loads(
+                text.replace(repr(cover.covering_radius), claim)))
 
 
 def test_build_cover_rejects_bad_epsilon():
