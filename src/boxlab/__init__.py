@@ -2,20 +2,20 @@
 
 __version__ = "0.1.0"
 
-from .boxes import (CorrelationBox, JointDistribution, box_from_json,
-                    box_to_json, is_nonsignaling, local_box, marginal_a,
-                    marginal_b, mix, pr_box, prob, sample, tv_closeness)
+from .boxes import (CorrelationBox, box_from_json, box_to_json,
+                    is_nonsignaling, local_box, mix, pr_box, sample,
+                    tv_closeness)
 from .quantum import (PHI_PLUS, SINGLET, BellBoxSpec, bell_box, bloch_of,
                       direct_sum_bell, random_unitary, simple_bell_spec,
                       singlet_invariance_defect, singlet_measure_box,
                       singlet_prob_equal, unitary_for_point)
 from .games import (PlanarStrategy, achieved_win_prob, biased_bound, omega,
-                    optimal_strategy, planar_win_prob, win_prob)
+                    optimal_strategy, win_prob)
 from .protocols import (AffineFunction, Alphabets, BINARY,
-                        DeterministicProtocol, LineFamily, RandomizedProtocol,
-                        affine_family, affine_of, check_reduction,
-                        count_protocols, counting_bound, enumerate_protocols,
-                        identity_protocol, induced_box, induced_box_randomized)
+                        DeterministicProtocol, LineFamily, affine_family,
+                        affine_of, check_reduction, count_protocols,
+                        counting_bound, enumerate_protocols,
+                        identity_protocol, induced_box)
 from .analysis import (EpsilonSchedule, GapCertificate, best_affine_fit,
                        epsilon_schedule, find_hard_p, line_intersections,
                        measure_near, omega_second_derivative, tangent_line)

@@ -152,8 +152,8 @@ class GapCertificate:
         return float(_min_distance(self.family.intercepts, self.family.slopes,
                                    np.array([self.p_star]))[0])
 
-    def verify(self, tol: float = 1e-12) -> bool:
-        return abs(self.recompute_gap() - self.gap) <= tol
+    def verify(self) -> bool:
+        return abs(self.recompute_gap() - self.gap) <= 1e-12
 
 
 def _min_distance(intercepts: np.ndarray, slopes: np.ndarray,
@@ -280,14 +280,6 @@ def certificate_to_payload(cert: GapCertificate, version: str = "") -> dict:
         "resolution": cert.resolution,
         "version": version,
     }
-
-
-def certificate_from_payload(payload: dict) -> GapCertificate:
-    lines = np.array(payload["family"], dtype=np.float64).reshape(-1, 2)
-    return GapCertificate(payload["description"], int(payload["k"]),
-                          LineFamily(lines[:, 0], lines[:, 1]),
-                          float(payload["p_star"]), float(payload["gap"]),
-                          int(payload["resolution"]))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ float64 tables indexed [x, y, a, b] and are immutable after construction.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,16 @@ def check_distributions(probs: np.ndarray) -> None:
         raise ValueError("probabilities do not sum to 1 within %g" % NORM_TOL)
 
 
+def check_numbers(values, name: str, kind) -> None:
+    """Raise unless every value is a ``kind``, ``numbers.Real`` or
+    ``numbers.Integral``, and no bool: JSON numbers pass, strings and
+    true/false do not."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValueError("%s %r is not %s" % (name, v, "an integer"
+                             if kind is numbers.Integral else "a number"))
+
+
 def scatter_outputs(probs: np.ndarray, a_map: np.ndarray, b_map: np.ndarray,
                     a_size: int, b_size: int) -> np.ndarray:
     """Table [x, y, a, b] of probs [x, y, s, t] added up at a = a_map[x, s]
@@ -40,41 +51,6 @@ def scatter_outputs(probs: np.ndarray, a_map: np.ndarray, b_map: np.ndarray,
     index = index + b_map[None, :, None, :]
     return np.bincount(index.ravel(), probs.ravel(), n_x * n_y * a_size
                        * b_size).reshape(n_x, n_y, a_size, b_size)
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Joint distribution over (a, b) for one fixed input pair."""
-
-    probs: np.ndarray  # shape (a_size, b_size)
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 2:
-            raise ValueError("probs must be a 2-d array indexed [a, b]")
-        check_distributions(probs)
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def a_size(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def b_size(self) -> int:
-        return self.probs.shape[1]
-
-    def marginal_a(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
-    def tv(self, other: "JointDistribution") -> float:
-        if self.probs.shape != other.probs.shape:
-            raise ValueError("alphabet mismatch")
-        return 0.5 * float(np.abs(self.probs - other.probs).sum())
 
 
 @dataclass(frozen=True)
@@ -109,17 +85,6 @@ class CorrelationBox:
     @property
     def b_size(self) -> int:
         return self.table.shape[3]
-
-    def __call__(self, x: int, y: int) -> JointDistribution:
-        self._check_inputs(x, y)
-        return JointDistribution(self.table[x, y])
-
-    def _check_inputs(self, x: int, y: int) -> None:
-        if not (0 <= x < self.x_size and 0 <= y < self.y_size):
-            raise ValueError("input pair (%r, %r) out of range" % (x, y))
-
-    def same_alphabets(self, other: "CorrelationBox") -> bool:
-        return self.table.shape == other.table.shape
 
 
 def pr_box() -> CorrelationBox:
@@ -171,20 +136,14 @@ def mix(boxes, weights) -> CorrelationBox:
     return CorrelationBox(table)
 
 
-def prob(box: CorrelationBox, x: int, y: int, a: int, b: int) -> float:
-    box._check_inputs(x, y)
-    if not (0 <= a < box.a_size and 0 <= b < box.b_size):
-        raise ValueError("output pair (%r, %r) out of range" % (a, b))
-    return float(box.table[x, y, a, b])
-
-
 def sample(box: CorrelationBox, x: int, y: int, rng: np.random.Generator,
            n: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw n pairs (a, b) from the exact output distribution at (x, y).
 
     One ``rng.choice`` call gives the draws of n single-draw calls, in order.
     """
-    box._check_inputs(x, y)
+    if not (0 <= x < box.x_size and 0 <= y < box.y_size):
+        raise ValueError("input pair (%r, %r) out of range" % (x, y))
     flat = box.table[x, y].ravel()
     idx = rng.choice(flat.size, size=n, p=flat / flat.sum())
     return np.divmod(idx, box.b_size)
@@ -195,29 +154,20 @@ def tv_closeness(box1: CorrelationBox, box2: CorrelationBox) -> float:
 
     Two boxes are epsilon-close iff this value is <= epsilon.
     """
-    if not box1.same_alphabets(box2):
+    if box1.table.shape != box2.table.shape:
         raise ValueError("alphabet mismatch")
     per_input = 0.5 * np.abs(box1.table - box2.table).sum(axis=(2, 3))
     return float(per_input.max())
 
 
-def marginal_a(box: CorrelationBox, x: int, y: int) -> np.ndarray:
-    box._check_inputs(x, y)
-    return box.table[x, y].sum(axis=1)
-
-
-def marginal_b(box: CorrelationBox, x: int, y: int) -> np.ndarray:
-    box._check_inputs(x, y)
-    return box.table[x, y].sum(axis=0)
-
-
-def is_nonsignaling(box: CorrelationBox, tol: float = NS_TOL) -> bool:
-    """True iff Alice's marginal is independent of y and Bob's of x, within tol."""
+def is_nonsignaling(box: CorrelationBox) -> bool:
+    """True iff Alice's marginal is independent of y and Bob's of x, within
+    NS_TOL."""
     marg_a = box.table.sum(axis=3)          # [x, y, a]
     marg_b = box.table.sum(axis=2)          # [x, y, b]
     dev_a = np.abs(marg_a - marg_a[:, :1, :]).max()
     dev_b = np.abs(marg_b - marg_b[:1, :, :]).max()
-    return bool(dev_a <= tol and dev_b <= tol)
+    return bool(dev_a <= NS_TOL and dev_b <= NS_TOL)
 
 
 def box_to_payload(box: CorrelationBox) -> dict:
@@ -235,15 +185,17 @@ def box_to_payload(box: CorrelationBox) -> dict:
 
 
 def box_from_payload(payload: dict) -> CorrelationBox:
-    x_size, y_size = payload["x_size"], payload["y_size"]
-    a_size, b_size = payload["a_size"], payload["b_size"]
+    sizes = [payload[k] for k in ("x_size", "y_size", "a_size", "b_size")]
+    check_numbers(sizes, "size", numbers.Integral)
+    x_size, y_size, a_size, b_size = sizes
     table = np.empty((x_size, y_size, a_size, b_size))
     for x in range(x_size):
         for y in range(y_size):
-            row = np.asarray(payload["table"][x][y], dtype=np.float64)
-            if row.size != a_size * b_size:
+            row = payload["table"][x][y]
+            check_numbers(row, "table entry", numbers.Real)
+            if len(row) != a_size * b_size:
                 raise ValueError("table row has wrong length")
-            table[x, y] = row.reshape(a_size, b_size)
+            table[x, y] = np.reshape(row, (a_size, b_size))
     return CorrelationBox(table)
 
 

@@ -79,19 +79,6 @@ class PlanarStrategy:
         return bell_box(self.to_bell_spec(), SINGLET)
 
 
-def planar_win_prob(strategy: PlanarStrategy, p: float, q: float = 0.5) -> float:
-    """Closed-form win probability: Pr[a=b | x, y] = 1/2 - cos(alpha_x - beta_y)/2."""
-    _check_bias(p, q)
-    wx = (1.0 - p, p)
-    wy = (1.0 - q, q)
-    total = 0.0
-    for x, alpha in enumerate(strategy.alice_angles):
-        for y, beta in enumerate(strategy.bob_angles):
-            p_equal = 0.5 - 0.5 * np.cos(alpha - beta)
-            total += wx[x] * wy[y] * (p_equal if x * y == 0 else 1.0 - p_equal)
-    return total
-
-
 def optimal_strategy(p: float) -> PlanarStrategy:
     """Optimal planar singlet strategy for CHSH[p, 1/2], in closed form.
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (NORM_TOL, PATH_TABLE_CAP, CorrelationBox, local_box, mix,
+from .boxes import (PATH_TABLE_CAP, CorrelationBox, check_numbers, local_box,
                     scatter_outputs, tv_closeness)
 
 ENUMERATION_CAP = 10 ** 8
@@ -36,8 +37,8 @@ class Alphabets:
     b2: int
 
     def __post_init__(self):
-        if min(self.x1, self.y1, self.a1, self.b1,
-               self.x2, self.y2, self.a2, self.b2) < 1:
+        check_numbers(vars(self).values(), "alphabet size", numbers.Integral)
+        if min(vars(self).values()) < 1:
             raise ValueError("alphabet sizes must be positive")
 
 
@@ -60,47 +61,27 @@ class DeterministicProtocol:
     t_map: tuple          # ints in range(b1)
 
     def __post_init__(self):
-        al = self.alphabets
-        if self.k < 0:
+        al, k = self.alphabets, self.k
+        check_numbers([k], "k", numbers.Integral)
+        if k < 0:
             raise ValueError("k must be >= 0")
-        if len(self.q_maps) != self.k or len(self.r_maps) != self.k:
+        if len(self.q_maps) != k or len(self.r_maps) != k:
             raise ValueError("need one query map per query")
-        for i in range(self.k):
-            if len(self.q_maps[i]) != al.x1 * al.a2 ** i:
-                raise ValueError("q_maps[%d] has wrong length" % i)
-            if len(self.r_maps[i]) != al.y1 * al.b2 ** i:
-                raise ValueError("r_maps[%d] has wrong length" % i)
-            if any(not 0 <= v < al.x2 for v in self.q_maps[i]):
-                raise ValueError("query value out of range")
-            if any(not 0 <= v < al.y2 for v in self.r_maps[i]):
-                raise ValueError("query value out of range")
-        if len(self.s_map) != al.x1 * al.a2 ** self.k:
-            raise ValueError("s_map has wrong length")
-        if len(self.t_map) != al.y1 * al.b2 ** self.k:
-            raise ValueError("t_map has wrong length")
-        if any(not 0 <= v < al.a1 for v in self.s_map):
-            raise ValueError("output value out of range")
-        if any(not 0 <= v < al.b1 for v in self.t_map):
-            raise ValueError("output value out of range")
 
+        def check(values, length, size, name):
+            if len(values) != length:
+                raise ValueError("%s has wrong length" % name)
+            # one pass over plain ints; any other value gets the full test
+            if any(type(v) is not int or not 0 <= v < size for v in values):
+                check_numbers(values, name + " entry", numbers.Integral)
+                if any(not 0 <= v < size for v in values):
+                    raise ValueError("%s value out of range" % name)
 
-@dataclass(frozen=True)
-class RandomizedProtocol:
-    """Finite mixture of deterministic protocols; models shared randomness."""
-
-    protocols: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.protocols) == 0 or len(self.protocols) != len(self.weights):
-            raise ValueError("need one weight per protocol")
-        if any(w < -NORM_TOL for w in self.weights):
-            raise ValueError("negative weight")
-        if abs(sum(self.weights) - 1.0) > NORM_TOL:
-            raise ValueError("weights do not sum to 1 within %g" % NORM_TOL)
-        first = self.protocols[0].alphabets
-        if any(pi.alphabets != first for pi in self.protocols):
-            raise ValueError("alphabet mismatch among protocols")
+        for i in range(k):
+            check(self.q_maps[i], al.x1 * al.a2 ** i, al.x2, "q_maps[%d]" % i)
+            check(self.r_maps[i], al.y1 * al.b2 ** i, al.y2, "r_maps[%d]" % i)
+        check(self.s_map, al.x1 * al.a2 ** k, al.a1, "s_map")
+        check(self.t_map, al.y1 * al.b2 ** k, al.b1, "t_map")
 
 
 @dataclass(frozen=True)
@@ -116,10 +97,6 @@ class AffineFunction:
 
     def __call__(self, p):
         return self.intercept + self.slope * np.asarray(p, dtype=np.float64)
-
-    def key(self, tol: float = DEDUP_TOL):
-        scale = 1.0 / tol
-        return (round(self.intercept * scale), round(self.slope * scale))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,20 +211,10 @@ def induced_box(protocol: DeterministicProtocol,
         *_protocol_strategies(protocol, target), target, al.a1, al.b1))
 
 
-def induced_box_randomized(protocol: RandomizedProtocol,
-                           target: CorrelationBox) -> CorrelationBox:
-    boxes = [induced_box(pi, target) for pi in protocol.protocols]
-    return mix(boxes, protocol.weights)
-
-
-def check_reduction(protocol, target: CorrelationBox, source: CorrelationBox,
-                    epsilon: float) -> tuple[bool, float]:
+def check_reduction(protocol: DeterministicProtocol, target: CorrelationBox,
+                    source: CorrelationBox, epsilon: float) -> tuple[bool, float]:
     """Is the induced box epsilon-close to the source?  Returns (ok, achieved TV)."""
-    if isinstance(protocol, RandomizedProtocol):
-        induced = induced_box_randomized(protocol, target)
-    else:
-        induced = induced_box(protocol, target)
-    achieved = tv_closeness(induced, source)
+    achieved = tv_closeness(induced_box(protocol, target), source)
     return achieved <= epsilon, achieved
 
 
@@ -448,8 +415,10 @@ def _candidate_lines(eq: np.ndarray, ne: np.ndarray):
 
 
 def _first_per_key(intercepts: np.ndarray, slopes: np.ndarray):
-    """The first line of each ``AffineFunction.key``, in their order: the
-    two rounded coefficients become dense ranks, combined into one key."""
+    """The first line of each dedup key, in their order: the library's one
+    rule for equal lines.  A line's key is its two coefficients over
+    DEDUP_TOL, rounded half to even; they become dense ranks, combined into
+    one integer."""
     scale = 1.0 / DEDUP_TOL
     _, keys = _dense_ids(np.rint(intercepts * scale))
     b_pool, b_ids = _dense_ids(np.rint(slopes * scale))
@@ -465,7 +434,7 @@ def affine_family(target: CorrelationBox, k: int, *,
     With ``up_to_k`` the union over query counts 0..k is returned; the
     default is exactly k queries.  Lines are deduplicated with tolerance
     ``DEDUP_TOL`` on the coefficient pair, keeping the first line of each
-    ``AffineFunction.key`` in the order below, and sorted by
+    ``_first_per_key`` key in the order below, and sorted by
     (intercept, slope).
 
     A protocol is a choice of local strategies (alpha0, alpha1) for Alice
@@ -477,8 +446,8 @@ def affine_family(target: CorrelationBox, k: int, *,
 
     Every candidate line is a small integer key over exact ids of the I and
     J values, and only the first of equal (I, J) pairs survives
-    (``_candidate_lines``).  A repeated pair has the ``AffineFunction.key``
-    of its first occurrence, so the survivors still hold the first line of
+    (``_candidate_lines``).  A repeated pair has the dedup key of its first
+    occurrence, so the survivors still hold the first line of
     every key, and only they are rounded to keys (``_first_per_key``).
     """
     if k < 0:
@@ -524,7 +493,7 @@ def protocol_to_payload(protocol: DeterministicProtocol) -> dict:
 def protocol_from_payload(payload: dict) -> DeterministicProtocol:
     al = Alphabets(*payload["alphabets"])
     return DeterministicProtocol(
-        al, int(payload["k"]),
+        al, payload["k"],
         tuple(tuple(m) for m in payload["q_maps"]),
         tuple(tuple(m) for m in payload["r_maps"]),
         tuple(payload["s_map"]), tuple(payload["t_map"]),

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (PATH_TABLE_CAP, CorrelationBox, JointDistribution,
-                    scatter_outputs)
+from .boxes import PATH_TABLE_CAP, CorrelationBox, scatter_outputs
 
 UNITARY_TOL = 1e-10
 
@@ -225,9 +224,10 @@ def singlet_prob_equal(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.clip(0.5 - 0.5 * np.dot(x, y), 0.0, 1.0))
 
 
-def singlet_measure_box(u: np.ndarray, v: np.ndarray) -> JointDistribution:
-    """Exact joint output distribution of measuring (U (x) V) |singlet>."""
-    return JointDistribution(measurement_probs(u, v, SINGLET))
+def singlet_measure_box(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Exact joint output distribution of measuring (U (x) V) |singlet>,
+    indexed [a, b]."""
+    return measurement_probs(u, v, SINGLET)
 
 
 def singlet_invariance_defect(v: np.ndarray) -> float:

@@ -27,18 +27,20 @@ bit, whatever the path or the order of the points.
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PATH_TABLE_CAP, CorrelationBox, check_distributions
+from .boxes import (PATH_TABLE_CAP, CorrelationBox, check_distributions,
+                    check_numbers)
 from .quantum import (KET1, SINGLET, _haar, bloch_of, measurement_probs,
                       simple_bell_spec, unitary_for_point)
 
 # empirical certified-radius constant of the audited Fibonacci lattice,
 # certified_radius ~= RADIUS_FIT / sqrt(T); retuned if the audit ever fails
 RADIUS_FIT = 2.95
-T_SCALING_CAP = 10.0  # T <= T_SCALING_CAP / epsilon^2
 AUDIT_PROBES_PER_POINT = 100
 AUDIT_RETRIES = 3
 OCTAHEDRON_PROBES = 20000
@@ -273,11 +275,6 @@ class SphereCover:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def nearest(self, c: np.ndarray) -> int:
-        """Index of the closest cover point; ties go to the smallest index."""
-        probe = np.asarray(c, dtype=np.float64).reshape(1, 3)
-        return int(_nearest(probe, self.points, np.argmin)[0])
-
 
 def build_cover(epsilon: float) -> SphereCover:
     """Audited cover with covering_radius <= epsilon and T <= 10 / epsilon^2."""
@@ -395,8 +392,9 @@ def cover_from_payload(payload: dict) -> SphereCover:
     the file's ``covering_radius``, so the files of both load with the same
     radius.  A file whose radius is below both audits is refused.
     """
-    claimed = SphereCover(np.asarray(payload["points"], dtype=np.float64),
-                          float(payload["covering_radius"]))
+    points, radius = payload["points"], payload["covering_radius"]
+    check_numbers(itertools.chain([radius], *points), "cover entry", numbers.Real)
+    claimed = SphereCover(np.asarray(points, dtype=np.float64), float(radius))
     audits = []
     for probes in (AUDIT_PROBES_PER_POINT * claimed.size, OCTAHEDRON_PROBES):
         audits.append(audit_cover(claimed.points, probes))

@@ -1,31 +1,35 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
-from boxlab.boxes import box_from_json, box_to_json, scatter_outputs
+from boxlab.boxes import (box_from_json, box_from_payload, box_to_json,
+                         box_to_payload, scatter_outputs)
 
 
 def test_pr_box_rows():
     pr = bl.pr_box()
-    assert bl.prob(pr, 0, 0, 0, 0) == 0.5
-    assert bl.prob(pr, 0, 0, 1, 1) == 0.5
-    assert bl.prob(pr, 1, 1, 0, 1) == 0.5
-    assert bl.prob(pr, 1, 1, 1, 0) == 0.5
+    assert pr.table[0, 0, 0, 0] == 0.5
+    assert pr.table[0, 0, 1, 1] == 0.5
+    assert pr.table[1, 1, 0, 1] == 0.5
+    assert pr.table[1, 1, 1, 0] == 0.5
     for x in range(2):
         for y in range(2):
-            assert np.allclose(bl.marginal_a(pr, x, y), [0.5, 0.5])
-            assert np.allclose(bl.marginal_b(pr, x, y), [0.5, 0.5])
+            assert np.allclose(pr.table[x, y].sum(axis=1), [0.5, 0.5])
+            assert np.allclose(pr.table[x, y].sum(axis=0), [0.5, 0.5])
 
 
 def test_local_box_point_masses():
     identity = bl.local_box([0, 1], [0, 1])
-    assert bl.prob(identity, 1, 0, 1, 0) == 1.0
+    assert identity.table[1, 0, 1, 0] == 1.0
     const = bl.local_box([0, 0], [0, 0], a_size=2, b_size=2)
     for x in range(2):
         for y in range(2):
-            assert bl.prob(const, x, y, 0, 0) == 1.0
+            assert const.table[x, y, 0, 0] == 1.0
     assert bl.is_nonsignaling(identity)
     assert bl.is_nonsignaling(const)
 
@@ -38,8 +42,8 @@ def test_mix_identity_and_midpoint():
     m = bl.mix([b1, b2], [0.5, 0.5])
     for x in range(2):
         for y in range(2):
-            assert bl.prob(m, x, y, 0, 0) == 0.5
-            assert bl.prob(m, x, y, 1, 1) == 0.5
+            assert m.table[x, y, 0, 0] == 0.5
+            assert m.table[x, y, 1, 1] == 0.5
 
 
 def test_mix_errors():
@@ -56,7 +60,7 @@ def test_tv_closeness_values():
     assert bl.tv_closeness(pr, pr) == 0.0
     assert bl.tv_closeness(pr, const) == 1.0
     # the maximum is attained at input (1, 1): PR puts no mass on (0, 0)
-    assert pr(1, 1).tv(const(1, 1)) == 1.0
+    assert 0.5 * np.abs(pr.table[1, 1] - const.table[1, 1]).sum() == 1.0
 
 
 def test_signaling_box_detected():
@@ -109,16 +113,14 @@ def test_nan_tables_rejected(where):
         table[1, 0, 0, 1] = np.nan
     with pytest.raises(ValueError):
         bl.CorrelationBox(table)
-    with pytest.raises(ValueError):
-        bl.JointDistribution(table[1, 0])
 
 
 def test_out_of_range_errors():
     pr = bl.pr_box()
-    with pytest.raises(ValueError):
-        bl.prob(pr, 2, 0, 0, 0)
-    with pytest.raises(ValueError):
-        bl.prob(pr, 0, 0, 0, 2)
+    rng = np.random.default_rng(0)
+    for x, y in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            bl.sample(pr, x, y, rng, 1)
 
 
 def test_json_roundtrip_bit_exact():
@@ -128,6 +130,23 @@ def test_json_roundtrip_bit_exact():
     box = bl.CorrelationBox(table)
     again = box_from_json(box_to_json(box))
     assert np.array_equal(box.table, again.table)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("table", 0, 0, 0), "0.5"), (("table", 1, 1, 1), True),
+    (("table", 0, 1, 3), None), (("x_size",), "2"), (("b_size",), 2.0),
+    (("a_size",), True)])
+def test_non_numeric_box_payload_entries_are_refused(path, value):
+    payload = box_to_payload(bl.pr_box())
+    *outer, last = path
+    functools.reduce(operator.getitem, outer, payload)[last] = value
+    with pytest.raises(ValueError, match="is not (an integer|a number)"):
+        box_from_payload(payload)
+    # ints and floats both load, as JSON writes them
+    payload = box_to_payload(bl.local_box([0, 1], [1, 0]))
+    payload["table"][0][0] = [0, 1, 0, 0]
+    assert box_from_payload(payload).table.tobytes() \
+        == bl.local_box([0, 1], [1, 0]).table.tobytes()
 
 
 @st.composite

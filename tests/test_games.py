@@ -74,10 +74,22 @@ def test_optimal_strategy_attains_omega_on_a_fine_grid():
         assert abs(bl.achieved_win_prob(float(p)) - bl.omega(float(p))) <= 1e-15
 
 
+def planar_win_prob(strategy, p, q=0.5):
+    """Closed-form win probability: Pr[a=b | x, y] = 1/2 - cos(alpha_x - beta_y)/2."""
+    wx = (1.0 - p, p)
+    wy = (1.0 - q, q)
+    total = 0.0
+    for x, alpha in enumerate(strategy.alice_angles):
+        for y, beta in enumerate(strategy.bob_angles):
+            p_equal = 0.5 - 0.5 * np.cos(alpha - beta)
+            total += wx[x] * wy[y] * (p_equal if x * y == 0 else 1.0 - p_equal)
+    return total
+
+
 def test_optimizer_closed_form_matches_box_path():
     for p in (0.55, 0.8):
         s = bl.optimal_strategy(p)
-        assert (bl.planar_win_prob(s, p)
+        assert (planar_win_prob(s, p)
                 == pytest.approx(bl.win_prob(s.to_box(), p, 0.5), abs=1e-10))
 
 

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import operator
 import sys
 import time
 import tracemalloc
@@ -15,6 +17,13 @@ from boxlab.protocols import (BINARY, AffineFunction, Alphabets, LineFamily,
                               local_deterministic_boxes,
                               protocol_from_payload, protocol_to_payload)
 from boxlab.sphere import build_cover
+
+
+def key(ell):
+    """The dedup key of one line, the scalar form of affine_family's rule:
+    both coefficients over DEDUP_TOL, rounded half to even."""
+    scale = 1.0 / protocols.DEDUP_TOL
+    return (round(ell.intercept * scale), round(ell.slope * scale))
 
 
 def k0_protocol(s_map, t_map):
@@ -60,17 +69,19 @@ def test_enumeration_yields_distinct_protocols():
 
 
 def test_randomized_protocol_mixture_linearity():
+    # shared randomness picks a deterministic protocol; the box it induces
+    # is bl.mix of the induced boxes, and its win probability their mean
     p1 = k0_protocol((0, 0), (0, 0))
     p2 = k0_protocol((1, 1), (1, 1))
-    randomized = bl.RandomizedProtocol((p1, p2), (0.5, 0.5))
     target = bl.pr_box()
-    mixed = bl.induced_box_randomized(randomized, target)
-    direct = bl.mix([bl.induced_box(p1, target), bl.induced_box(p2, target)],
-                    [0.5, 0.5])
-    assert bl.tv_closeness(mixed, direct) == 0.0
-    singleton = bl.RandomizedProtocol((p1,), (1.0,))
-    assert bl.tv_closeness(bl.induced_box_randomized(singleton, target),
-                           bl.induced_box(p1, target)) == 0.0
+    b1, b2 = bl.induced_box(p1, target), bl.induced_box(p2, target)
+    mixed = bl.mix([b1, b2], [0.5, 0.5])
+    assert np.array_equal(mixed.table, 0.5 * b1.table + 0.5 * b2.table)
+    for p in (0.5, 0.6, 1.0):
+        assert bl.win_prob(mixed, p, 0.5) == pytest.approx(
+            0.5 * bl.win_prob(b1, p, 0.5) + 0.5 * bl.win_prob(b2, p, 0.5),
+            abs=1e-15)
+    assert bl.tv_closeness(bl.mix([b1], [1.0]), b1) == 0.0
 
 
 def test_induced_box_of_bell_target_nonsignaling():
@@ -79,7 +90,7 @@ def test_induced_box_of_bell_target_nonsignaling():
                                [bl.random_unitary(rng) for _ in range(2)])
     target = bl.bell_box(spec, bl.SINGLET)
     for pi in list(bl.enumerate_protocols(BINARY, 1))[:200]:
-        assert bl.is_nonsignaling(bl.induced_box(pi, target), 1e-10)
+        assert bl.is_nonsignaling(bl.induced_box(pi, target))
 
 
 def test_k0_cannot_approximate_pr_below_quarter():
@@ -150,17 +161,17 @@ def test_all_zero_k0_line():
 
 def test_queries_useless_against_constant_box():
     const = bl.local_box([0, 0], [0, 0], a_size=2, b_size=2)
-    fam0 = sorted(ell.key() for ell in bl.affine_family(const, 0))
-    fam1 = sorted(ell.key() for ell in bl.affine_family(const, 1))
+    fam0 = sorted(key(ell) for ell in bl.affine_family(const, 0))
+    fam1 = sorted(key(ell) for ell in bl.affine_family(const, 1))
     assert fam0 == fam1
 
 
 def test_family_monotone_in_k():
     pr = bl.pr_box()
-    fam0 = set(ell.key() for ell in bl.affine_family(pr, 0))
-    fam1 = set(ell.key() for ell in bl.affine_family(pr, 1))
+    fam0 = set(key(ell) for ell in bl.affine_family(pr, 0))
+    fam1 = set(key(ell) for ell in bl.affine_family(pr, 1))
     assert fam0 <= fam1
-    both = set(ell.key() for ell in bl.affine_family(pr, 1, up_to_k=True))
+    both = set(key(ell) for ell in bl.affine_family(pr, 1, up_to_k=True))
     assert both == fam0 | fam1
 
 
@@ -181,10 +192,9 @@ def test_best_vs_average():
     protos = [p for i, p in zip(range(8), bl.enumerate_protocols(BINARY, 1))]
     weights = rng.random(len(protos))
     weights /= weights.sum()
-    randomized = bl.RandomizedProtocol(tuple(protos), tuple(weights))
     target = bl.pr_box()
-    mixture_win = bl.win_prob(bl.induced_box_randomized(randomized, target),
-                              0.6, 0.5)
+    mixture = bl.mix([bl.induced_box(pi, target) for pi in protos], weights)
+    mixture_win = bl.win_prob(mixture, 0.6, 0.5)
     best = max(bl.win_prob(bl.induced_box(pi, target), 0.6, 0.5)
                for pi in protos)
     assert best >= mixture_win - 1e-12
@@ -195,6 +205,37 @@ def test_protocol_json_roundtrip():
     again = protocol_from_payload(json.loads(json.dumps(
         protocol_to_payload(pi))))
     assert again == pi
+
+
+@pytest.mark.parametrize("path,value", [
+    (("q_maps", 0, 0), 0.5), (("r_maps", 0, 1), 1.0), (("s_map", 2), True),
+    (("t_map", 0), "0"), (("k",), 1.7), (("k",), True), (("k",), "1"),
+    (("alphabets", 4), 2.0)])
+def test_non_integer_protocol_entries_are_refused(path, value):
+    payload = protocol_to_payload(bl.identity_protocol())
+    *outer, last = path
+    functools.reduce(operator.getitem, outer, payload)[last] = value
+    with pytest.raises(ValueError, match="is not an integer"):
+        protocol_from_payload(payload)
+
+
+def test_protocol_maps_take_python_and_numpy_integers_only():
+    one = np.int64(1)
+    pi = bl.DeterministicProtocol(BINARY, one, ((0, one),), ((0, 1),),
+                                  (0, one, 0, 1), (0, 1, 0, 1))
+    assert bl.induced_box(pi, bl.pr_box()).table.tobytes() \
+        == bl.pr_box().table.tobytes()
+    for bad in (0.0, np.float64(1.0), False, "1", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            bl.DeterministicProtocol(BINARY, 1, ((0, 1),), ((bad, 1),),
+                                     (0, 1, 0, 1), (0, 1, 0, 1))
+        with pytest.raises(ValueError, match="is not an integer"):
+            bl.DeterministicProtocol(BINARY, 0, (), (), (0, 1), (bad, 1))
+    with pytest.raises(ValueError, match="k 1.0 is not an integer"):
+        bl.DeterministicProtocol(BINARY, 1.0, ((0, 1),), ((0, 1),),
+                                 (0, 1, 0, 1), (0, 1, 0, 1))
+    with pytest.raises(ValueError, match="alphabet size 2.0 is not an integer"):
+        Alphabets(2, 2, 2, 2, 2.0, 2, 2, 2)
 
 
 def path_sum(protocol, target):
@@ -227,7 +268,8 @@ def path_sum_key(protocol, target):
     eq = table[:, :, 0, 0] + table[:, :, 1, 1]
     ne = table[:, :, 0, 1] + table[:, :, 1, 0]
     intercept = 0.5 * (eq[0, 0] + eq[0, 1])
-    return AffineFunction(intercept, 0.5 * (eq[1, 0] + ne[1, 1]) - intercept).key()
+    return key(AffineFunction(intercept,
+                              0.5 * (eq[1, 0] + ne[1, 1]) - intercept))
 
 
 def random_table(rng, shape):
@@ -272,7 +314,7 @@ def test_family_matches_brute_force(name, k):
     table = family_targets()[name]
     al = Alphabets(2, 2, 2, 2, *table.shape)
     family = bl.affine_family(bl.CorrelationBox(table), k)
-    assert {ell.key() for ell in family} == {
+    assert {key(ell) for ell in family} == {
         path_sum_key(pi, table) for pi in bl.enumerate_protocols(al, k)}
     lines = [(ell.intercept, ell.slope) for ell in family]
     assert lines == sorted(lines)
@@ -281,8 +323,8 @@ def test_family_matches_brute_force(name, k):
 @pytest.mark.parametrize("name", family_targets())
 def test_up_to_k_is_the_union_of_each_k(name):
     target = bl.CorrelationBox(family_targets()[name])
-    union = {ell.key() for k in (0, 1) for ell in bl.affine_family(target, k)}
-    assert {ell.key() for ell in bl.affine_family(target, 1, up_to_k=True)} == union
+    union = {key(ell) for k in (0, 1) for ell in bl.affine_family(target, k)}
+    assert {key(ell) for ell in bl.affine_family(target, 1, up_to_k=True)} == union
 
 
 def loop_family(target, k, up_to_k=False):
@@ -301,7 +343,7 @@ def loop_family(target, k, up_to_k=False):
                 for intercept in np.unique(0.5 * (eq[:, beta0] + eq[:, beta1])):
                     for j in js:
                         ell = AffineFunction(float(intercept), float(j - intercept))
-                        seen.setdefault(ell.key(), ell)
+                        seen.setdefault(key(ell), ell)
     return sorted(seen.values(), key=lambda ell: (ell.intercept, ell.slope))
 
 

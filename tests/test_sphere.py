@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -10,12 +12,13 @@ import pytest
 import boxlab as bl
 from boxlab import sphere
 from boxlab.quantum import KET1
-from boxlab.sphere import (RADIUS_FIT, T_SCALING_CAP, audit_cover,
+from boxlab.sphere import (RADIUS_FIT, audit_cover,
                            cover_bell_spec, cover_from_payload,
                            cover_to_payload,
                            fibonacci_points, reduce_measurement)
 
 LADDER = (2.0, 0.5, 0.4, 0.3, 0.25, 0.2, 0.05)   # the benchmark's, and T = 4
+T_SCALING_CAP = 10.0        # build_cover promises T <= 10 / epsilon^2
 
 
 def kdtree_audit(points, n_probes):
@@ -113,14 +116,15 @@ def test_scaling_law_across_epsilons():
 
 def test_nearest_returns_closest_point():
     cover = bl.octahedron_cover()
-    assert cover.nearest(np.array([0.9, 0.1, 0.0])) == 0
+    near_x = bl.unitary_for_point(np.array([0.9, 0.1, 0.0]) / np.hypot(0.9, 0.1))
+    assert reduce_measurement(near_x, near_x, cover) == (0, 0)
     rng = np.random.default_rng(8)
-    for _ in range(200):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        i = cover.nearest(v)
-        dists = np.linalg.norm(cover.points - v, axis=1)
-        assert dists[i] == dists.min()
+    for _ in range(100):
+        u, v = bl.random_unitary(rng), bl.random_unitary(rng)
+        for i, w in zip(reduce_measurement(u, v, cover), (u, v)):
+            c = bl.bloch_of(np.linalg.inv(w) @ KET1)
+            dists = np.linalg.norm(cover.points - c, axis=1)
+            assert dists[i] == dists.min()
 
 
 def test_discretized_box_matches_dot_products():
@@ -128,7 +132,7 @@ def test_discretized_box_matches_dot_products():
     box = bl.discretized_box(cover)
     t = len(cover.points)
     assert box.table.shape == (t, t, 2, 2)
-    assert bl.is_nonsignaling(box, 1e-10)
+    assert bl.is_nonsignaling(box)
     for i in range(t):
         for j in range(t):
             dot = float(cover.points[i] @ cover.points[j])
@@ -176,8 +180,7 @@ def reference_tvs(cover, trials, seed):
         v = bl.random_unitary(rng)
         i, j = reduce_measurement(u, v, cover)
         exact = bl.singlet_measure_box(u, v)
-        approx = bl.JointDistribution(box.table[i, j])
-        tvs[trial] = exact.tv(approx)
+        tvs[trial] = 0.5 * np.abs(exact - box.table[i, j]).sum()
     return tvs
 
 
@@ -413,7 +416,16 @@ def test_nearest_kernel_equals_the_per_point_loop(monkeypatch):
     tie /= np.linalg.norm(tie, axis=1, keepdims=True)
     got = sphere._nearest(tie, octahedron.points, np.argmin)
     assert got.tolist() == loop_nearest(octahedron.points, tie).tolist()
-    assert got[0] == 0 and octahedron.nearest(tie[0]) == 0
+    assert got[0] == 0
+    # through reduce_measurement: each point tied with its copy goes to the
+    # first, the copy's index less T
+    doubled = bl.SphereCover(np.vstack([octahedron.points] * 2),
+                             octahedron.covering_radius)
+    draws = np.random.default_rng(14)
+    for _ in range(20):
+        u, v = bl.random_unitary(draws), bl.random_unitary(draws)
+        assert reduce_measurement(u, v, doubled) \
+            == reduce_measurement(u, v, octahedron)
     covers = (octahedron, bl.build_cover(0.3))
     probes = rng.normal(size=(500, 3))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
@@ -444,12 +456,12 @@ def test_tv_bounded_by_half_chord_distance():
         u, v = bl.random_unitary(rng), bl.random_unitary(rng)
         i, j = reduce_measurement(u, v, cover)
         row = bl.singlet_measure_box(u, v)
-        snapped = bl.discretized_box(cover)(i, j)
+        snapped = bl.discretized_box(cover).table[i, j]
         x = bl.bloch_of(np.linalg.inv(u) @ KET1)
         y = bl.bloch_of(np.linalg.inv(v) @ KET1)
         dist = (np.linalg.norm(cover.points[i] - x)
                 + np.linalg.norm(cover.points[j] - y))
-        assert row.tv(snapped) <= dist / 2.0 + 1e-12
+        assert 0.5 * np.abs(row - snapped).sum() <= dist / 2.0 + 1e-12
 
 
 def test_cover_json_roundtrip():
@@ -459,6 +471,17 @@ def test_cover_json_roundtrip():
             cover_to_payload(cover))))
         assert np.array_equal(cover.points, again.points)
         assert again.covering_radius == cover.covering_radius
+
+
+@pytest.mark.parametrize("path,value", [
+    (("points", 0, 0), "1.0"), (("points", 5, 2), True),
+    (("covering_radius",), "0.93"), (("covering_radius",), None)])
+def test_non_numeric_cover_payload_entries_are_refused(path, value):
+    payload = cover_to_payload(bl.octahedron_cover())
+    *outer, last = path
+    functools.reduce(operator.getitem, outer, payload)[last] = value
+    with pytest.raises(ValueError, match="cover entry .* is not a number"):
+        cover_from_payload(payload)
 
 
 def test_cover_from_payload_audits_the_radius():
