@@ -314,5 +314,9 @@ def epsilon_schedule(x_size: int, y_size: int, a_size: int, b_size: int,
         bound = counting_bound(al, k)
         bounds.append(bound)
         eps_exact.append((c_exact / (k * k * bound)) ** 2)
-    return EpsilonSchedule(c_exact, tuple(bounds), tuple(eps_exact),
-                           tuple(float(e) for e in eps_exact))
+    try:
+        eps = tuple(float(e) for e in eps_exact)
+    except OverflowError:
+        raise ValueError("c = %g gives an epsilon_k past the float range"
+                         % c) from None
+    return EpsilonSchedule(c_exact, tuple(bounds), tuple(eps_exact), eps)

@@ -479,14 +479,14 @@ def local_deterministic_boxes():
 
 
 def protocol_to_payload(protocol: DeterministicProtocol) -> dict:
-    al = protocol.alphabets
+    # int() of every entry: a protocol may hold numpy integers
     return {
-        "alphabets": [al.x1, al.y1, al.a1, al.b1, al.x2, al.y2, al.a2, al.b2],
-        "k": protocol.k,
-        "q_maps": [list(m) for m in protocol.q_maps],
-        "r_maps": [list(m) for m in protocol.r_maps],
-        "s_map": list(protocol.s_map),
-        "t_map": list(protocol.t_map),
+        "alphabets": [int(v) for v in vars(protocol.alphabets).values()],
+        "k": int(protocol.k),
+        "q_maps": [[int(v) for v in m] for m in protocol.q_maps],
+        "r_maps": [[int(v) for v in m] for m in protocol.r_maps],
+        "s_map": [int(v) for v in protocol.s_map],
+        "t_map": [int(v) for v in protocol.t_map],
     }
 
 

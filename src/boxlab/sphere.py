@@ -5,24 +5,14 @@ deterministic latitude/longitude probe grid is checked against the cover,
 and each probe's nearest-cover distance plus an analytic bound on its grid
 cell's half-diagonal gives a sound upper bound on the true covering radius.
 
-The audit is an exact nearest-point search in numpy.  On a Fibonacci
-lattice it runs coarse to fine.  Seed: the inverse spherical Fibonacci
-mapping (Keinert, Innmann, Saenger and Stamminger, ACM TOG 34(6), 2015)
-names 4 lattice points near a point of the sphere; the distance to the
-best is an upper bound on its nearest distance, since it is the distance
-to a real point.  Coarse: the center of each 2 x 2 block of grid cells is
-seeded.  The nearest distance is 1-Lipschitz and the center is a corner of
-each of the block's cells, so the seed plus twice the larger cell bound
-bounds the values of the block's 4 probes, and a block whose bound is no
-larger than a value already found is skipped.  Fine: the probes of the
-blocks left are seeded and pruned in the same way.  Finish: the probes
-left get their exact distance by brute force over every point, one to
-three probes on the cover ladder.  Other point sets (the octahedron, a
-rotated lattice) skip seeds and coarse pass, which mean nothing off the
-lattice, and give every probe its exact distance.  Distances are
-sqrt((p - q)**2 summed over x, y, z in turn), the float formula of a
-cKDTree query, so the certified radius equals a k-d tree audit's to the
-bit, whatever the path or the order of the points.
+The audit, ``audit_cover``, is an exact nearest-point search in numpy that
+runs coarse to fine on any point set.  Seeds prune it: the distance to the
+best of a few real points of the set bounds a nearest distance from above,
+and the inverse spherical Fibonacci mapping (Keinert, Innmann, Saenger and
+Stamminger, ACM TOG 34(6), 2015) makes those points the nearest ones on a
+Fibonacci lattice.  Distances are sqrt((p - q)**2 summed over x, y, z in
+turn), the float formula of a cKDTree query, so the certified radius equals
+a k-d tree audit's to the bit, whatever the order of the points.
 """
 
 from __future__ import annotations
@@ -54,6 +44,11 @@ DISTANCE_BLOCK = 2 ** 15
 # most 2, so it does not change which probes are finished in practice
 ROUNDING = 64 * np.finfo(np.float64).eps
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+# sets of at most this many points seed from every point, exactly: on
+# Fibonacci lattices at 100 probes a point, exact seeds took 0.55 ms at
+# T = 6, 4 lattice candidates 0.59 ms; at T = 7 0.55 against 0.54, at
+# T = 8 0.64 against 0.60 (best of 7 x 20 calls, 2-core host)
+EXACT_SEED_POINTS = 6
 
 
 def fibonacci_points(n: int) -> np.ndarray:
@@ -106,11 +101,12 @@ def _lattice_rows(n: int, cos_t: np.ndarray) -> np.ndarray:
                      step_z[1], det, cos_t - (1.0 - 1.0 / n)])
 
 
-def _lattice_seeds(cols: np.ndarray, rows: np.ndarray, sin_t: np.ndarray,
-                   cos_t: np.ndarray, phi: np.ndarray, cos_p: np.ndarray,
-                   sin_p: np.ndarray) -> np.ndarray:
-    """Distance from each probe to the best of 4 points whose indices the
-    inverse spherical Fibonacci mapping picks.
+def _seeds(cols: np.ndarray, rows: np.ndarray, sin_t: np.ndarray,
+           cos_t: np.ndarray, phi: np.ndarray, cos_p: np.ndarray,
+           sin_p: np.ndarray) -> np.ndarray:
+    """Distance from each probe to the best of its candidate points: every
+    point of a set of at most EXACT_SEED_POINTS, else 4 points whose indices
+    the inverse spherical Fibonacci mapping picks.
 
     ``cols`` holds the points' x, y and z as contiguous rows.  ``rows`` holds
     the ``_lattice_rows`` terms of each probe's row; with ``sin_t`` and
@@ -119,16 +115,20 @@ def _lattice_seeds(cols: np.ndarray, rows: np.ndarray, sin_t: np.ndarray,
     (F_k, F_(k+1)) basis, names a cell of the lattice whose 4 corners are
     the candidates.
     """
-    f0, f1, phi0, phi1, z0, z1, det, w = rows
-    u = phi - np.pi / GOLDEN
-    base = (f0 * np.floor((z1 * u - phi1 * w) / det)
-            + f1 * np.floor((phi0 * w - z0 * u) / det))
     px = sin_t * cos_p
     py = sin_t * sin_p
+    if cols.shape[1] <= EXACT_SEED_POINTS:
+        candidates = range(cols.shape[1])
+    else:
+        f0, f1, phi0, phi1, z0, z1, det, w = rows
+        u = phi - np.pi / GOLDEN
+        base = (f0 * np.floor((z1 * u - phi1 * w) / det)
+                + f1 * np.floor((phi0 * w - z0 * u) / det))
+        candidates = ((base + step).astype(np.intp)
+                      for step in (0.0, f0, f1, f0 + f1))
     best = None
-    for step in (0.0, f0, f1, f0 + f1):
+    for i in candidates:
         # indices past either end take the end point, a real point as well
-        i = (base + step).astype(np.intp)
         d2 = np.square(px - cols[0].take(i, mode="clip"))
         d2 += np.square(py - cols[1].take(i, mode="clip"))
         d2 += np.square(cos_t - cols[2].take(i, mode="clip"))
@@ -146,12 +146,12 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
     The result is the largest d(probe, cover) + cell bound, the probe's
     value.
 
-    The points are read in order of descending z.  If they are then
-    ``fibonacci_points(T)``, the search runs coarse to fine over blocks of
-    grid rows, each of at most DISTANCE_BLOCK probes.  Coarse: the center c
-    of each 2 x 2 block of cells gets a seed, its distance to the best of 4
-    lattice candidates (``_lattice_seeds``) and so at least d(c, cover).  c
-    is a corner of each of the block's cells, so d(c, probe) is at most the
+    The points are read in order of descending z, the index order of
+    ``fibonacci_points(T)``, and the search runs coarse to fine over blocks
+    of grid rows, each of at most DISTANCE_BLOCK probes.  Coarse: the center
+    c of each 2 x 2 block of cells gets a seed, its distance to the best of
+    its candidate points (``_seeds``) and so at least d(c, cover).  c is a
+    corner of each of the block's cells, so d(c, probe) is at most the
     probe's cell bound; d(., cover) is 1-Lipschitz, so the seed plus twice
     the larger cell bound of the block's rows, plus ``ROUNDING``, bounds
     the values of its 4 probes.  A 2 x 2 block whose bound is at most the
@@ -160,13 +160,10 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
     found.  Fine: their probes get their own seeds, and a probe whose seed
     plus cell bound is at most the largest value so far drops out, the
     largest first.  Finish: the probes left get their exact distance by
-    brute force over all points; one to three probes on the cover ladder.
-
-    Any other point set (the octahedron, a rotated or scattered one) skips
-    seeds and coarse pass, which mean nothing off the lattice: every probe
-    gets its exact distance, in blocks of rows.  Either way the result is
-    the largest value over all probes, so it does not depend on the order
-    of the points or on the path taken.
+    brute force over all points: one to three probes on the cover ladder,
+    two on the octahedron, more where seeds are loose (a rotated lattice,
+    scattered points).  The result is the largest value over all probes,
+    so it does not depend on the order of the points.
     """
     points = np.asarray(points, dtype=np.float64)
     points = points[np.argsort(-points[:, 2], kind="stable")]
@@ -192,14 +189,6 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
         dists = np.sqrt(_nearest(probes, points, np.min))
         return float((dists + cell_bound[i]).max())
 
-    if not np.array_equal(points, fibonacci_points(len(points))):
-        rows = max(1, DISTANCE_BLOCK // n_phi)
-        certified = 0.0
-        for start in range(0, n_theta, rows):
-            flat = np.arange(start * n_phi, min(start + rows, n_theta) * n_phi)
-            certified = max(certified, finish(*np.divmod(flat, n_phi)))
-        return certified
-
     cols = np.ascontiguousarray(points.T)
     # 2 x 2 block [a, b] holds grid rows 2a and 2a + 1 (only 2a at an odd
     # last row) and grid columns 2b and 2b + 1; its center is a corner of
@@ -222,8 +211,8 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
         j = (2 * b[:, None] + corner_j).ravel()
         keep = i < n_theta
         i, j = i[keep], j[keep]
-        bound = _lattice_seeds(cols, fine[:, i], sin_t[i], cos_t[i], phis[j],
-                               cos_p[j], sin_p[j])
+        bound = _seeds(cols, fine[:, i], sin_t[i], cos_t[i], phis[j],
+                       cos_p[j], sin_p[j])
         bound += cell_bound[i]
         top = int(bound.argmax())
         if bound[top] <= certified:
@@ -239,8 +228,8 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
     certified = 0.0
     for start in range(0, len(theta_c), rows):
         r = slice(start, start + rows)
-        bound = _lattice_seeds(cols, coarse[:, r, None], sin_c[r, None],
-                               cos_c[r, None], phi_c, cos_pc, sin_pc)
+        bound = _seeds(cols, coarse[:, r, None], sin_c[r, None],
+                       cos_c[r, None], phi_c, cos_pc, sin_pc)
         bound += extra[r, None]
         top = int(bound.argmax())
         if bound.flat[top] <= certified:
@@ -277,11 +266,20 @@ class SphereCover:
 
 
 def build_cover(epsilon: float) -> SphereCover:
-    """Audited cover with covering_radius <= epsilon and T <= 10 / epsilon^2."""
-    if not 0.0 < epsilon <= 2.0:
-        raise ValueError("epsilon must lie in (0, 2]")
+    """Audited cover with covering_radius <= epsilon and T <= 10 / epsilon^2.
+
+    A first or retried cover of more than PATH_TABLE_CAP coordinates (3T) is
+    refused before it is built; the first from epsilon alone, as its T
+    overflows a float for tiny epsilon."""
+    too_large = "a cover of more than %d coordinates" % PATH_TABLE_CAP
+    smallest = RADIUS_FIT * np.sqrt(3.0 / PATH_TABLE_CAP)     # about 0.0025
+    if not smallest <= epsilon <= 2.0:
+        raise ValueError("epsilon must lie in [%.4g, 2]; a smaller one asks "
+                         "for %s" % (smallest, too_large))
     t = max(4, int(np.ceil((RADIUS_FIT / epsilon) ** 2)))
     for _ in range(AUDIT_RETRIES + 1):
+        if 3 * t > PATH_TABLE_CAP:
+            raise ValueError("epsilon %g asks for %s" % (epsilon, too_large))
         points = fibonacci_points(t)
         certified = audit_cover(points, AUDIT_PROBES_PER_POINT * t)
         if certified <= epsilon:

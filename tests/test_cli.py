@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import json
 import operator
 import time
@@ -498,12 +499,62 @@ def test_non_numeric_file_entries_exit_2_naming_the_file(capsys, tmp_path,
     "analysis schedule --k-max 11",
     "analysis schedule --k-max 40",
     "analysis schedule --x2 0",
+    "analysis schedule --c 1e200",
     "protocol family --target pr --k -1",
+    "cover build --epsilon 1e-300",
+    "cover build --epsilon 0.001",
+    "cover verify --epsilon 0.002",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# the README's arguments of each command with a float flag; cover verify
+# takes --epsilon instead of the README's --cover, which would override it
+README_ARGUMENTS = {
+    ("game", "eval"): "--box pr --p 0.6",
+    ("game", "omega"): "--p 0.5",
+    ("game", "bound"): "--p 0.6 --q 0.55",
+    ("game", "optimize"): "--p 0.75",
+    ("protocol", "run"): "--protocol identity.json --target pr --source pr",
+    ("analysis", "intersections"): "--intercept 0.75 --slope 0.25",
+    ("analysis", "measure"): "--intercept 0.8 --slope 0.1 --epsilon 0.001",
+    ("analysis", "schedule"): "--k-max 3 --c 0.01",
+    ("cover", "build"): "--epsilon 0.2 --out cover.json",
+    ("cover", "verify"): "--trials 1000 --seed 7",
+}
+EXTREMES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-300", "-1e-300",
+            "0.0", "-0.0")
+
+
+def test_extreme_float_flags_exit_0_or_2_with_at_most_one_line(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    command_files(tmp_path)
+    failures = []
+    for (group, cmd), row in cli.COMMANDS.items():
+        flags = [flag for flag, keywords in row.arguments
+                 if keywords.get("type") is float]
+        if (group, cmd) == ("suite", "acceptance") or not flags:
+            continue
+        base = README_ARGUMENTS[group, cmd].split()
+        for flag, value in itertools.product(flags, EXTREMES):
+            # --flag=value, so that argparse reads negative values too
+            argv = [group, cmd, "%s=%s" % (flag, value)]
+            for name, given in zip(base[::2], base[1::2]):
+                if name != flag:
+                    argv += [name, given]
+            try:
+                code, _, err = run(capsys, *argv)
+            except Exception as exc:
+                capsys.readouterr()
+                failures.append((argv, repr(exc)))
+                continue
+            if code not in (0, 2) or err.count("\n") > 1:
+                failures.append((argv, code, err))
+    assert failures == []
 
 
 # --- one parse per command ---------------------------------------------

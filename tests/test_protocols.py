@@ -207,6 +207,21 @@ def test_protocol_json_roundtrip():
     assert again == pi
 
 
+def test_protocol_of_numpy_integers_round_trips_through_json():
+    maps = np.array([[0, 1, 0, 1], [0, 1, 0, 1]])
+    al = Alphabets(*np.full(8, 2))
+    pi = bl.DeterministicProtocol(al, np.int64(1), (tuple(maps[0, :2]),),
+                                  (tuple(maps[1, :2]),), tuple(maps[0]),
+                                  tuple(maps[1]))
+    payload = protocol_to_payload(pi)
+    text = json.dumps(payload)
+    assert text == json.dumps(protocol_to_payload(bl.identity_protocol()))
+    again = protocol_from_payload(json.loads(text))
+    assert again == bl.identity_protocol()
+    assert all(type(v) is int for v in [again.k, *again.s_map,
+                                        *vars(again.alphabets).values()])
+
+
 @pytest.mark.parametrize("path,value", [
     (("q_maps", 0, 0), 0.5), (("r_maps", 0, 1), 1.0), (("s_map", 2), True),
     (("t_map", 0), "0"), (("k",), 1.7), (("k",), True), (("k",), "1"),
