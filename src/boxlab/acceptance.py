@@ -125,8 +125,10 @@ def criterion_intersections() -> CriterionResult:
 
 def criterion_sqrt_eps_measure() -> CriterionResult:
     """measure_near <= 8*sqrt(eps); tangent-line log-log slope is 0.5 +- 0.05."""
-    lines = [analysis.tangent_line(p0) for p0 in (0.55, 0.6, 0.7, 0.75, 0.8)]
-    family = protocols.LineFamily.of([*lines, analysis.best_affine_fit()])
+    lines = [*map(analysis.tangent_line, (0.55, 0.6, 0.7, 0.75, 0.8)),
+             analysis.best_affine_fit()]
+    family = protocols.LineFamily([ell.intercept for ell in lines],
+                                  [ell.slope for ell in lines])
     eps_grid = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     measures = np.array([analysis.measure_near(family, e) for e in eps_grid])
     bound_ok = bool((measures[:3] <= 8.0 * np.sqrt(eps_grid[:3, None])).all())

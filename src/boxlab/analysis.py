@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import __version__
 from .boxes import PATH_TABLE_CAP
 from .games import omega, omega_prime
 from .protocols import (AffineFunction, Alphabets, LineFamily,
@@ -92,10 +93,10 @@ def line_intersections(ell: AffineFunction) -> list[float]:
 
 
 @np.errstate(all="ignore")
-def measure_near(lines, epsilon: float):
+def measure_near(family: LineFamily, epsilon: float) -> np.ndarray:
     """Relative measure of {p in [1/2, 1]: |ell(p) - omega(p)| <= epsilon}
-    of one ``AffineFunction`` (a float) or of each line of a ``LineFamily``
-    (a float64 array), in closed form, exact up to rounding.
+    of each line ell of a ``LineFamily``, as a float64 array, in closed
+    form, exact up to rounding.
 
     g = ell - omega is concave, so at each level -eps and +eps, {g >= level}
     is an interval with ends among 1/2, 1, the root of r and the roots of
@@ -105,15 +106,16 @@ def measure_near(lines, epsilon: float):
     difference of the two lengths over 1/2.  Where |c| or |m| passes about
     1e154 the roots overflow; then the line misses omega, or the ends lie
     within 1/|m| of the root of r.
+
+    ell - omega is rounded to about 1e-16: near a tangency at p0, where the
+    set is 2 sqrt(2 eps / omega''(p0)) wide, the result is within 1% of
+    that for eps down to 1e-14, and from about 1e-16 down it can read 0 or
+    many times the width.
     """
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be finite and positive")
-    family = isinstance(lines, LineFamily)
-    if family:                                  # columns [line, 1]
-        c, m = lines.intercepts[:, None], lines.slopes[:, None]
-    else:
-        c, m = float(lines.intercept), float(lines.slope)
+    c, m = family.intercepts[:, None], family.slopes[:, None]   # [line, 1]
     levels = np.array((-epsilon, epsilon))
     shifted = c - levels                        # [line, level]
     cuts = np.empty((5,) + shifted.shape)       # [cut, line, level]
@@ -126,8 +128,7 @@ def measure_near(lines, epsilon: float):
     mid = _HALF * (lo + hi)
     # the member pieces of each level in ascending order, added to 0.0
     lengths = np.add.reduce(hi - lo, where=c + m * mid - omega(mid) >= levels)
-    measure = np.maximum(lengths[..., 0] - lengths[..., 1], _ZERO) / _HALF
-    return measure if family else float(measure)
+    return np.maximum(lengths[:, 0] - lengths[:, 1], _ZERO) / _HALF
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,8 @@ class GapCertificate:
 
     ``family`` is the ``LineFamily`` searched, in the order it was given.
     ``resolution`` is the number of candidate points p at which
-    ``find_hard_p`` evaluated the family: |family| x resolution is the
-    size of the array that search evaluates, which the benchmark's
-    ``analysis.find_hard_p.matrix_mb`` gauge reports.
+    ``find_hard_p`` evaluated the family, in blocks of lines of at most
+    PATH_TABLE_CAP entries.
     """
 
     description: str
@@ -237,7 +237,7 @@ def _piece_candidates(intercepts: np.ndarray, slopes: np.ndarray,
                             if p == p}))
 
 
-def find_hard_p(family, *, description: str = "",
+def find_hard_p(family: LineFamily, *, description: str = "",
                 k: int = 0) -> GapCertificate:
     """Maximize g(p) = min_ell |ell(p) - omega(p)| over [1/2, 1], exactly.
 
@@ -250,8 +250,6 @@ def find_hard_p(family, *, description: str = "",
     every quantum target, there is one piece and the candidates are 1/2,
     1 and the breakpoints of the lines' upper envelope.
     """
-    if not isinstance(family, LineFamily):
-        family = LineFamily.of(family)
     if not len(family):
         raise ValueError("empty affine family")
     order = np.lexsort((family.intercepts, family.slopes))  # slope, intercept
@@ -269,7 +267,7 @@ def find_hard_p(family, *, description: str = "",
                           float(dist[best]), len(ps))
 
 
-def certificate_to_payload(cert: GapCertificate, version: str = "") -> dict:
+def certificate_to_payload(cert: GapCertificate) -> dict:
     family = cert.family
     return {
         "description": cert.description,
@@ -278,7 +276,7 @@ def certificate_to_payload(cert: GapCertificate, version: str = "") -> dict:
         "p_star": cert.p_star,
         "gap": cert.gap,
         "resolution": cert.resolution,
-        "version": version,
+        "version": __version__,
     }
 
 

@@ -97,20 +97,16 @@ def pr_box() -> CorrelationBox:
     return CorrelationBox(table)
 
 
-def local_box(f, g, a_size: int | None = None, b_size: int | None = None) -> CorrelationBox:
-    """Deterministic local box: output point mass at (f(x), g(y)).
+def local_box(f, g) -> CorrelationBox:
+    """Deterministic local binary box: output point mass at (f(x), g(y)).
 
-    ``f`` and ``g`` are given as integer sequences indexed by input symbol.
+    ``f`` and ``g`` are given as bit sequences indexed by input symbol.
     """
     f = [int(v) for v in f]
     g = [int(v) for v in g]
-    if a_size is None:
-        a_size = max(f) + 1
-    if b_size is None:
-        b_size = max(g) + 1
-    if any(not 0 <= v < a_size for v in f) or any(not 0 <= v < b_size for v in g):
+    if any(v not in (0, 1) for v in f + g):
         raise ValueError("output map value out of range")
-    table = np.zeros((len(f), len(g), a_size, b_size))
+    table = np.zeros((len(f), len(g), 2, 2))
     for x, fx in enumerate(f):
         for y, gy in enumerate(g):
             table[x, y, fx, gy] = 1.0

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__, analysis, boxes, games, protocols, sphere
 from .boxes import PATH_TABLE_CAP
-from .protocols import AffineFunction, BINARY, Alphabets
+from .protocols import AffineFunction, BINARY, Alphabets, LineFamily
 
 DEFAULT_SEED = 20230405
 
@@ -92,16 +92,19 @@ def _parse_box(token: str) -> boxes.CorrelationBox:
     if token == "octahedron":
         return sphere.discretized_box(sphere.octahedron_cover())
     if token.startswith("local:"):
-        _, f, g = token.split(":")
-        return boxes.local_box([int(v) for v in f.split(",")],
-                               [int(v) for v in g.split(",")],
-                               a_size=2, b_size=2)
+        try:
+            f, g = ([int(v) for v in bits.split(",")]
+                    for bits in token[6:].split(":"))
+            return boxes.local_box(f, g)
+        except ValueError:
+            raise ValueError("box %r is not local:F:G with F and G "
+                             "comma-separated bits" % token) from None
     if token.startswith("file:"):
         return _load_payload(token[5:], boxes.box_from_payload)
     raise ValueError("unknown box form %r" % token)
 
 
-def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
+def _emit(args, payload: dict, csv_rows=None) -> None:
     """Write the payload as JSON, or the CSV rows as they come, to --out
     (through a .tmp file renamed when complete) or to stdout."""
     config = {k: v for k, v in sorted(vars(args).items())
@@ -112,7 +115,8 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
         first = list(itertools.islice(rows, 1))
         head = ("# config=%s version=%s\n%s\n"
                 % (json.dumps(config, sort_keys=True, allow_nan=False),
-                   __version__, ",".join(csv_header)))
+                   __version__,
+                   ",".join(COMMANDS[args.group, args.cmd].csv_header)))
         lines = itertools.chain((head,), (
             ",".join(repr(v) if isinstance(v, float) else str(v)
                      for v in row) + "\n"
@@ -157,7 +161,7 @@ def cmd_box_sample(args):
         rows = itertools.chain.from_iterable(
             zip(range(start, start + a.size), a.tolist(), b.tolist())
             for start, a, b in blocks)
-        _emit(args, {}, csv_rows=rows, csv_header=_csv_header(args))
+        _emit(args, {}, csv_rows=rows)
         return
     counts = np.zeros((box.a_size, box.b_size), dtype=np.int64)
     for _, a, b in blocks:
@@ -202,6 +206,8 @@ def cmd_game_optimize(args):
 # --- protocol ----------------------------------------------------------
 
 def cmd_protocol_run(args):
+    if not args.epsilon >= 0.0:
+        raise ValueError("--epsilon must be at least 0, not %r" % args.epsilon)
     protocol = _load_payload(args.protocol, protocols.protocol_from_payload)
     target = _parse_box(args.target)
     induced = protocols.induced_box(protocol, target)
@@ -235,8 +241,7 @@ def cmd_protocol_family(args):
     target = _parse_box(args.target)
     family = protocols.affine_family(target, args.k, up_to_k=args.up_to_k)
     rows = np.column_stack((family.intercepts, family.slopes)).tolist()
-    _emit(args, {"size": len(rows), "lines": rows},
-          csv_rows=rows, csv_header=_csv_header(args))
+    _emit(args, {"size": len(rows), "lines": rows}, csv_rows=rows)
 
 
 # --- analysis ----------------------------------------------------------
@@ -247,15 +252,15 @@ def cmd_analysis_intersections(args):
 
 
 def cmd_analysis_measure(args):
-    ell = AffineFunction(args.intercept, args.slope)
-    _emit(args, {"measure": analysis.measure_near(ell, args.epsilon)})
+    family = LineFamily([args.intercept], [args.slope])
+    _emit(args, {"measure": analysis.measure_near(family, args.epsilon)[0]})
 
 
 def cmd_analysis_gap(args):
     target = _parse_box(args.target)
     family = protocols.affine_family(target, args.k)
     cert = analysis.find_hard_p(family, description=args.target, k=args.k)
-    _emit(args, analysis.certificate_to_payload(cert, __version__))
+    _emit(args, analysis.certificate_to_payload(cert))
 
 
 def cmd_analysis_schedule(args):
@@ -265,8 +270,7 @@ def cmd_analysis_schedule(args):
             for k, (b, e) in enumerate(zip(sched.bounds, sched.eps))]
     _emit(args, {"bounds": [str(b) for b in sched.bounds],
                  "eps": list(sched.eps),
-                 "identity_exact": sched.verify_identity()},
-          csv_rows=rows, csv_header=_csv_header(args))
+                 "identity_exact": sched.verify_identity()}, csv_rows=rows)
 
 
 # --- cover -------------------------------------------------------------
@@ -383,10 +387,6 @@ COMMANDS = {
 }
 
 
-def _csv_header(args) -> tuple:
-    return COMMANDS[args.group, args.cmd].csv_header
-
-
 def build_parser(leaves: dict) -> argparse.ArgumentParser:
     """The full parser, one subparser a COMMANDS row; each command's own
     parser goes into ``leaves``, keyed by (group, cmd)."""
@@ -438,6 +438,8 @@ def main(argv=None) -> int:
         _PARSER.print_help()
         return 2
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be at least 0, not %d" % args.seed)
         args.func(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

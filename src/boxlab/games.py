@@ -69,8 +69,8 @@ class PlanarStrategy:
         def unitaries(angles):
             """One stacked unitary_for_point call for a party's angles."""
             t = np.array(angles)
-            return list(unitary_for_point(
-                np.stack([np.sin(t), np.zeros_like(t), np.cos(t)], axis=-1)))
+            return unitary_for_point(
+                np.stack([np.sin(t), np.zeros_like(t), np.cos(t)], axis=-1))
 
         return simple_bell_spec(unitaries(self.alice_angles),
                                 unitaries(self.bob_angles))

@@ -118,12 +118,6 @@ class LineFamily:
         if self.intercepts.shape != self.slopes.shape or self.slopes.ndim != 1:
             raise ValueError("need 1-D intercepts and slopes of equal length")
 
-    @classmethod
-    def of(cls, lines) -> "LineFamily":
-        """The family of an iterable of ``AffineFunction``s, in its order."""
-        pairs = [(ell.intercept, ell.slope) for ell in lines]
-        return cls(*np.array(pairs, dtype=np.float64).reshape(-1, 2).T)
-
     def __len__(self):
         return len(self.intercepts)
 
@@ -135,15 +129,10 @@ class LineFamily:
             (self.intercepts, self.slopes), (other.intercepts, other.slopes))
 
 
-def identity_protocol(al: Alphabets = BINARY) -> DeterministicProtocol:
-    """1-query pass-through: query your own input, output the response."""
-    if (al.x1, al.y1) != (al.x2, al.y2) or (al.a1, al.b1) != (al.a2, al.b2):
-        raise ValueError("pass-through needs matching outer and inner alphabets")
-    q = tuple(x for x in range(al.x1) for _ in range(1))
-    r = tuple(y for y in range(al.y1) for _ in range(1))
-    s = tuple(a for _ in range(al.x1) for a in range(al.a2))
-    t = tuple(b for _ in range(al.y1) for b in range(al.b2))
-    return DeterministicProtocol(al, 1, (q,), (r,), s, t)
+def identity_protocol() -> DeterministicProtocol:
+    """Binary 1-query pass-through: query your input, output the response."""
+    return DeterministicProtocol(BINARY, 1, ((0, 1),), ((0, 1),),
+                                 (0, 1, 0, 1), (0, 1, 0, 1))
 
 
 def _response_tables(alice, bob, target: CorrelationBox,
@@ -474,7 +463,7 @@ def local_deterministic_boxes():
     out = []
     for f in itertools.product(range(2), repeat=2):
         for g in itertools.product(range(2), repeat=2):
-            out.append(local_box(f, g, a_size=2, b_size=2))
+            out.append(local_box(f, g))
     return out
 
 

@@ -122,37 +122,31 @@ class BellBoxSpec:
 
     ``alice_post[x]`` and ``bob_post[y]`` map the measured bit to the output
     alphabet.  Per-input postprocessing is needed so that direct sums can
-    route each block to its own output labels; a spec with all rows equal is
-    the plain single-(f, g) form.
+    route each block to its own output labels.  Every field is stored as a
+    read-only array, checked once.
     """
 
-    alice_unitaries: tuple  # one 2x2 unitary per x
-    bob_unitaries: tuple    # one 2x2 unitary per y
-    alice_post: np.ndarray  # shape (x_size, 2), values in range(a_size)
-    bob_post: np.ndarray    # shape (y_size, 2), values in range(b_size)
+    alice_unitaries: np.ndarray  # complex, shape (x_size, 2, 2)
+    bob_unitaries: np.ndarray    # complex, shape (y_size, 2, 2)
+    alice_post: np.ndarray  # int64, shape (x_size, 2), values in range(a_size)
+    bob_post: np.ndarray    # int64, shape (y_size, 2), values in range(b_size)
     a_size: int
     b_size: int
 
     def __post_init__(self):
-        us, vs = (_require_unitary(m) for m in (self.alice_unitaries,
-                                                self.bob_unitaries))
-        if us.ndim != 3 or vs.ndim != 3:
-            raise ValueError("expected one 2x2 unitary per input")
-        us, vs = tuple(us), tuple(vs)
-        f = np.asarray(self.alice_post, dtype=np.int64)
-        g = np.asarray(self.bob_post, dtype=np.int64)
-        if f.shape != (len(us), 2) or g.shape != (len(vs), 2):
-            raise ValueError("postprocessing shape must be (inputs, 2)")
-        if f.min() < 0 or f.max() >= self.a_size:
-            raise ValueError("alice_post value out of range")
-        if g.min() < 0 or g.max() >= self.b_size:
-            raise ValueError("bob_post value out of range")
-        f = f.copy(); f.flags.writeable = False
-        g = g.copy(); g.flags.writeable = False
-        object.__setattr__(self, "alice_unitaries", us)
-        object.__setattr__(self, "bob_unitaries", vs)
-        object.__setattr__(self, "alice_post", f)
-        object.__setattr__(self, "bob_post", g)
+        for party, size in (("alice", self.a_size), ("bob", self.b_size)):
+            us = _require_unitary(np.array(getattr(self, party + "_unitaries"),
+                                           dtype=np.complex128))
+            post = np.array(getattr(self, party + "_post"), dtype=np.int64)
+            if us.ndim != 3:
+                raise ValueError("expected one 2x2 unitary per input")
+            if post.shape != (len(us), 2):
+                raise ValueError("postprocessing shape must be (inputs, 2)")
+            if post.min() < 0 or post.max() >= size:
+                raise ValueError("%s_post value out of range" % party)
+            for name, values in (("_unitaries", us), ("_post", post)):
+                values.flags.writeable = False
+                object.__setattr__(self, party + name, values)
 
     @property
     def x_size(self) -> int:
@@ -163,13 +157,11 @@ class BellBoxSpec:
         return len(self.bob_unitaries)
 
 
-def simple_bell_spec(alice_unitaries, bob_unitaries, f=(0, 1), g=(0, 1),
-                     a_size: int = 2, b_size: int = 2) -> BellBoxSpec:
-    """Spec with a single global (f, g) postprocessing pair."""
-    f = np.tile(np.asarray(f, dtype=np.int64), (len(alice_unitaries), 1))
-    g = np.tile(np.asarray(g, dtype=np.int64), (len(bob_unitaries), 1))
-    return BellBoxSpec(tuple(alice_unitaries), tuple(bob_unitaries),
-                       f, g, a_size, b_size)
+def simple_bell_spec(alice_unitaries, bob_unitaries) -> BellBoxSpec:
+    """Binary spec whose every input reports the measured bit as it is."""
+    return BellBoxSpec(alice_unitaries, bob_unitaries,
+                       np.tile((0, 1), (len(alice_unitaries), 1)),
+                       np.tile((0, 1), (len(bob_unitaries), 1)), 2, 2)
 
 
 def measurement_probs(u: np.ndarray, v: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -200,7 +192,7 @@ def bell_box(spec: BellBoxSpec, state: np.ndarray = PHI_PLUS) -> CorrelationBox:
     itself; several fill a table made for them, which keeps the peak at one
     table and one block.
     """
-    us, vs = np.array(spec.alice_unitaries), np.array(spec.bob_unitaries)
+    us, vs = spec.alice_unitaries, spec.bob_unitaries
     rows = max(1, PATH_TABLE_CAP // (16 * spec.y_size))
 
     def block(start):
@@ -244,13 +236,12 @@ def direct_sum_bell(spec1: BellBoxSpec, spec2: BellBoxSpec) -> BellBoxSpec:
     block-1 sizes.  Restricting to either block reproduces that block's box
     exactly; cross-block rows follow from the measurement semantics.
     """
-    us = spec1.alice_unitaries + spec2.alice_unitaries
-    vs = spec1.bob_unitaries + spec2.bob_unitaries
-    f = np.vstack([spec1.alice_post, spec2.alice_post + spec1.a_size])
-    g = np.vstack([spec1.bob_post, spec2.bob_post + spec1.b_size])
-    return BellBoxSpec(us, vs, f, g,
-                       spec1.a_size + spec2.a_size,
-                       spec1.b_size + spec2.b_size)
+    return BellBoxSpec(
+        np.concatenate([spec1.alice_unitaries, spec2.alice_unitaries]),
+        np.concatenate([spec1.bob_unitaries, spec2.bob_unitaries]),
+        np.concatenate([spec1.alice_post, spec2.alice_post + spec1.a_size]),
+        np.concatenate([spec1.bob_post, spec2.bob_post + spec1.b_size]),
+        spec1.a_size + spec2.a_size, spec1.b_size + spec2.b_size)
 
 
 def restrict_box(box: CorrelationBox, xs, ys, as_, bs) -> CorrelationBox:

@@ -26,19 +26,24 @@ def test_pr_box_rows():
 def test_local_box_point_masses():
     identity = bl.local_box([0, 1], [0, 1])
     assert identity.table[1, 0, 1, 0] == 1.0
-    const = bl.local_box([0, 0], [0, 0], a_size=2, b_size=2)
+    const = bl.local_box([0, 0], [0, 0])
+    # binary outputs whatever the maps use
+    assert const.table.shape == (2, 2, 2, 2)
     for x in range(2):
         for y in range(2):
             assert const.table[x, y, 0, 0] == 1.0
     assert bl.is_nonsignaling(identity)
     assert bl.is_nonsignaling(const)
+    for f, g in (([0, 2], [0, 1]), ([0, 1], [-1, 0])):
+        with pytest.raises(ValueError, match="out of range"):
+            bl.local_box(f, g)
 
 
 def test_mix_identity_and_midpoint():
     pr = bl.pr_box()
     assert bl.tv_closeness(bl.mix([pr], [1.0]), pr) == 0.0
-    b1 = bl.local_box([0, 0], [0, 0], a_size=2, b_size=2)
-    b2 = bl.local_box([1, 1], [1, 1], a_size=2, b_size=2)
+    b1 = bl.local_box([0, 0], [0, 0])
+    b2 = bl.local_box([1, 1], [1, 1])
     m = bl.mix([b1, b2], [0.5, 0.5])
     for x in range(2):
         for y in range(2):
@@ -49,14 +54,14 @@ def test_mix_identity_and_midpoint():
 def test_mix_errors():
     pr = bl.pr_box()
     with pytest.raises(ValueError):
-        bl.mix([pr, bl.local_box([0], [0], a_size=2, b_size=2)], [0.5, 0.5])
+        bl.mix([pr, bl.local_box([0], [0])], [0.5, 0.5])
     with pytest.raises(ValueError):
         bl.mix([pr, pr], [0.7, 0.7])
 
 
 def test_tv_closeness_values():
     pr = bl.pr_box()
-    const = bl.local_box([0, 0], [0, 0], a_size=2, b_size=2)
+    const = bl.local_box([0, 0], [0, 0])
     assert bl.tv_closeness(pr, pr) == 0.0
     assert bl.tv_closeness(pr, const) == 1.0
     # the maximum is attained at input (1, 1): PR puts no mass on (0, 0)

@@ -92,7 +92,7 @@ def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
-def in_memory_csv(args, csv_rows, csv_header):
+def in_memory_csv(args, csv_rows):
     """Reference: the CSV text of a command rendered whole in memory."""
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func",) and v is not None}
@@ -100,7 +100,7 @@ def in_memory_csv(args, csv_rows, csv_header):
     buf.write("# config=%s version=%s\n"
               % (json.dumps(config, sort_keys=True, allow_nan=False),
                  bl.__version__))
-    buf.write(",".join(csv_header) + "\n")
+    buf.write(",".join(cli.COMMANDS[args.group, args.cmd].csv_header) + "\n")
     for row in csv_rows:
         buf.write(",".join(repr(v) if isinstance(v, float) else str(v)
                            for v in row) + "\n")
@@ -118,10 +118,10 @@ def test_csv_streams_the_in_memory_rendering(capsys, monkeypatch, tmp_path,
     rendered = []
     emit = cli._emit
 
-    def both(args, payload, csv_rows=None, csv_header=None):
+    def both(args, payload, csv_rows=None):
         rows = list(csv_rows)
-        rendered.append(in_memory_csv(args, rows, csv_header))
-        emit(args, payload, csv_rows=rows, csv_header=csv_header)
+        rendered.append(in_memory_csv(args, rows))
+        emit(args, payload, csv_rows=rows)
 
     monkeypatch.setattr(cli, "_emit", both)
     code, out, _ = run(capsys, *argv, "--format", "csv")
@@ -511,6 +511,32 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+RUN_IDENTITY = "protocol run --protocol identity.json --target pr --source pr"
+NOT_LOCAL = "box %r is not local:F:G with F and G comma-separated bits"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("box show --box local:0,1", NOT_LOCAL % "local:0,1"),
+    ("box show --box local:a,b:0,1", NOT_LOCAL % "local:a,b:0,1"),
+    ("box tv --box pr --other local:0,1:0,1:1", NOT_LOCAL % "local:0,1:0,1:1"),
+    ("game eval --box local:0,2:0,1 --p 0.5", NOT_LOCAL % "local:0,2:0,1"),
+    ("box sample --box pr --x 0 --y 0 --seed -1",
+     "--seed must be at least 0, not -1"),
+    ("cover verify --epsilon 0.5 --seed -7", "--seed must be at least 0, not -7"),
+    (RUN_IDENTITY + " --epsilon=-1e308",
+     "--epsilon must be at least 0, not -1e+308"),
+    (RUN_IDENTITY + " --epsilon=-1e-300",
+     "--epsilon must be at least 0, not -1e-300"),
+    (RUN_IDENTITY + " --epsilon=nan", "--epsilon must be at least 0, not nan"),
+])
+def test_bad_input_exits_2_with_one_line_naming_it(capsys, monkeypatch,
+                                                   tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    command_files(tmp_path)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 # the README's arguments of each command with a float flag; cover verify
 # takes --epsilon instead of the README's --cover, which would override it
 README_ARGUMENTS = {
@@ -692,7 +718,7 @@ def test_payloads_round_trip_and_keep_their_json_text():
     assert boxes.box_to_json(box) == PR_BOX_JSON
     again = boxes.box_from_payload(boxes.box_to_payload(box))
     assert again.table.tobytes() == box.table.tobytes()
-    mixed = bl.mix([bl.pr_box(), bl.local_box((0, 1), (1, 1), 2, 2)],
+    mixed = bl.mix([bl.pr_box(), bl.local_box((0, 1), (1, 1))],
                    [0.1, 0.9])
     again = boxes.box_from_payload(boxes.box_to_payload(mixed))
     assert again.table.tobytes() == mixed.table.tobytes()
@@ -708,10 +734,9 @@ def test_payloads_round_trip_and_keep_their_json_text():
     assert again.points.tobytes() == cover.points.tobytes()
     assert again.covering_radius == cover.covering_radius
 
-    family = [protocols.AffineFunction(0.75, 0.0),
-              protocols.AffineFunction(0.5, 0.5)]
+    family = protocols.LineFamily([0.75, 0.5], [0.0, 0.5])
     cert = analysis.find_hard_p(family, description="two lines", k=1)
-    assert json.dumps(analysis.certificate_to_payload(cert, "0.1.0")) \
+    assert json.dumps(analysis.certificate_to_payload(cert)) \
         == CERTIFICATE_JSON
 
 
@@ -726,8 +751,7 @@ def test_each_input_file_is_decoded_once(capsys, monkeypatch, tmp_path,
         return str(tmp_path / name)
 
     box = write("box.json", bl.box_to_json(bl.pr_box()))
-    other = write("other.json", bl.box_to_json(bl.local_box((0, 1), (1, 0),
-                                                            2, 2)))
+    other = write("other.json", bl.box_to_json(bl.local_box((0, 1), (1, 0))))
     proto = write("identity.json",
                   json.dumps(protocol_to_payload(bl.identity_protocol())))
     cover = write("cover.json",

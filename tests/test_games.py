@@ -15,7 +15,7 @@ def test_win_prob_pr_always_one():
 
 
 def test_win_prob_constant_box_closed_form():
-    const = bl.local_box([0, 0], [0, 0], a_size=2, b_size=2)
+    const = bl.local_box([0, 0], [0, 0])
     for p in (0.5, 0.6, 0.9):
         assert bl.win_prob(const, p, 0.5) == pytest.approx(1.0 - p / 2.0)
 
@@ -26,9 +26,11 @@ def test_classical_chsh_maximum():
 
 
 def test_win_prob_rejects_nonbinary():
-    wide = bl.local_box([0, 1, 2], [0, 1], a_size=3, b_size=2)
-    with pytest.raises(ValueError):
-        bl.win_prob(wide, 0.5, 0.5)
+    # three inputs for Alice, then three outputs
+    for wide in (bl.local_box([0, 1, 0], [0, 1]),
+                 bl.CorrelationBox(np.full((2, 2, 3, 2), 1.0 / 6.0))):
+        with pytest.raises(ValueError, match="binary"):
+            bl.win_prob(wide, 0.5, 0.5)
 
 
 def test_win_prob_affine_in_p():

@@ -160,7 +160,7 @@ def test_all_zero_k0_line():
 
 
 def test_queries_useless_against_constant_box():
-    const = bl.local_box([0, 0], [0, 0], a_size=2, b_size=2)
+    const = bl.local_box([0, 0], [0, 0])
     fam0 = sorted(key(ell) for ell in bl.affine_family(const, 0))
     fam1 = sorted(key(ell) for ell in bl.affine_family(const, 1))
     assert fam0 == fam1
@@ -502,7 +502,7 @@ def test_line_family_keeps_the_given_order_in_read_only_copies():
 
 def test_line_family_len_and_equality():
     lines = [AffineFunction(0.75, 0.0), AffineFunction(0.5, 0.5)]
-    family = LineFamily.of(lines)
+    family = LineFamily([0.75, 0.5], [0.0, 0.5])
     assert len(family) == 2 and len(LineFamily([], [])) == 0
     assert family == LineFamily([0.75, 0.5], [0.0, 0.5])
     assert family != LineFamily([0.5, 0.75], [0.5, 0.0])       # order counts

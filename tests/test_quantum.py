@@ -176,12 +176,12 @@ def test_bell_box_in_blocks_of_alice_inputs_equals_one_block(monkeypatch, eps):
 @pytest.mark.parametrize("state", [PHI_PLUS, SINGLET], ids=["phi+", "singlet"])
 def test_bell_box_equals_the_per_pair_loop_on_a_direct_sum(state):
     # block 1 sends both of Alice's outcomes to one label, so entries add up
-    spec1 = bl.simple_bell_spec([bl.random_unitary(RNG) for _ in range(3)],
-                                [bl.random_unitary(RNG) for _ in range(2)],
-                                f=(1, 1))
-    spec2 = bl.simple_bell_spec([bl.random_unitary(RNG) for _ in range(2)],
-                                [bl.random_unitary(RNG) for _ in range(4)],
-                                g=(2, 0), b_size=3)
+    spec1 = bl.BellBoxSpec([bl.random_unitary(RNG) for _ in range(3)],
+                           [bl.random_unitary(RNG) for _ in range(2)],
+                           [(1, 1)] * 3, [(0, 1)] * 2, 2, 2)
+    spec2 = bl.BellBoxSpec([bl.random_unitary(RNG) for _ in range(2)],
+                           [bl.random_unitary(RNG) for _ in range(4)],
+                           [(0, 1)] * 2, [(2, 0)] * 4, 2, 3)
     spec = bl.direct_sum_bell(spec1, spec2)
     assert np.array_equal(bl.bell_box(spec, state).table,
                           reference_bell_table(spec, state))
@@ -193,6 +193,30 @@ def test_bell_spec_rejects_non_unitary_and_stacked_entries():
     with pytest.raises(ValueError, match="one 2x2 unitary per input"):
         bl.BellBoxSpec((np.array([IDENTITY, BIT_FLIP]),), (IDENTITY,),
                        np.array([[0, 1]]), np.array([[0, 1]]), 2, 2)
+
+
+def test_bell_spec_holds_read_only_arrays():
+    us = np.array([IDENTITY, BIT_FLIP], dtype=np.complex128)
+    spec = bl.simple_bell_spec(us, [IDENTITY])
+    assert spec.alice_unitaries.shape == (2, 2, 2)
+    assert spec.bob_unitaries.shape == (1, 2, 2)
+    assert spec.alice_post.tolist() == [[0, 1], [0, 1]]
+    assert spec.bob_post.dtype == np.int64 and spec.bob_post.shape == (1, 2)
+    assert (spec.x_size, spec.y_size, spec.a_size, spec.b_size) == (2, 1, 2, 2)
+    for values in (spec.alice_unitaries, spec.bob_unitaries, spec.alice_post,
+                   spec.bob_post):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = values[0]
+    # the caller's array stays writable, and writing it leaves the spec
+    us[0] = BIT_FLIP
+    assert np.array_equal(spec.alice_unitaries[0], IDENTITY)
+    # a list of matrices gives the same spec as their stack
+    again = bl.simple_bell_spec([IDENTITY, BIT_FLIP], [IDENTITY])
+    assert again.alice_unitaries.tobytes() == spec.alice_unitaries.tobytes()
+    with pytest.raises(ValueError, match="bob_post value out of range"):
+        bl.BellBoxSpec([IDENTITY], [IDENTITY], [(0, 1)], [(0, 2)], 2, 2)
+    with pytest.raises(ValueError, match="shape"):
+        bl.BellBoxSpec([IDENTITY], [IDENTITY], [(0, 1)] * 2, [(0, 1)], 2, 2)
 
 
 def test_bell_box_computational_basis():
