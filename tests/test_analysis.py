@@ -508,6 +508,22 @@ def test_exact_search_on_families_that_cross_omega(name):
         assert 0.6 < cert.p_star < 0.9
 
 
+@pytest.mark.parametrize("name", CROSSING)
+def test_find_hard_p_does_not_depend_on_the_order_of_the_lines(name):
+    family = CROSSING[name]
+    cert = bl.find_hard_p(family, description=name, k=1)
+    rng = np.random.default_rng(list(CROSSING).index(name))
+    for order in (np.arange(len(family))[::-1],
+                  rng.permutation(len(family))):
+        shuffled = LineFamily(family.intercepts[order], family.slopes[order])
+        other = bl.find_hard_p(shuffled, description=name, k=1)
+        # the same point and gap, bit for bit, from the same candidates
+        assert (other.p_star, other.gap, other.resolution) == (
+            cert.p_star, cert.gap, cert.resolution)
+        # but the certificate holds the lines in the order given
+        assert other.family == shuffled and other.verify()
+
+
 @pytest.mark.parametrize("name", ["octahedron", "fib4"])
 def test_the_gap_pipeline_builds_no_line_objects(monkeypatch, capsys, name):
     target = quantum_targets()[name]
