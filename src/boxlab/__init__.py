@@ -8,7 +8,7 @@ from .boxes import (CorrelationBox, box_from_json, box_to_json,
 from .quantum import (PHI_PLUS, SINGLET, BellBoxSpec, bell_box, bloch_of,
                       direct_sum_bell, random_unitary, simple_bell_spec,
                       singlet_invariance_defect, singlet_measure_box,
-                      singlet_prob_equal, unitary_for_point)
+                      unitary_for_point)
 from .games import (PlanarStrategy, achieved_win_prob, biased_bound, omega,
                     optimal_strategy, win_prob)
 from .protocols import (AffineFunction, Alphabets, BINARY,

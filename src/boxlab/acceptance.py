@@ -204,7 +204,8 @@ def criterion_property_suite() -> CriterionResult:
         amp_path = float(row[0, 0] + row[1, 1])
         x = quantum.bloch_of(np.linalg.inv(u) @ quantum.KET1)
         y = quantum.bloch_of(np.linalg.inv(v) @ quantum.KET1)
-        dot_dev = max(dot_dev, abs(amp_path - quantum.singlet_prob_equal(x, y)))
+        law = float(sphere._singlet_rows(np.dot(x, y)).trace())
+        dot_dev = max(dot_dev, abs(amp_path - law))
     details["max_dot_product_dev"] = dot_dev
 
     xs = np.linspace(0.5, 1.0, 101)

@@ -32,11 +32,21 @@ def check_distributions(probs: np.ndarray) -> None:
 def check_numbers(values, name: str, kind) -> None:
     """Raise unless every value is a ``kind``, ``numbers.Real`` or
     ``numbers.Integral``, and no bool: JSON numbers pass, strings and
-    true/false do not."""
+    true/false do not.  A plain int or float, which always passes, is
+    told apart by its type alone."""
+    plain = int if kind is numbers.Integral else float
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, kind):
+        if type(v) is not plain and (isinstance(v, bool)
+                                     or not isinstance(v, kind)):
             raise ValueError("%s %r is not %s" % (name, v, "an integer"
                              if kind is numbers.Integral else "a number"))
+
+
+def read_only(values, dtype) -> np.ndarray:
+    """A new ``dtype`` array of ``values`` that cannot be written to."""
+    values = np.array(values, dtype=dtype)
+    values.flags.writeable = False
+    return values
 
 
 def scatter_outputs(probs: np.ndarray, a_map: np.ndarray, b_map: np.ndarray,
@@ -53,21 +63,21 @@ def scatter_outputs(probs: np.ndarray, a_map: np.ndarray, b_map: np.ndarray,
                        * b_size).reshape(n_x, n_y, a_size, b_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationBox:
-    """Stochastic map (x, y) -> distribution over (a, b), stored exactly."""
+    """Stochastic map (x, y) -> distribution over (a, b), stored exactly.
+
+    Like every value type that holds arrays, a box compares by identity."""
 
     table: np.ndarray  # shape (x_size, y_size, a_size, b_size)
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.float64)
+        table = read_only(self.table, np.float64)
         if table.ndim != 4:
             raise ValueError("table must be 4-d, indexed [x, y, a, b]")
         if min(table.shape) < 1:
             raise ValueError("alphabet sizes must be positive")
         check_distributions(table)
-        table = table.copy()
-        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
@@ -100,11 +110,11 @@ def pr_box() -> CorrelationBox:
 def local_box(f, g) -> CorrelationBox:
     """Deterministic local binary box: output point mass at (f(x), g(y)).
 
-    ``f`` and ``g`` are given as bit sequences indexed by input symbol.
+    ``f`` and ``g`` are sequences of the bits 0 and 1 indexed by input
+    symbol; any other entry is refused.
     """
-    f = [int(v) for v in f]
-    g = [int(v) for v in g]
-    if any(v not in (0, 1) for v in f + g):
+    check_numbers([*f, *g], "output bit", numbers.Integral)
+    if any(v not in (0, 1) for v in [*f, *g]):
         raise ValueError("output map value out of range")
     table = np.zeros((len(f), len(g), 2, 2))
     for x, fx in enumerate(f):
@@ -184,15 +194,13 @@ def box_from_payload(payload: dict) -> CorrelationBox:
     sizes = [payload[k] for k in ("x_size", "y_size", "a_size", "b_size")]
     check_numbers(sizes, "size", numbers.Integral)
     x_size, y_size, a_size, b_size = sizes
-    table = np.empty((x_size, y_size, a_size, b_size))
-    for x in range(x_size):
-        for y in range(y_size):
-            row = payload["table"][x][y]
-            check_numbers(row, "table entry", numbers.Real)
-            if len(row) != a_size * b_size:
-                raise ValueError("table row has wrong length")
-            table[x, y] = np.reshape(row, (a_size, b_size))
-    return CorrelationBox(table)
+    table = np.array(payload["table"], dtype=object)
+    if min(sizes) < 1 or table.shape != (x_size, y_size, a_size * b_size):
+        raise ValueError("table must be x_size x y_size = %d x %d rows of "
+                         "a_size * b_size = %d entries, for positive sizes"
+                         % (x_size, y_size, a_size * b_size))
+    check_numbers(table.ravel(), "table entry", numbers.Real)
+    return CorrelationBox(table.astype(np.float64).reshape(sizes))
 
 
 def box_to_json(box: CorrelationBox) -> str:

@@ -81,7 +81,8 @@ def _load_payload(path: str, parse):
         return parse(payload)
     except KeyError as exc:
         raise ValueError("%s: missing field %s" % (path, exc)) from None
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, IndexError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import (PATH_TABLE_CAP, CorrelationBox, check_numbers, local_box,
-                    scatter_outputs, tv_closeness)
+                    read_only, scatter_outputs, tv_closeness)
 
 ENUMERATION_CAP = 10 ** 8
 SCHEDULE_DIGIT_CAP = 4300  # Python's default limit on int-to-str conversion
@@ -71,11 +71,9 @@ class DeterministicProtocol:
         def check(values, length, size, name):
             if len(values) != length:
                 raise ValueError("%s has wrong length" % name)
-            # one pass over plain ints; any other value gets the full test
-            if any(type(v) is not int or not 0 <= v < size for v in values):
-                check_numbers(values, name + " entry", numbers.Integral)
-                if any(not 0 <= v < size for v in values):
-                    raise ValueError("%s value out of range" % name)
+            check_numbers(values, name + " entry", numbers.Integral)
+            if any(not 0 <= v < size for v in values):
+                raise ValueError("%s value out of range" % name)
 
         for i in range(k):
             check(self.q_maps[i], al.x1 * al.a2 ** i, al.x2, "q_maps[%d]" % i)
@@ -110,10 +108,9 @@ class LineFamily:
 
     def __post_init__(self):
         for name in ("intercepts", "slopes"):
-            values = np.array(getattr(self, name), dtype=np.float64)
+            values = read_only(getattr(self, name), np.float64)
             if not np.isfinite(values).all():
                 raise ValueError("coefficients must be finite")
-            values.flags.writeable = False
             object.__setattr__(self, name, values)
         if self.intercepts.shape != self.slopes.shape or self.slopes.ndim != 1:
             raise ValueError("need 1-D intercepts and slopes of equal length")
@@ -123,10 +120,6 @@ class LineFamily:
 
     def __iter__(self):
         return map(AffineFunction, self.intercepts.tolist(), self.slopes.tolist())
-
-    def __eq__(self, other):
-        return isinstance(other, LineFamily) and np.array_equal(
-            (self.intercepts, self.slopes), (other.intercepts, other.slopes))
 
 
 def identity_protocol() -> DeterministicProtocol:

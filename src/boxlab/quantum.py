@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PATH_TABLE_CAP, CorrelationBox, scatter_outputs
+from .boxes import (PATH_TABLE_CAP, CorrelationBox, read_only,
+                    scatter_outputs)
 
 UNITARY_TOL = 1e-10
 
@@ -84,13 +85,6 @@ def _require_unit_vectors(c) -> np.ndarray:
     return c
 
 
-def _require_unit_vector(c) -> np.ndarray:
-    c = _require_unit_vectors(c)
-    if c.shape != (3,):
-        raise ValueError("expected a 3-vector")
-    return c
-
-
 def unitary_for_point(c: np.ndarray) -> np.ndarray:
     """Unitaries U [..., 2, 2] with bloch_of(U^-1 |1>) = c for unit vectors
     c [..., 3], phase-fixed for determinism.
@@ -116,7 +110,7 @@ def unitary_for_point(c: np.ndarray) -> np.ndarray:
     return u * phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellBoxSpec:
     """One pre-mixture BELL member: per-input unitaries plus postprocessing.
 
@@ -135,18 +129,17 @@ class BellBoxSpec:
 
     def __post_init__(self):
         for party, size in (("alice", self.a_size), ("bob", self.b_size)):
-            us = _require_unitary(np.array(getattr(self, party + "_unitaries"),
-                                           dtype=np.complex128))
-            post = np.array(getattr(self, party + "_post"), dtype=np.int64)
+            us = _require_unitary(read_only(getattr(self, party + "_unitaries"),
+                                            np.complex128))
+            post = read_only(getattr(self, party + "_post"), np.int64)
             if us.ndim != 3:
                 raise ValueError("expected one 2x2 unitary per input")
             if post.shape != (len(us), 2):
                 raise ValueError("postprocessing shape must be (inputs, 2)")
             if post.min() < 0 or post.max() >= size:
                 raise ValueError("%s_post value out of range" % party)
-            for name, values in (("_unitaries", us), ("_post", post)):
-                values.flags.writeable = False
-                object.__setattr__(self, party + name, values)
+            object.__setattr__(self, party + "_unitaries", us)
+            object.__setattr__(self, party + "_post", post)
 
     @property
     def x_size(self) -> int:
@@ -207,13 +200,6 @@ def bell_box(spec: BellBoxSpec, state: np.ndarray = PHI_PLUS) -> CorrelationBox:
     for start in range(0, spec.x_size, rows):
         table[start:start + rows] = block(start)
     return CorrelationBox(table)
-
-
-def singlet_prob_equal(x: np.ndarray, y: np.ndarray) -> float:
-    """Pr[a = b] when the singlet is measured along Bloch directions x, y."""
-    x = _require_unit_vector(x)
-    y = _require_unit_vector(y)
-    return float(np.clip(0.5 - 0.5 * np.dot(x, y), 0.0, 1.0))
 
 
 def singlet_measure_box(u: np.ndarray, v: np.ndarray) -> np.ndarray:

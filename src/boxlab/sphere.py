@@ -17,16 +17,15 @@ a k-d tree audit's to the bit, whatever the order of the points.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import (PATH_TABLE_CAP, CorrelationBox, check_distributions,
-                    check_numbers)
-from .quantum import (KET1, SINGLET, _haar, bloch_of, measurement_probs,
-                      simple_bell_spec, unitary_for_point)
+                    check_numbers, read_only)
+from .quantum import (KET1, SINGLET, _haar, _require_unit_vectors, bloch_of,
+                      measurement_probs, simple_bell_spec, unitary_for_point)
 
 # empirical certified-radius constant of the audited Fibonacci lattice,
 # certified_radius ~= RADIUS_FIT / sqrt(T); retuned if the audit ever fails
@@ -242,7 +241,7 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
     return certified
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereCover:
     """T unit vectors with an audited covering radius."""
 
@@ -250,15 +249,10 @@ class SphereCover:
     covering_radius: float
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
+        points = read_only(self.points, np.float64)
         if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 4:
             raise ValueError("cover needs at least 4 points in R^3")
-        norms = np.linalg.norm(points, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-10):     # NaN fails too
-            raise ValueError("cover points must be unit vectors")
-        points = points.copy()
-        points.flags.writeable = False
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", _require_unit_vectors(points))
 
     @property
     def size(self) -> int:
@@ -390,9 +384,10 @@ def cover_from_payload(payload: dict) -> SphereCover:
     the file's ``covering_radius``, so the files of both load with the same
     radius.  A file whose radius is below both audits is refused.
     """
-    points, radius = payload["points"], payload["covering_radius"]
-    check_numbers(itertools.chain([radius], *points), "cover entry", numbers.Real)
-    claimed = SphereCover(np.asarray(points, dtype=np.float64), float(radius))
+    points = np.array(payload["points"], dtype=object)
+    radius = payload["covering_radius"]
+    check_numbers([radius, *points.ravel()], "cover entry", numbers.Real)
+    claimed = SphereCover(points.astype(np.float64), float(radius))
     audits = []
     for probes in (AUDIT_PROBES_PER_POINT * claimed.size, OCTAHEDRON_PROBES):
         audits.append(audit_cover(claimed.points, probes))

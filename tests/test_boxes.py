@@ -1,5 +1,8 @@
 import functools
+import numbers
 import operator
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 import boxlab as bl
 from boxlab.boxes import (box_from_json, box_from_payload, box_to_json,
-                         box_to_payload, scatter_outputs)
+                         box_to_payload, check_numbers, scatter_outputs)
 
 
 def test_pr_box_rows():
@@ -37,6 +40,39 @@ def test_local_box_point_masses():
     for f, g in (([0, 2], [0, 1]), ([0, 1], [-1, 0])):
         with pytest.raises(ValueError, match="out of range"):
             bl.local_box(f, g)
+
+
+@pytest.mark.parametrize("bad", [0.7, 1.9, 1.0, True, False, "1", None])
+def test_local_box_refuses_anything_but_the_bits(bad):
+    for f, g in (([0, bad], [0, 1]), ([0, 1], [bad, 1])):
+        with pytest.raises(ValueError, match="output bit .* is not an integer"):
+            bl.local_box(f, g)
+
+
+def test_local_box_takes_numpy_bits():
+    assert np.array_equal(bl.local_box(np.array([0, 1]), (np.int64(1), 0)).table,
+                          bl.local_box([0, 1], [1, 0]).table)
+
+
+def refused_by_the_reference(value, kind):
+    """The number check as first written: one isinstance test a value."""
+    return isinstance(value, bool) or not isinstance(value, kind)
+
+
+NUMBER_CORPUS = [0, 1, -7, 2 ** 80, True, False, np.int64(3), np.bool_(True),
+                 0.5, -0.0, float("nan"), float("inf"), float("-inf"),
+                 np.float32(0.5), np.float64(0.25), Fraction(1, 3),
+                 Decimal("0.5"), 1 + 2j, "1", None]
+
+
+@pytest.mark.parametrize("kind", [numbers.Integral, numbers.Real])
+@pytest.mark.parametrize("value", NUMBER_CORPUS, ids=repr)
+def test_check_numbers_agrees_with_the_reference_predicate(kind, value):
+    if refused_by_the_reference(value, kind):
+        with pytest.raises(ValueError, match="entry .* is not"):
+            check_numbers([1, value], "entry", kind)
+    else:
+        check_numbers([1, value], "entry", kind)
 
 
 def test_mix_identity_and_midpoint():
@@ -152,6 +188,28 @@ def test_non_numeric_box_payload_entries_are_refused(path, value):
     payload["table"][0][0] = [0, 1, 0, 0]
     assert box_from_payload(payload).table.tobytes() \
         == bl.local_box([0, 1], [1, 0]).table.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [
+    {"x_size": 1}, {"y_size": 3}, {"a_size": 1}, {"b_size": 4},
+    {"x_size": 10 ** 6, "y_size": 10 ** 6}, {"a_size": -2, "b_size": -2}])
+def test_a_table_off_its_sizes_is_refused(sizes):
+    # before, a larger table loaded truncated, and huge sizes asked for a
+    # table of their size before any row was read
+    payload = box_to_payload(bl.pr_box())
+    payload.update(sizes)
+    with pytest.raises(ValueError, match="^table must be x_size x y_size"):
+        box_from_payload(payload)
+
+
+@pytest.mark.parametrize("table", [[[[0.5, 0, 0, 0.5]], [[1, 0, 0, 0]]],
+                                   [[[0.5, 0, 0, 0.5]], [0.25] * 4],
+                                   [[[[0.5, 0], [0, 0.5]]]], "0.5", 1.0])
+def test_a_ragged_or_scalar_table_is_refused(table):
+    payload = {"x_size": 1, "y_size": 1, "a_size": 2, "b_size": 2,
+               "table": table}
+    with pytest.raises(ValueError, match="^table must be"):
+        box_from_payload(payload)
 
 
 @st.composite

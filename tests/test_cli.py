@@ -337,7 +337,7 @@ def test_cover_verify_refuses_an_unsound_cover_file(capsys, tmp_path):
             ("covering_radius", None, 0.001,
              "covering_radius 0.001 is below the audited radius "),
             ("points", 3, [float("nan"), 0.0, 1.0],
-             "cover points must be unit vectors")):
+             "vector is not unit length")):
         stored = json.loads(built)
         if index is None:
             stored["result"][key] = value
@@ -487,6 +487,48 @@ def test_non_numeric_file_entries_exit_2_naming_the_file(capsys, tmp_path,
     assert code == 2 and out == ""
     assert err.startswith("error: %s: " % file) and err.count("\n") == 1
     assert "is not an integer" in err or "is not a number" in err
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_a_deeply_nested_file_exits_2_naming_the_file(capsys, tmp_path, kind):
+    # valid JSON nested past the decoder's recursion limit
+    file = tmp_path / "deep.json"
+    file.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, *[a.format(file) for a in FILE_KINDS[kind][1]])
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: " % file) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind,path", [
+    ("box", ("table", 0, 0, 0)), ("cover", ("points", 0, 0)),
+    ("cover", ("covering_radius",))])
+def test_an_integer_past_the_float_range_exits_2_naming_the_file(
+        capsys, tmp_path, kind, path):
+    make, argv = FILE_KINDS[kind]
+    payload = json.loads(make())
+    *outer, last = path
+    functools.reduce(operator.getitem, outer, payload)[last] = 10 ** 400
+    file = tmp_path / "huge.json"
+    file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *[a.format(file) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: " % file) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sizes", [{"x_size": 1},
+                                   {"x_size": 10 ** 6, "y_size": 10 ** 6}])
+def test_a_box_file_off_its_sizes_exits_2_naming_the_shape(capsys, tmp_path,
+                                                           sizes):
+    payload = boxes.box_to_payload(bl.pr_box())
+    payload.update(sizes)
+    file = tmp_path / "box.json"
+    file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "box", "show", "--box", "file:%s" % file)
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: table must be x_size x y_size = %d x %d "
+                          "rows of a_size * b_size = 4 entries"
+                          % (file, payload["x_size"], payload["y_size"]))
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

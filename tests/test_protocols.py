@@ -26,6 +26,12 @@ def key(ell):
     return (round(ell.intercept * scale), round(ell.slope * scale))
 
 
+def same_lines(fam1, fam2):
+    """Two families hold the same lines in the same order, bit for bit."""
+    return (np.array_equal(fam1.intercepts, fam2.intercepts)
+            and np.array_equal(fam1.slopes, fam2.slopes))
+
+
 def k0_protocol(s_map, t_map):
     return bl.DeterministicProtocol(BINARY, 0, (), (), tuple(s_map),
                                     tuple(t_map))
@@ -454,7 +460,7 @@ def test_candidate_arrays_stay_under_a_small_cap(monkeypatch):
         small = bl.affine_family(target, 1)
     finally:
         sys.settrace(old)
-    assert small == family
+    assert same_lines(small, family)
     assert len(sizes) > 1000 and max(sizes) <= cap
 
 
@@ -504,11 +510,10 @@ def test_line_family_len_and_equality():
     lines = [AffineFunction(0.75, 0.0), AffineFunction(0.5, 0.5)]
     family = LineFamily([0.75, 0.5], [0.0, 0.5])
     assert len(family) == 2 and len(LineFamily([], [])) == 0
-    assert family == LineFamily([0.75, 0.5], [0.0, 0.5])
-    assert family != LineFamily([0.5, 0.75], [0.5, 0.0])       # order counts
-    assert family != LineFamily([0.75], [0.0])
-    assert family != LineFamily([0.75, 0.5], [0.0, 0.25])
-    assert (family == lines) is False                   # a list is no family
+    assert same_lines(family, LineFamily([0.75, 0.5], [0.0, 0.5]))
+    assert not same_lines(family, LineFamily([0.5, 0.75], [0.5, 0.0]))
+    assert not same_lines(family, LineFamily([0.75], [0.0]))
+    assert not same_lines(family, LineFamily([0.75, 0.5], [0.0, 0.25]))
     assert list(family) == lines
 
 
@@ -586,7 +591,7 @@ def test_a_constant_count_is_refused_past_log2_of_the_cap(monkeypatch):
     al = Alphabets(2, 2, 2, 2, 1, 1, 1, 1)
     # 16 protocols at every k: the count never reaches the cap
     assert bl.count_protocols(al, 26) == 16
-    assert bl.affine_family(one, 26) == bl.affine_family(one, 0)
+    assert same_lines(bl.affine_family(one, 26), bl.affine_family(one, 0))
 
     def build(*args):
         raise AssertionError("built the strategies or the count")

@@ -5,7 +5,7 @@ import boxlab as bl
 from boxlab import quantum
 from boxlab.quantum import (KET0, KET1, PHI_PLUS, SINGLET, measurement_probs,
                             restrict_box)
-from boxlab.sphere import build_cover, cover_bell_spec
+from boxlab.sphere import _singlet_rows, build_cover, cover_bell_spec
 
 RNG = np.random.default_rng(123)
 
@@ -237,11 +237,17 @@ def test_bell_box_nonsignaling():
         assert bl.is_nonsignaling(bl.bell_box(spec, SINGLET))
 
 
+def prob_equal(x, y):
+    """Pr[a = b] of the singlet measured along Bloch directions x and y, by
+    the dot-product law that discretized_box and verify_reduction use."""
+    return float(_singlet_rows(np.dot(x, y)).trace())
+
+
 def test_singlet_prob_equal_anchors():
     x = np.array([0.0, 0.0, 1.0])
-    assert bl.singlet_prob_equal(x, x) == 0.0
-    assert bl.singlet_prob_equal(x, -x) == 1.0
-    assert bl.singlet_prob_equal(x, np.array([1.0, 0.0, 0.0])) == 0.5
+    assert prob_equal(x, x) == 0.0
+    assert prob_equal(x, -x) == 1.0
+    assert prob_equal(x, np.array([1.0, 0.0, 0.0])) == 0.5
 
 
 def test_singlet_measurement_matches_dot_product_law():
@@ -253,7 +259,7 @@ def test_singlet_measurement_matches_dot_product_law():
         amp = row[0, 0] + row[1, 1]
         x = bl.bloch_of(np.linalg.inv(u) @ KET1)
         y = bl.bloch_of(np.linalg.inv(v) @ KET1)
-        assert abs(amp - bl.singlet_prob_equal(x, y)) <= 1e-10
+        assert abs(amp - prob_equal(x, y)) <= 1e-10
         # |<1|U V^-1|1>|^2 = 1/2 + (x . y)/2, the overlap form of the law
         overlap = abs((KET1.conj() @ (u @ np.linalg.inv(v)) @ KET1)) ** 2
         assert abs(overlap - (0.5 + 0.5 * np.dot(x, y))) <= 1e-10

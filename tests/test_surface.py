@@ -1,9 +1,16 @@
-"""The package exports no name that only the tests call, and no function
-has a default that no caller outside the tests overrides."""
+"""The package exports no name that only the tests call, no function has
+a default that no caller outside the tests overrides, and every value type
+that holds arrays is made read-only in one place and compares by
+identity."""
 
 import ast
 import pathlib
 import re
+
+import numpy as np
+import pytest
+
+import boxlab as bl
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "boxlab"
 README = SRC.parent.parent / "README.md"
@@ -101,3 +108,82 @@ def test_every_default_is_passed_by_the_library_or_the_benchmark():
     library = [parse(path) for path in sorted(SRC.glob("*.py"))]
     bench = [parse(path) for path in sorted(BENCH.glob("*.py"))]
     assert unpassed_defaults(library, library + bench) == []
+
+
+def read_only_breaches(trees):
+    """(module, line) of each assignment to ``.flags.writeable`` outside
+    boxes.py, whose ``read_only`` is the one place arrays are frozen, and of
+    each dataclass whose ``__post_init__`` calls ``read_only`` but is not
+    declared with ``eq=False``: a generated ``==`` on arrays raises."""
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if name != "boxes.py" and isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Attribute) and t.attr == "writeable"
+                    and isinstance(t.value, ast.Attribute)
+                    and t.value.attr == "flags" for t in node.targets):
+                found.append((name, node.lineno))
+            if isinstance(node, ast.ClassDef) and freezes(node) \
+                    and not compares_by_identity(node):
+                found.append((name, node.lineno))
+    return found
+
+
+def freezes(cls):
+    """True if the class's ``__post_init__`` calls ``read_only``."""
+    return any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+               and any(isinstance(c, ast.Call) and "read_only" in (
+                   getattr(c.func, "id", None), getattr(c.func, "attr", None))
+                   for c in ast.walk(f))
+               for f in cls.body)
+
+
+def compares_by_identity(cls):
+    """True if the class is declared ``@dataclass(..., eq=False)``."""
+    return any(isinstance(d, ast.Call)
+               and getattr(d.func, "id", None) == "dataclass"
+               and any(kw.arg == "eq" and isinstance(kw.value, ast.Constant)
+                       and kw.value.value is False for kw in d.keywords)
+               for d in cls.decorator_list)
+
+
+def test_arrays_are_frozen_in_one_place_by_value_types_that_compare_by_identity():
+    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+    assert read_only_breaches(trees) == []
+    assert sum(freezes(node) for tree in trees.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)) == 4
+
+
+def test_the_guard_flags_a_second_freeze_and_a_generated_eq():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "values.flags.writeable = False\n"
+        "@dataclass(frozen=True)\n"
+        "class Value:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'v', read_only(self.v, float))\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class Same:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'v', boxes.read_only(self.v, float))\n")
+    assert read_only_breaches({"other.py": tree}) == [("other.py", 2),
+                                                       ("other.py", 4)]
+    assert read_only_breaches({"boxes.py": tree}) == [("boxes.py", 4)]
+
+
+def two_of_each():
+    """Two values of each value type, built alike from equal arrays."""
+    identity = np.eye(2, dtype=np.complex128)
+    makers = (bl.pr_box, bl.octahedron_cover,
+              lambda: bl.LineFamily([0.75, 0.5], [0.0, 0.5]),
+              lambda: bl.simple_bell_spec([identity], [identity]))
+    return [(make(), make()) for make in makers]
+
+
+@pytest.mark.parametrize("first,second", two_of_each(),
+                         ids=["box", "cover", "family", "spec"])
+def test_value_types_compare_and_hash_by_identity(first, second):
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert hash(first) == hash(first) and hash(first) != hash(second)
+    assert (first == "other") is False and len({first, second, first}) == 2
