@@ -30,20 +30,15 @@ class CriterionResult:
 def criterion_tsirelson_anchor() -> CriterionResult:
     """Optimized strategies hit omega(p) within 1e-6 and never beat it."""
     ps = np.round(np.arange(0.5, 1.0001, 0.05), 10)
-    worst_short = 0.0
-    worst_over = 0.0
-    values = {}
-    for p in ps:
-        achieved = games.achieved_win_prob(float(p))
-        target = games.omega(float(p))
-        worst_short = max(worst_short, target - achieved)
-        worst_over = max(worst_over, achieved - target)
-        values[float(p)] = achieved
+    achieved = [games.achieved_win_prob(p) for p in ps.tolist()]
+    short = games.omega(ps) - achieved
+    worst_short = max(0.0, float(short.max()))
+    worst_over = max(0.0, float(-short.min()))
     passed = worst_short <= 1e-6 and worst_over <= 1e-9
     return CriterionResult("tsirelson_omega_anchor", passed,
                            {"worst_shortfall": worst_short,
                             "worst_overshoot": worst_over,
-                            "achieved": values})
+                            "achieved": dict(zip(ps.tolist(), achieved))})
 
 
 def criterion_classical_chsh() -> CriterionResult:
@@ -107,16 +102,13 @@ def _random_protocol(rng, al, k):
 def criterion_intersections() -> CriterionResult:
     """10^4 random lines each meet omega at most twice, residuals <= 1e-10."""
     rng = np.random.default_rng(5)
-    worst_residual = 0.0
-    max_roots = 0
-    for _ in range(10 ** 4):
-        ell = protocols.AffineFunction(float(rng.normal(0.8, 0.4)),
-                                       float(rng.normal(0.0, 0.6)))
-        roots = analysis.line_intersections(ell)
-        max_roots = max(max_roots, len(roots))
-        for p in roots:
-            worst_residual = max(worst_residual,
-                                 abs(float(ell(p)) - games.omega(p)))
+    # per line its intercept, then its slope
+    c, m = rng.normal((0.8, 0.0), (0.4, 0.6), (10 ** 4, 2)).T
+    roots = analysis.line_intersections(protocols.LineFamily(c, m))
+    found = ~np.isnan(roots)
+    residual = np.abs(c[:, None] + m[:, None] * roots - games.omega(roots))
+    worst_residual = float(residual.max(initial=0.0, where=found))
+    max_roots = int(found.sum(axis=1).max())
     passed = max_roots <= 2 and worst_residual <= 1e-10
     return CriterionResult("line_intersections", passed,
                            {"max_roots": max_roots,
@@ -193,28 +185,31 @@ def criterion_property_suite() -> CriterionResult:
     rng = np.random.default_rng(77)
     details: dict = {}
 
-    defect = max(quantum.singlet_invariance_defect(quantum.random_unitary(rng))
-                 for _ in range(1000))
+    # each unitary takes its real draws, then its imaginary ones, as
+    # quantum.random_unitary does; the defect is rounded one matrix at a time
+    draws = rng.normal(size=(1000, 2, 2, 2))
+    defect = max(map(quantum.singlet_invariance_defect,
+                     quantum._haar(draws[:, 0] + 1j * draws[:, 1])))
     details["max_singlet_defect"] = defect
 
-    dot_dev = 0.0
-    for _ in range(1000):
-        u, v = quantum.random_unitary(rng), quantum.random_unitary(rng)
-        row = quantum.singlet_measure_box(u, v)
-        amp_path = float(row[0, 0] + row[1, 1])
-        x = quantum.bloch_of(np.linalg.inv(u) @ quantum.KET1)
-        y = quantum.bloch_of(np.linalg.inv(v) @ quantum.KET1)
-        law = float(sphere._singlet_rows(np.dot(x, y)).trace())
-        dot_dev = max(dot_dev, abs(amp_path - law))
+    # per pair U's draws, then V's
+    draws = rng.normal(size=(1000, 4, 2, 2))
+    uv = quantum._haar(draws[:, 0::2] + 1j * draws[:, 1::2])
+    rows = quantum.singlet_measure_box(uv[:, 0], uv[:, 1])
+    amp_path = rows[:, 0, 0] + rows[:, 1, 1]
+    xy = quantum.bloch_of(np.linalg.inv(uv) @ quantum.KET1)
+    # the stacked (1 x 3) @ (3 x 1) product rounds as np.dot(x, y) does
+    dots = (xy[:, 0, None, :] @ xy[:, 1, :, None])[:, 0, 0]
+    law = sphere._singlet_rows(dots).trace(axis1=1, axis2=2)
+    dot_dev = float(np.abs(amp_path - law).max())
     details["max_dot_product_dev"] = dot_dev
 
     xs = np.linspace(0.5, 1.0, 101)
-    second = np.array([analysis.omega_second_derivative(x) for x in xs])
-    h = 1e-4
-    fd_dev = max(abs((games.omega(x + h) - 2 * games.omega(x)
-                      + games.omega(x - h)) / (h * h)
-                     - analysis.omega_second_derivative(x))
-                 for x in xs[1:-1])
+    second = analysis.omega_second_derivative(xs)
+    h, inner = 1e-4, xs[1:-1]
+    fd = (games.omega(inner + h) - 2 * games.omega(inner)
+          + games.omega(inner - h)) / (h * h)
+    fd_dev = float(np.abs(fd - second[1:-1]).max())
     details["omega_dd_min"] = float(second.min())
     details["omega_dd_fd_dev"] = fd_dev
 

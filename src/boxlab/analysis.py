@@ -85,11 +85,12 @@ def _omega_roots(c, m) -> np.ndarray:
     return np.where(keep, near, np.nan)
 
 
-def line_intersections(ell: AffineFunction) -> list[float]:
-    """Roots of ell(p) = omega(p) in [1/2, 1], ascending; a tangency appears
-    twice.  ``_omega_roots`` says how tangencies and the ends are decided."""
-    return sorted(float(p) for p in _omega_roots(ell.intercept, ell.slope)
-                  if not np.isnan(p))
+def line_intersections(family: LineFamily) -> np.ndarray:
+    """Roots of ell(p) = omega(p) in [1/2, 1] of each line ell of a
+    ``LineFamily``, as a float64 array [line, 2]: each row ascending, NaN
+    after its roots, a tangency twice.  ``_omega_roots`` says how tangencies
+    and the ends are decided."""
+    return np.sort(_omega_roots(family.intercepts, family.slopes).T, axis=1)
 
 
 @np.errstate(all="ignore")

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__, analysis, boxes, games, protocols, sphere
 from .boxes import PATH_TABLE_CAP
-from .protocols import AffineFunction, BINARY, Alphabets, LineFamily
+from .protocols import BINARY, Alphabets, LineFamily
 
 DEFAULT_SEED = 20230405
 
@@ -248,8 +248,9 @@ def cmd_protocol_family(args):
 # --- analysis ----------------------------------------------------------
 
 def cmd_analysis_intersections(args):
-    ell = AffineFunction(args.intercept, args.slope)
-    _emit(args, {"roots": analysis.line_intersections(ell)})
+    family = LineFamily([args.intercept], [args.slope])
+    roots = analysis.line_intersections(family)[0]
+    _emit(args, {"roots": roots[~np.isnan(roots)].tolist()})
 
 
 def cmd_analysis_measure(args):

@@ -453,11 +453,8 @@ def affine_family(target: CorrelationBox, k: int, *,
 
 def local_deterministic_boxes():
     """All 16 deterministic local binary boxes (a = f(x), b = g(y))."""
-    out = []
-    for f in itertools.product(range(2), repeat=2):
-        for g in itertools.product(range(2), repeat=2):
-            out.append(local_box(f, g))
-    return out
+    maps = list(itertools.product(range(2), repeat=2))
+    return [local_box(f, g) for f in maps for g in maps]
 
 
 def protocol_to_payload(protocol: DeterministicProtocol) -> dict:

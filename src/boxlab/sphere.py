@@ -243,7 +243,7 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SphereCover:
-    """T unit vectors with an audited covering radius."""
+    """T unit vectors with an audited, finite covering radius."""
 
     points: np.ndarray      # shape (T, 3)
     covering_radius: float
@@ -253,6 +253,9 @@ class SphereCover:
         if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 4:
             raise ValueError("cover needs at least 4 points in R^3")
         object.__setattr__(self, "points", _require_unit_vectors(points))
+        if not np.isfinite(self.covering_radius):
+            raise ValueError("covering_radius %r is not finite"
+                             % self.covering_radius)
 
     @property
     def size(self) -> int:
@@ -386,6 +389,8 @@ def cover_from_payload(payload: dict) -> SphereCover:
     """
     points = np.array(payload["points"], dtype=object)
     radius = payload["covering_radius"]
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError("points must be rows of 3 coordinates")
     check_numbers([radius, *points.ravel()], "cover entry", numbers.Real)
     claimed = SphereCover(points.astype(np.float64), float(radius))
     audits = []

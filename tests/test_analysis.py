@@ -18,6 +18,24 @@ from boxlab.protocols import AffineFunction, LineFamily
 from boxlab.sphere import build_cover
 
 
+def family_of(lines):
+    """The ``LineFamily`` of a list of ``AffineFunction``s, in its order."""
+    return LineFamily([ell.intercept for ell in lines],
+                      [ell.slope for ell in lines])
+
+
+def roots_of(ell):
+    """line_intersections of the one-line family of ``ell``, its NaNs
+    dropped, as a list."""
+    roots = bl.line_intersections(family_of([ell]))[0]
+    return roots[~np.isnan(roots)].tolist()
+
+
+def measure_one(ell, epsilon):
+    """measure_near of the one-line family of ``ell``, as a float."""
+    return float(bl.measure_near(family_of([ell]), epsilon)[0])
+
+
 def test_second_derivative_closed_form_and_bound():
     for x in np.linspace(0.0, 1.0, 101):
         value = omega_second_derivative(float(x))
@@ -40,7 +58,7 @@ def test_tangent_line_touches_from_below():
 
 def test_tangent_line_intersections_double_root():
     for p0 in (0.55, 0.75, 0.9):
-        roots = bl.line_intersections(tangent_line(p0))
+        roots = roots_of(tangent_line(p0))
         assert len(roots) == 2
         assert roots[0] == pytest.approx(p0, abs=1e-6)
         assert roots[1] == pytest.approx(p0, abs=1e-6)
@@ -54,7 +72,7 @@ def test_close_crossings_are_both_reported(p0, shift):
     # less than ROOT_TOL above omega, is no root
     tangent = tangent_line(p0)
     ell = AffineFunction(tangent.intercept + shift, tangent.slope)
-    roots = bl.line_intersections(ell)
+    roots = roots_of(ell)
     ps = np.linspace(p0 - 1e-4, p0 + 1e-4, 200001)
     g = ell(ps) - bl.omega(ps)
     crossings = ps[:-1][np.sign(g[1:]) != np.sign(g[:-1])]
@@ -66,13 +84,13 @@ def test_close_crossings_are_both_reported(p0, shift):
 def test_lowered_tangent_misses_omega(p0):
     tangent = tangent_line(p0)
     lowered = AffineFunction(tangent.intercept - 1e-9, tangent.slope)
-    assert bl.line_intersections(lowered) == []
+    assert roots_of(lowered) == []
 
 
 @pytest.mark.parametrize("p0", [0.6, 0.75])
 def test_exact_tangent_touches_once(p0):
     # float discriminants at or below zero: one double root at the vertex
-    touch = bl.line_intersections(tangent_line(p0))
+    touch = roots_of(tangent_line(p0))
     assert len(touch) == 2 and touch[0] == touch[1]
 
 
@@ -81,26 +99,34 @@ def test_secant_line_intersections_exact():
     p1, p2 = 0.5, 1.0
     slope = (bl.omega(p2) - bl.omega(p1)) / (p2 - p1)
     ell = AffineFunction(bl.omega(p1) - slope * p1, slope)
-    roots = bl.line_intersections(ell)
+    roots = roots_of(ell)
     assert len(roots) == 2
     assert roots[0] == pytest.approx(p1, abs=1e-9)
     assert roots[1] == pytest.approx(p2, abs=1e-9)
 
 
 def test_line_below_omega_has_no_intersections():
-    assert bl.line_intersections(AffineFunction(0.5, 0.0)) == []
-    assert bl.line_intersections(AffineFunction(0.0, 0.3)) == []
+    assert roots_of(AffineFunction(0.5, 0.0)) == []
+    assert roots_of(AffineFunction(0.0, 0.3)) == []
 
 
-@pytest.mark.parametrize("p1", [round(0.55 + 0.005 * i, 3) for i in range(88)])
-def test_steep_line_reports_each_crossing_once(p1):
-    # through (p1, omega(p1)), steeper than omega there: it crosses upward at
-    # p1 and maybe back down later, never tangentially
+STEEP_P1 = [round(0.55 + 0.005 * i, 3) for i in range(88)]
+
+
+def steep_line(p1):
+    """The line through (p1, omega(p1)) steeper than omega there by 0.3."""
     slope = omega_prime(p1) + 0.3
-    ell = AffineFunction(bl.omega(p1) - slope * p1, slope)
+    return AffineFunction(bl.omega(p1) - slope * p1, slope)
+
+
+@pytest.mark.parametrize("p1", STEEP_P1)
+def test_steep_line_reports_each_crossing_once(p1):
+    # steeper than omega at p1: it crosses upward at p1 and maybe back down
+    # later, never tangentially
+    ell = steep_line(p1)
     ps = np.linspace(0.5, 1.0, 20001)
     above = ell(ps) > bl.omega(ps)
-    roots = bl.line_intersections(ell)
+    roots = roots_of(ell)
     assert len(roots) == int(np.count_nonzero(above[1:] != above[:-1]))
     assert len(set(roots)) == len(roots)
     assert roots[0] == pytest.approx(p1, abs=1e-9)
@@ -111,22 +137,11 @@ def test_intersections_residual_small():
     for _ in range(500):
         ell = AffineFunction(float(rng.uniform(0.4, 1.3)),
                              float(rng.uniform(-1.0, 1.0)))
-        roots = bl.line_intersections(ell)
+        roots = roots_of(ell)
         assert len(roots) <= 2
         for r in roots:
             assert 0.5 - 1e-12 <= r <= 1.0 + 1e-12
             assert abs(float(ell(r)) - bl.omega(min(max(r, 0.5), 1.0))) <= 1e-10
-
-
-def family_of(lines):
-    """The ``LineFamily`` of a list of ``AffineFunction``s, in its order."""
-    return LineFamily([ell.intercept for ell in lines],
-                      [ell.slope for ell in lines])
-
-
-def measure_one(ell, epsilon):
-    """measure_near of the one-line family of ``ell``, as a float."""
-    return float(bl.measure_near(family_of([ell]), epsilon)[0])
 
 
 def test_measure_near_tangent_sqrt_scaling():
@@ -524,6 +539,38 @@ def test_find_hard_p_does_not_depend_on_the_order_of_the_lines(name):
         assert other.family == shuffled and other.verify()
 
 
+def scalar_roots(c, m):
+    """Oracle: line_intersections' former scalar form, on Python floats."""
+    return sorted(float(p) for p in analysis._omega_roots(c, m) if p == p)
+
+
+def test_line_intersections_of_a_family_equals_one_line_calls_bit_for_bit():
+    # the acceptance battery's 10^4 lines, tangents of omega raised and
+    # lowered by up to 1e-9, the steep lines and the crossing families; each
+    # row also holds the roots of the former scalar form
+    rng = np.random.default_rng(5)
+    tangents = [tangent_line(float(p)) for p in np.linspace(0.5, 1.0, 101)]
+    families = [LineFamily(*rng.normal((0.8, 0.0), (0.4, 0.6), (10 ** 4, 2)).T),
+                family_of([AffineFunction(ell.intercept + shift, ell.slope)
+                           for ell in tangents
+                           for shift in (0.0, 1e-9, 1e-10, 1e-11, -1e-9)]),
+                family_of(list(map(steep_line, STEEP_P1))), *CROSSING.values()]
+    for family in families:
+        rows = bl.line_intersections(family)
+        assert rows.dtype == np.float64 and rows.shape == (len(family), 2)
+        for i, row in enumerate(rows):
+            one = bl.line_intersections(LineFamily(family.intercepts[i:i + 1],
+                                                   family.slopes[i:i + 1]))
+            assert bits(row) == bits(one[0])
+            c, m = family.intercepts[i].item(), family.slopes[i].item()
+            assert bits(row[~np.isnan(row)]) == bits(scalar_roots(c, m))
+        # each row ascending, NaN after its roots
+        first, second = rows.T
+        assert not (np.isnan(first) & ~np.isnan(second)).any()
+        assert not (first > second).any()
+    assert bl.line_intersections(LineFamily([], [])).shape == (0, 2)
+
+
 @pytest.mark.parametrize("name", ["octahedron", "fib4"])
 def test_the_gap_pipeline_builds_no_line_objects(monkeypatch, capsys, name):
     target = quantum_targets()[name]
@@ -632,7 +679,7 @@ def test_epsilon_schedule_rejects_bad_args():
 def test_intersections_never_more_than_two(intercept, slope):
     # every finite float: any overflow warning in the kernel fails the test
     ell = AffineFunction(intercept, slope)
-    roots = bl.line_intersections(ell)
+    roots = roots_of(ell)
     assert len(roots) <= 2
     assert roots == sorted(roots)
     assert 0.0 <= measure_one(ell, 1e-3) <= 1.0

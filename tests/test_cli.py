@@ -515,6 +515,24 @@ def test_an_integer_past_the_float_range_exits_2_naming_the_file(
     assert err.startswith("error: %s: " % file) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("covering_radius",), float("nan"), "covering_radius nan is not finite"),
+    (("covering_radius",), float("inf"), "covering_radius inf is not finite"),
+    (("points", 1), [0.0, 1.0], "points must be rows of 3 coordinates")])
+def test_a_bad_cover_file_exits_2_naming_its_fault(capsys, tmp_path, path,
+                                                   value, message):
+    # json.dumps writes the NaN and Infinity literals that json.loads reads
+    make, argv = FILE_KINDS["cover"]
+    payload = json.loads(make())
+    *outer, last = path
+    functools.reduce(operator.getitem, outer, payload)[last] = value
+    file = tmp_path / "cover.json"
+    file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *[a.format(file) for a in argv])
+    assert code == 2 and out == ""
+    assert err == "error: %s: %s\n" % (file, message)
+
+
 @pytest.mark.parametrize("sizes", [{"x_size": 1},
                                    {"x_size": 10 ** 6, "y_size": 10 ** 6}])
 def test_a_box_file_off_its_sizes_exits_2_naming_the_shape(capsys, tmp_path,

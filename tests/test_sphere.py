@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import operator
 import os
 import subprocess
@@ -505,10 +506,34 @@ def test_cover_from_payload_audits_the_radius():
     again = cover_from_payload(json.loads(json.dumps(
         cover_to_payload(shuffled))))
     assert again.covering_radius == cover.covering_radius
-    for claim in ("0.001", "NaN", "-1.0"):
+    for claim in ("0.001", "-1.0"):
         with pytest.raises(ValueError, match="below the audited radius"):
             cover_from_payload(json.loads(
                 text.replace(repr(cover.covering_radius), claim)))
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("covering_radius",), float("nan"), "covering_radius nan is not finite"),
+    (("covering_radius",), float("inf"), "covering_radius inf is not finite"),
+    (("covering_radius",), float("-inf"), "covering_radius -inf is not finite"),
+    (("points", 1), [0.0, 1.0], "points must be rows of 3 coordinates"),
+    (("points", 1), [0.0, 1.0, 0.0, 0.0], "points must be rows of 3 "),
+    (("points",), [1.0, 0.0, 0.0], "points must be rows of 3 coordinates"),
+    (("points", 1, 2), [0.0], "cover entry \\[0.0\\] is not a number")])
+def test_a_bad_cover_payload_is_refused_naming_its_fault(path, value, message):
+    # NaN and Infinity as json.loads reads the JSON literals
+    payload = cover_to_payload(bl.octahedron_cover())
+    *outer, last = path
+    functools.reduce(operator.getitem, outer, payload)[last] = value
+    with pytest.raises(ValueError, match="^%s" % message):
+        cover_from_payload(json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_a_cover_radius_must_be_finite(radius):
+    points = bl.octahedron_cover().points
+    with pytest.raises(ValueError, match="covering_radius .* is not finite"):
+        bl.SphereCover(points, radius)
 
 
 def test_build_cover_rejects_bad_epsilon():

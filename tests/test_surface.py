@@ -1,7 +1,7 @@
 """The package exports no name that only the tests call, no function has
 a default that no caller outside the tests overrides, and every value type
 that holds arrays is made read-only in one place and compares by
-identity."""
+identity; no function takes an ``AffineFunction``."""
 
 import ast
 import pathlib
@@ -20,7 +20,7 @@ BENCH = SRC.parent.parent / "bench"
 # that defines it, so they stay although only the benchmark and the tests
 # call them
 TRACED_ONLY = ("box_to_json", "box_from_json", "reduce_measurement",
-               "check_reduction")
+               "check_reduction", "random_unitary")
 
 
 def parse(path):
@@ -169,6 +169,52 @@ def test_the_guard_flags_a_second_freeze_and_a_generated_eq():
     assert read_only_breaches({"other.py": tree}) == [("other.py", 2),
                                                        ("other.py", 4)]
     assert read_only_breaches({"boxes.py": tree}) == [("boxes.py", 4)]
+
+
+def mentions_affine_function(annotation):
+    """True if an annotation names ``AffineFunction``, alone, as an
+    attribute, inside another annotation or in a string."""
+    return annotation is not None and any(
+        getattr(node, "id", getattr(node, "attr", None)) == "AffineFunction"
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and re.search(r"\bAffineFunction\b", node.value)
+        for node in ast.walk(annotation))
+
+
+def affine_parameters(trees):
+    """(module, function) of each function with a parameter annotated
+    ``AffineFunction``.  Line kernels take a ``LineFamily``; an
+    ``AffineFunction`` is only a record that ``affine_of``,
+    ``tangent_line``, ``best_affine_fit`` and iterating a family return."""
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                spec = node.args
+                params = [*spec.posonlyargs, *spec.args, *spec.kwonlyargs,
+                          spec.vararg, spec.kwarg]
+                if any(arg is not None
+                       and mentions_affine_function(arg.annotation)
+                       for arg in params):
+                    found.append((name, node.name))
+    return found
+
+
+def test_no_function_takes_an_affine_function():
+    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+    assert affine_parameters(trees) == []
+
+
+def test_the_guard_flags_a_parameter_annotated_affine_function():
+    tree = ast.parse(
+        "def kernel(ell: AffineFunction): pass\n"
+        "def lines(*ells: list[protocols.AffineFunction]): pass\n"
+        "class Lines:\n"
+        "    def quoted(self, *, ell: 'AffineFunction | None'): pass\n"
+        "def record(family: LineFamily) -> AffineFunction: pass\n"
+        "def plain(ell, affine: AffineFunctions): pass\n")
+    assert affine_parameters({"other.py": tree}) == [
+        ("other.py", "kernel"), ("other.py", "lines"), ("other.py", "quoted")]
 
 
 def two_of_each():
