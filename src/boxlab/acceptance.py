@@ -185,22 +185,16 @@ def criterion_property_suite() -> CriterionResult:
     rng = np.random.default_rng(77)
     details: dict = {}
 
-    # each unitary takes its real draws, then its imaginary ones, as
-    # quantum.random_unitary does; the defect is rounded one matrix at a time
-    draws = rng.normal(size=(1000, 2, 2, 2))
+    # the defect is rounded one matrix at a time
     defect = max(map(quantum.singlet_invariance_defect,
-                     quantum._haar(draws[:, 0] + 1j * draws[:, 1])))
+                     quantum._haar(rng, (1000,))))
     details["max_singlet_defect"] = defect
 
-    # per pair U's draws, then V's
-    draws = rng.normal(size=(1000, 4, 2, 2))
-    uv = quantum._haar(draws[:, 0::2] + 1j * draws[:, 1::2])
+    uv = quantum._haar(rng, (1000, 2))
     rows = quantum.singlet_measure_box(uv[:, 0], uv[:, 1])
     amp_path = rows[:, 0, 0] + rows[:, 1, 1]
-    xy = quantum.bloch_of(np.linalg.inv(uv) @ quantum.KET1)
-    # the stacked (1 x 3) @ (3 x 1) product rounds as np.dot(x, y) does
-    dots = (xy[:, 0, None, :] @ xy[:, 1, :, None])[:, 0, 0]
-    law = sphere._singlet_rows(dots).trace(axis1=1, axis2=2)
+    xy = quantum.point_for_unitary(uv)
+    law = sphere._paired_rows(xy[:, 0], xy[:, 1]).trace(axis1=1, axis2=2)
     dot_dev = float(np.abs(amp_path - law).max())
     details["max_dot_product_dev"] = dot_dev
 

@@ -239,7 +239,7 @@ def _piece_candidates(intercepts: np.ndarray, slopes: np.ndarray,
 
 
 def find_hard_p(family: LineFamily, *, description: str = "",
-                k: int = 0) -> GapCertificate:
+                k: int) -> GapCertificate:
     """Maximize g(p) = min_ell |ell(p) - omega(p)| over [1/2, 1], exactly.
 
     Cuts [1/2, 1] wherever a line crosses omega, a tangency being no

@@ -283,6 +283,8 @@ def cmd_cover_build(args):
 
 
 def cmd_cover_verify(args):
+    if args.cover is not None and args.epsilon is not None:
+        raise ValueError("give --epsilon or --cover, not both")
     if args.cover:
         cover = _load_payload(args.cover, sphere.cover_from_payload)
     elif args.epsilon is None:

@@ -34,9 +34,11 @@ def _require_unitary(u: np.ndarray) -> np.ndarray:
     raise ValueError("matrix is not unitary within %g" % UNITARY_TOL)
 
 
-def _haar(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from complex Gaussian matrices [..., 2, 2] (QR, phase-fixed)."""
-    q, r = np.linalg.qr(z)
+def _haar(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Haar unitaries [*shape, 2, 2] from one draw: each takes its real
+    draws, then its imaginary ones, as ``random_unitary`` calls in turn."""
+    draws = rng.normal(size=(*shape, 2, 2, 2))
+    q, r = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
     # make the distribution Haar by absorbing the phases of diag(r)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
@@ -44,7 +46,7 @@ def _haar(z: np.ndarray) -> np.ndarray:
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed 2x2 unitary (QR of a complex Gaussian, phase-fixed)."""
-    return _haar(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return _haar(rng, ())
 
 
 def bloch_of(psi: np.ndarray) -> np.ndarray:
@@ -108,6 +110,11 @@ def unitary_for_point(c: np.ndarray) -> np.ndarray:
     phase.real = pivot.real * scale
     phase.imag = -pivot.imag * scale
     return u * phase
+
+
+def point_for_unitary(u: np.ndarray) -> np.ndarray:
+    """Bloch points of U^-1 |1>, U [..., 2, 2]; undoes ``unitary_for_point``."""
+    return bloch_of(np.linalg.inv(u) @ KET1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +184,7 @@ def measurement_probs(u: np.ndarray, v: np.ndarray, state: np.ndarray) -> np.nda
     return (np.abs(amps) ** 2).reshape(lead + (2, 2))
 
 
-def bell_box(spec: BellBoxSpec, state: np.ndarray = PHI_PLUS) -> CorrelationBox:
+def bell_box(spec: BellBoxSpec, state: np.ndarray) -> CorrelationBox:
     """Exact correlation box from measuring ``state`` as ``spec`` prescribes.
 
     Alice's inputs go in blocks whose U (x) V stacks hold at most
@@ -203,8 +210,7 @@ def bell_box(spec: BellBoxSpec, state: np.ndarray = PHI_PLUS) -> CorrelationBox:
 
 
 def singlet_measure_box(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Exact joint output distribution of measuring (U (x) V) |singlet>,
-    indexed [a, b]."""
+    """Exact Pr[a, b] of measuring (U (x) V) |singlet>, indexed [..., a, b]."""
     return measurement_probs(u, v, SINGLET)
 
 

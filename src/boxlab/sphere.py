@@ -24,8 +24,8 @@ import numpy as np
 
 from .boxes import (PATH_TABLE_CAP, CorrelationBox, check_distributions,
                     check_numbers, read_only)
-from .quantum import (KET1, SINGLET, _haar, _require_unit_vectors, bloch_of,
-                      measurement_probs, simple_bell_spec, unitary_for_point)
+from .quantum import (_haar, _require_unit_vectors, point_for_unitary,
+                      simple_bell_spec, singlet_measure_box, unitary_for_point)
 
 # empirical certified-radius constant of the audited Fibonacci lattice,
 # certified_radius ~= RADIUS_FIT / sqrt(T); retuned if the audit ever fails
@@ -300,6 +300,13 @@ def _singlet_rows(dots: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _paired_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_singlet_rows`` of the dots of the rows a[n] and b[n], [n, 3] each,
+    as stacked (1 x 3) @ (3 x 1) products: they round as np.dot and a P @ P.T
+    entry do, where einsum and (a * b).sum(1) would not."""
+    return _singlet_rows((a[:, None, :] @ b[:, :, None])[:, 0, 0])
+
+
 def discretized_box(cover: SphereCover) -> CorrelationBox:
     """Box on [T] x [T] with Pr[a = b | i, j] = 1/2 - (c_i . c_j) / 2."""
     return CorrelationBox(_singlet_rows(cover.points @ cover.points.T))
@@ -313,7 +320,7 @@ def cover_bell_spec(cover: SphereCover):
 
 def _snap(unitaries: np.ndarray, cover: SphereCover) -> np.ndarray:
     """Nearest cover index of the Bloch point of U^-1|1>, U over [..., 2, 2]."""
-    points = bloch_of(np.linalg.inv(unitaries) @ KET1)
+    points = point_for_unitary(unitaries)
     nearest = _nearest(points.reshape(-1, 3), cover.points, np.argmin)
     return nearest.reshape(points.shape[:-1])
 
@@ -321,31 +328,24 @@ def _snap(unitaries: np.ndarray, cover: SphereCover) -> np.ndarray:
 def reduce_measurement(u: np.ndarray, v: np.ndarray,
                        cover: SphereCover) -> tuple[int, int]:
     """Nearest cover indices for the Bloch points of U^-1|1> and V^-1|1>."""
-    i, j = _snap(np.array([u, v], dtype=np.complex128), cover).tolist()
-    return i, j
+    return tuple(_snap(np.array([u, v], dtype=np.complex128), cover).tolist())
 
 
 def _reduction_tvs(cover: SphereCover, rng: np.random.Generator,
                    trials: int) -> np.ndarray:
     """Exact TV error of the nearest-point reduction on the next ``trials``
     Haar pairs (U, V) that ``rng`` draws."""
-    # per trial, U's real and imaginary parts, then V's
-    draws = rng.normal(size=(trials, 4, 2, 2))
-    uv = _haar(draws[:, 0::2] + 1j * draws[:, 1::2])    # [trial, (U, V), 2, 2]
-    exact = measurement_probs(uv[:, 0], uv[:, 1], SINGLET)
-    # one row of discretized_box per trial, not the whole T x T table; the
-    # stacked (1 x 3) @ (3 x 1) product rounds as its P @ P.T entry, where
-    # einsum and (P[i] * P[j]).sum(1) would not
-    i, j = _snap(uv, cover).T
-    points = cover.points
-    approx = _singlet_rows((points[i, None, :] @ points[j, :, None])[:, 0, 0])
+    uv = _haar(rng, (trials, 2))
+    exact = singlet_measure_box(uv[:, 0], uv[:, 1])
+    # one row of discretized_box per trial, not the whole T x T table
+    approx = _paired_rows(*cover.points[_snap(uv, cover).T])
     check_distributions(exact)
     check_distributions(approx)
     return 0.5 * np.abs(exact - approx).sum(axis=(1, 2))
 
 
 def verify_reduction(cover: SphereCover, trials: int,
-                     seed: int = 0) -> tuple[float, float]:
+                     seed: int) -> tuple[float, float]:
     """Largest and mean exact TV error of the 1-query nearest-point
     reduction over ``trials`` Haar pairs (U, V), a Monte-Carlo estimate
     bounded by the covering radius.

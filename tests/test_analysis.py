@@ -430,7 +430,7 @@ def quantum_targets():
 @pytest.mark.parametrize("name", quantum_targets())
 def test_exact_search_reaches_the_grid_maximum(name):
     family = bl.affine_family(quantum_targets()[name], 1)
-    cert = bl.find_hard_p(family)
+    cert = bl.find_hard_p(family, k=1)
     _, grid_gap = grid_hard_p(family)
     assert grid_gap <= cert.gap <= grid_gap + 1e-9
     assert cert.verify()
@@ -448,7 +448,7 @@ def test_recompute_gap_equals_the_per_line_loop(name):
         target = bl.mix(parts, rng.dirichlet(np.ones(len(parts))))
     else:
         target = quantum_targets()[name]
-    cert = bl.find_hard_p(bl.affine_family(target, 1))
+    cert = bl.find_hard_p(bl.affine_family(target, 1), k=1)
     loop = min(abs(float(ell(cert.p_star)) - bl.omega(cert.p_star))
                for ell in cert.family)
     assert cert.recompute_gap() == loop
@@ -457,7 +457,7 @@ def test_recompute_gap_equals_the_per_line_loop(name):
 def test_exact_search_on_the_t9_cover_box():
     family = bl.affine_family(bl.discretized_box(build_cover(1.0)), 1)
     assert len(family) == 11029
-    cert = bl.find_hard_p(family)
+    cert = bl.find_hard_p(family, k=1)
     _, grid_gap = grid_hard_p(family, resolution=1000)
     assert grid_gap <= cert.gap <= grid_gap + 1e-9
 
@@ -466,7 +466,7 @@ def test_exact_search_finds_an_interior_breakpoint():
     # two tangents of omega: g is largest where they cross, inside (1/2, 1)
     a, b = tangent_line(0.6), tangent_line(0.9)
     family = family_of([a, b])
-    cert = bl.find_hard_p(family)
+    cert = bl.find_hard_p(family, k=0)
     crossing = (a.intercept - b.intercept) / (b.slope - a.slope)
     assert cert.p_star == pytest.approx(crossing, abs=1e-15)
     assert 0.6 < cert.p_star < 0.9
@@ -596,9 +596,9 @@ def test_the_gap_pipeline_builds_no_line_objects(monkeypatch, capsys, name):
 
 def test_search_in_blocks_of_lines(monkeypatch):
     family = family_of(list(bl.affine_family(bl.pr_box(), 1)) * 5)
-    whole = bl.find_hard_p(family)
+    whole = bl.find_hard_p(family, k=1)
     monkeypatch.setattr(analysis, "PATH_TABLE_CAP", 3 * whole.resolution)
-    blocked = bl.find_hard_p(family)
+    blocked = bl.find_hard_p(family, k=1)
     assert blocked == whole
 
 
@@ -621,7 +621,7 @@ def test_t14_cover_box_gap_in_bounded_memory():
 def test_find_hard_p_octahedron_certificate():
     target = bl.discretized_box(bl.octahedron_cover())
     family = bl.affine_family(target, 1, up_to_k=True)
-    cert = bl.find_hard_p(family, description="octahedron k=1")
+    cert = bl.find_hard_p(family, description="octahedron k=1", k=1)
     assert cert.gap > 1e-4
     assert cert.verify()
     assert cert.gap == pytest.approx(np.sqrt(2) / 4 - 0.25, abs=1e-9)
@@ -643,7 +643,7 @@ def assert_payload_holds(cert, payload):
 def test_certificate_json_roundtrip_and_verify():
     target = bl.discretized_box(bl.octahedron_cover())
     family = bl.affine_family(target, 1, up_to_k=True)
-    cert = bl.find_hard_p(family, description="octahedron k=1")
+    cert = bl.find_hard_p(family, description="octahedron k=1", k=1)
     assert cert.verify()
     assert_payload_holds(cert, certificate_to_payload(cert))
 
@@ -651,7 +651,7 @@ def test_certificate_json_roundtrip_and_verify():
 def test_certificate_verify_rejects_tampering():
     target = bl.discretized_box(bl.octahedron_cover())
     family = bl.affine_family(target, 1, up_to_k=True)
-    cert = bl.find_hard_p(family)
+    cert = bl.find_hard_p(family, k=1)
     bad = bl.GapCertificate(cert.description, cert.k, cert.family,
                             cert.p_star, cert.gap + 1e-3, cert.resolution)
     assert not bad.verify()

@@ -583,6 +583,10 @@ NOT_LOCAL = "box %r is not local:F:G with F and G comma-separated bits"
     ("box sample --box pr --x 0 --y 0 --seed -1",
      "--seed must be at least 0, not -1"),
     ("cover verify --epsilon 0.5 --seed -7", "--seed must be at least 0, not -7"),
+    ("cover verify --epsilon 0.5 --cover cover.json",
+     "give --epsilon or --cover, not both"),
+    ("cover verify --cover cover.json --trials 5 --epsilon=0.5",
+     "give --epsilon or --cover, not both"),
     (RUN_IDENTITY + " --epsilon=-1e308",
      "--epsilon must be at least 0, not -1e+308"),
     (RUN_IDENTITY + " --epsilon=-1e-300",
@@ -598,7 +602,8 @@ def test_bad_input_exits_2_with_one_line_naming_it(capsys, monkeypatch,
 
 
 # the README's arguments of each command with a float flag; cover verify
-# takes --epsilon instead of the README's --cover, which would override it
+# takes --epsilon instead of the README's --cover, as it refuses the two
+# together
 README_ARGUMENTS = {
     ("game", "eval"): "--box pr --p 0.6",
     ("game", "omega"): "--p 0.5",

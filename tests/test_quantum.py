@@ -124,8 +124,8 @@ def test_unitaries_bloch_and_probs_equal_the_reference_formulas():
     states = []
     for _ in range(500):
         u, v = bl.random_unitary(ours), bl.random_unitary(ours)
-        assert np.array_equal(u, reference_unitary(theirs))
-        assert np.array_equal(v, reference_unitary(theirs))
+        assert u.tobytes() == reference_unitary(theirs).tobytes()
+        assert v.tobytes() == reference_unitary(theirs).tobytes()
         psi = np.linalg.inv(u) @ KET1
         assert np.array_equal(bl.bloch_of(psi), reference_bloch(psi))
         states.append(psi)
@@ -136,6 +136,30 @@ def test_unitaries_bloch_and_probs_equal_the_reference_formulas():
     stacked = bl.bloch_of(np.reshape(states, (100, 5, 2)))
     assert np.array_equal(stacked.reshape(500, 3),
                           [reference_bloch(psi) for psi in states])
+
+
+@pytest.mark.parametrize("shape", [(1000,), (1000, 2)])
+def test_a_haar_stack_is_consecutive_reference_draws(shape):
+    ours, theirs = np.random.default_rng(32), np.random.default_rng(32)
+    stack = quantum._haar(ours, shape)
+    drawn = np.array([reference_unitary(theirs)
+                      for _ in range(int(np.prod(shape)))])
+    assert stack.shape == (*shape, 2, 2)
+    assert stack.tobytes() == drawn.tobytes()
+    # both generators stop at the same place in the stream
+    assert ours.normal() == theirs.normal()
+
+
+def test_point_for_unitary_undoes_unitary_for_point():
+    cover = build_cover(0.3)
+    assert cover.size == 97
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    scattered = np.random.default_rng(33).normal(size=(1000, 3))
+    scattered /= np.linalg.norm(scattered, axis=1, keepdims=True)
+    for points in (bl.octahedron_cover().points, cover.points, poles,
+                   scattered):
+        back = quantum.point_for_unitary(bl.unitary_for_point(points))
+        assert np.linalg.norm(back - points, axis=1).max() <= 1e-12
 
 
 def test_measurement_probs_broadcasts_over_leading_axes():

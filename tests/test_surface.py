@@ -1,9 +1,11 @@
-"""The package exports no name that only the tests call, no function has
-a default that no caller outside the tests overrides, and every value type
-that holds arrays is made read-only in one place and compares by
+"""The package exports no name that only the tests call, every default of
+a function is both overridden and relied on by some caller outside the
+tests, every function the benchmark's tracer wraps exists, and every value
+type that holds arrays is made read-only in one place and compares by
 identity; no function takes an ``AffineFunction``."""
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -16,15 +18,24 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "boxlab"
 README = SRC.parent.parent / "README.md"
 BENCH = SRC.parent.parent / "bench"
 
-# bench/tracer.py wraps each of these by name, through getattr on the module
-# that defines it, so they stay although only the benchmark and the tests
-# call them
-TRACED_ONLY = ("box_to_json", "box_from_json", "reduce_measurement",
-               "check_reduction", "random_unitary")
-
 
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def traced_functions():
+    """(module, function) of each row of the ``WRAPPED`` table of
+    bench/tracer.py, which wraps each function by name through getattr on
+    the boxlab module that defines it."""
+    [table] = [node.value for node in parse(BENCH / "tracer.py").body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
+    return [(row.elts[0].id, row.elts[1].value) for row in table.elts]
+
+
+# the benchmark's tracer wraps these, so they stay although the library may
+# not call them
+TRACED = {name for _, name in traced_functions()}
 
 
 def exported_names():
@@ -53,61 +64,116 @@ def test_every_export_is_used_by_the_library_or_the_readme():
     readme = README.read_text(encoding="utf-8")
     used = library_references()
     unused = [name for name in exported_names()
-              if name not in used and name not in TRACED_ONLY
+              if name not in used and name not in TRACED
               and not re.search(r"\b%s\b" % re.escape(name), readme)]
     assert unused == []
 
 
 def test_the_traced_names_are_exported():
-    assert set(TRACED_ONLY) <= set(exported_names())
+    assert TRACED - library_references() <= set(exported_names())
 
 
-def passed_arguments(trees):
-    """For each called name, the positions and keywords some call passes;
-    "*" and "**" stand for every position and every keyword.  A call of
-    ``f`` or of ``module.f`` counts for ``f``."""
-    passed = {}
+def test_every_traced_function_exists():
+    # a rename in the library would break the benchmark's --trace runs
+    traced = traced_functions()
+    assert traced
+    missing = [(module, name) for module, name in traced
+               if not callable(getattr(importlib.import_module(
+                   "boxlab." + module), name, None))]
+    assert missing == []
+
+
+def call_arguments(trees):
+    """For each called name, one set per call of the positions and
+    keywords it passes; "*" and "**" stand for every position and every
+    keyword.  A call of ``f`` or of ``module.f`` counts for ``f``."""
+    calls = {}
     for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            given = passed.setdefault(name, set())
-            given.update(range(len(node.args)))
+            given = set(range(len(node.args)))
             given.update("*" for arg in node.args
                          if isinstance(arg, ast.Starred))
             given.update(kw.arg or "**" for kw in node.keywords)
-    return passed
+            calls.setdefault(name, []).append(given)
+    return calls
 
 
-def unpassed_defaults(library, callers):
-    """(function, parameter) for each parameter with a default of a
-    top-level function in ``library`` that no call in ``callers`` passes."""
-    passed = passed_arguments(callers)
-    found = []
+def defaults(library):
+    """(function, parameter, keys) for each parameter with a default of a
+    top-level function in ``library``; a call passes the parameter if it
+    passes one of its keys."""
     for tree in library:
         for node in tree.body:
             if not isinstance(node, ast.FunctionDef):
                 continue
-            given = passed.get(node.name, set())
             spec = node.args
             positional = spec.posonlyargs + spec.args
             first = len(positional) - len(spec.defaults)
             for i, arg in enumerate(positional[first:], first):
-                if not given & {i, "*", arg.arg, "**"}:
-                    found.append((node.name, arg.arg))
+                yield node.name, arg.arg, {i, "*", arg.arg, "**"}
             for arg, default in zip(spec.kwonlyargs, spec.kw_defaults):
-                if default is not None and not given & {arg.arg, "**"}:
-                    found.append((node.name, arg.arg))
-    return found
+                if default is not None:
+                    yield node.name, arg.arg, {arg.arg, "**"}
 
 
-def test_every_default_is_passed_by_the_library_or_the_benchmark():
-    # calls in the tests do not count: a default only they set is a knob
-    # that no user of the library turns
+def unpassed_defaults(library, callers):
+    """(function, parameter) for each default that no call in ``callers``
+    passes."""
+    calls = call_arguments(callers)
+    return [(function, parameter)
+            for function, parameter, keys in defaults(library)
+            if not any(given & keys for given in calls.get(function, []))]
+
+
+def unomitted_defaults(library, callers):
+    """(function, parameter) for each default that every call in
+    ``callers`` passes, or that no call reaches."""
+    calls = call_arguments(callers)
+    return [(function, parameter)
+            for function, parameter, keys in defaults(library)
+            if all(given & keys for given in calls.get(function, []))]
+
+
+def library_and_bench():
     library = [parse(path) for path in sorted(SRC.glob("*.py"))]
     bench = [parse(path) for path in sorted(BENCH.glob("*.py"))]
-    assert unpassed_defaults(library, library + bench) == []
+    return library, library + bench
+
+
+# calls in the tests do not count in either guard: a default only they set
+# is a knob that no user of the library turns, and a default only they
+# leave out is one that no user of the library relies on
+
+def test_every_default_is_passed_by_the_library_or_the_benchmark():
+    assert unpassed_defaults(*library_and_bench()) == []
+
+
+def test_every_default_is_omitted_by_the_library_or_the_benchmark():
+    assert unomitted_defaults(*library_and_bench()) == []
+
+
+def test_the_default_guards_flag_a_default_never_and_always_passed():
+    library = ast.parse(
+        "def f(a, b=1, *, c=2, d=3): pass\n"
+        "def g(a=0): pass\n"
+        "def h(a=0): pass\n"
+        "def unused(a=0): pass\n"
+        "class Kept:\n"
+        "    def method(self, a=0): pass\n")
+    callers = ast.parse(
+        "f(0, 1, c=3)\n"
+        "m.f(0, b=2, c=4)\n"
+        "g()\n"
+        "g(1)\n"
+        "h(*xs)\n"
+        "h(**kw)\n")
+    trees = [library], [library, callers]
+    assert unpassed_defaults(*trees) == [("f", "d"), ("unused", "a")]
+    assert unomitted_defaults(*trees) == [("f", "b"), ("f", "c"), ("h", "a"),
+                                          ("unused", "a")]
 
 
 def read_only_breaches(trees):
