@@ -192,9 +192,9 @@ def criterion_property_suite() -> CriterionResult:
 
     uv = quantum._haar(rng, (1000, 2))
     rows = quantum.singlet_measure_box(uv[:, 0], uv[:, 1])
-    amp_path = rows[:, 0, 0] + rows[:, 1, 1]
+    amp_path = boxes.agreement(rows)[0]
     xy = quantum.point_for_unitary(uv)
-    law = sphere._paired_rows(xy[:, 0], xy[:, 1]).trace(axis1=1, axis2=2)
+    law = boxes.agreement(sphere._paired_rows(xy[:, 0], xy[:, 1]))[0]
     dot_dev = float(np.abs(amp_path - law).max())
     details["max_dot_product_dev"] = dot_dev
 

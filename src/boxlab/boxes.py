@@ -63,6 +63,12 @@ def scatter_outputs(probs: np.ndarray, a_map: np.ndarray, b_map: np.ndarray,
                        * b_size).reshape(n_x, n_y, a_size, b_size)
 
 
+def agreement(table: np.ndarray):
+    """Pr[a = b] and Pr[a != b] of binary output tables [..., a, b]."""
+    return (table[..., 0, 0] + table[..., 1, 1],
+            table[..., 0, 1] + table[..., 1, 0])
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationBox:
     """Stochastic map (x, y) -> distribution over (a, b), stored exactly.

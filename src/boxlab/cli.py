@@ -78,6 +78,8 @@ def _load_payload(path: str, parse):
         if isinstance(payload, dict) and payload.keys() == {"config", "result",
                                                             "version"}:
             payload = payload["result"]
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object")
         return parse(payload)
     except KeyError as exc:
         raise ValueError("%s: missing field %s" % (path, exc)) from None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import CorrelationBox
+from .boxes import CorrelationBox, agreement
 from .quantum import SINGLET, BellBoxSpec, bell_box, simple_bell_spec, unitary_for_point
 
 
@@ -24,15 +24,11 @@ def win_prob(box: CorrelationBox, p: float, q: float) -> float:
     if box.table.shape != (2, 2, 2, 2):
         raise ValueError("CHSH needs a binary box")
     _check_bias(p, q)
-    wx = (1.0 - p, p)
-    wy = (1.0 - q, q)
-    total = 0.0
-    for x in range(2):
-        for y in range(2):
-            row = box.table[x, y]
-            p_equal = row[0, 0] + row[1, 1]
-            total += wx[x] * wy[y] * (p_equal if x * y == 0 else 1.0 - p_equal)
-    return total
+    equal = agreement(box.table)[0]
+    # a xor b = xy is a = b but at x = y = 1; terms in (x, y) order
+    return sum(wx * wy * (equal[x, y] if x * y == 0 else 1.0 - equal[x, y])
+               for x, wx in enumerate((1.0 - p, p))
+               for y, wy in enumerate((1.0 - q, q)))
 
 
 def omega(p: float) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (PATH_TABLE_CAP, CorrelationBox, check_numbers, local_box,
-                    read_only, scatter_outputs, tv_closeness)
+from .boxes import (PATH_TABLE_CAP, CorrelationBox, agreement, check_numbers,
+                    local_box, read_only, scatter_outputs, tv_closeness)
 
 ENUMERATION_CAP = 10 ** 8
 SCHEDULE_DIGIT_CAP = 4300  # Python's default limit on int-to-str conversion
@@ -170,19 +170,14 @@ def _protocol_strategies(protocol: DeterministicProtocol,
     return alice, bob
 
 
-def _all_strategies(n_queries: int, n_responses: int, n_outputs: int, k: int):
-    """Every local k-query strategy, in ``_response_tables`` form."""
+def _all_strategies(n_queries: int, n_responses: int, k: int):
+    """Every local k-query strategy with binary outputs, which the lines of
+    ``affine_family`` need, in ``_response_tables`` form."""
     widths = [n_responses ** d for d in range(k + 1)]
-    sizes = [n_queries] * sum(widths[:k]) + [n_outputs] * widths[k]
+    sizes = [n_queries] * sum(widths[:k]) + [2] * widths[k]
     flat = np.array(list(itertools.product(*map(range, sizes))), dtype=np.intp)
     cols = np.cumsum([0] + widths)
     return [flat[:, cols[d]:cols[d + 1]] for d in range(k)], flat[:, cols[k]:]
-
-
-def _agreement(table: np.ndarray):
-    """Pr[a = b] and Pr[a != b] of binary output tables [..., a, b]."""
-    return (table[..., 0, 0] + table[..., 1, 1],
-            table[..., 0, 1] + table[..., 1, 0])
 
 
 def induced_box(protocol: DeterministicProtocol,
@@ -306,7 +301,7 @@ def affine_of(protocol: DeterministicProtocol,
     al = protocol.alphabets
     if (al.x1, al.y1, al.a1, al.b1) != (2, 2, 2, 2):
         raise ValueError("parity win probabilities need binary outer alphabets")
-    eq, ne = _agreement(_response_tables(
+    eq, ne = agreement(_response_tables(
         *_protocol_strategies(protocol, target), target, 2, 2))
     # the win probability at (x, y) is Pr[a xor b = x*y]
     intercept = 0.5 * (eq[0, 0] + eq[0, 1])
@@ -439,9 +434,9 @@ def affine_family(target: CorrelationBox, k: int, *,
     intercepts, slopes = np.empty(0), np.empty(0)
     for kk in (range(k + 1) if up_to_k else (k,)):
         _refuse_past_cap(al, kk)
-        eq, ne = _agreement(_response_tables(
-            _all_strategies(al.x2, al.a2, 2, kk),
-            _all_strategies(al.y2, al.b2, 2, kk), target, 2, 2))
+        eq, ne = agreement(_response_tables(
+            _all_strategies(al.x2, al.a2, kk),
+            _all_strategies(al.y2, al.b2, kk), target, 2, 2))
         # lines kept from earlier runs and query counts come first, so they stay
         for new_intercepts, new_slopes in _candidate_lines(eq, ne):
             intercepts, slopes = _first_per_key(
@@ -470,10 +465,18 @@ def protocol_to_payload(protocol: DeterministicProtocol) -> dict:
 
 
 def protocol_from_payload(payload: dict) -> DeterministicProtocol:
-    al = Alphabets(*payload["alphabets"])
+    def listed(value, name):
+        if not isinstance(value, list):
+            raise ValueError("%s must be a list" % name)
+        return tuple(value)
+
+    def maps(name):
+        return tuple(listed(m, "%s[%d]" % (name, i))
+                     for i, m in enumerate(listed(payload[name], name)))
+
+    sizes = payload["alphabets"]
+    if not isinstance(sizes, list) or len(sizes) != 8:
+        raise ValueError("alphabets must be a list of 8 sizes")
     return DeterministicProtocol(
-        al, payload["k"],
-        tuple(tuple(m) for m in payload["q_maps"]),
-        tuple(tuple(m) for m in payload["r_maps"]),
-        tuple(payload["s_map"]), tuple(payload["t_map"]),
-    )
+        Alphabets(*sizes), payload["k"], maps("q_maps"), maps("r_maps"),
+        listed(payload["s_map"], "s_map"), listed(payload["t_map"], "t_map"))

@@ -113,8 +113,9 @@ def unitary_for_point(c: np.ndarray) -> np.ndarray:
 
 
 def point_for_unitary(u: np.ndarray) -> np.ndarray:
-    """Bloch points of U^-1 |1>, U [..., 2, 2]; undoes ``unitary_for_point``."""
-    return bloch_of(np.linalg.inv(u) @ KET1)
+    """Bloch points of U^-1 |1> = U^dagger |1>, the conjugated second row of
+    each unitary U [..., 2, 2]; undoes ``unitary_for_point``."""
+    return bloch_of(u[..., 1, :].conj())
 
 
 @dataclass(frozen=True, eq=False)

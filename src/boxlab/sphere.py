@@ -24,8 +24,9 @@ import numpy as np
 
 from .boxes import (PATH_TABLE_CAP, CorrelationBox, check_distributions,
                     check_numbers, read_only)
-from .quantum import (_haar, _require_unit_vectors, point_for_unitary,
-                      simple_bell_spec, singlet_measure_box, unitary_for_point)
+from .quantum import (_haar, _require_unit_vectors, _require_unitary,
+                      point_for_unitary, simple_bell_spec, singlet_measure_box,
+                      unitary_for_point)
 
 # empirical certified-radius constant of the audited Fibonacci lattice,
 # certified_radius ~= RADIUS_FIT / sqrt(T); retuned if the audit ever fails
@@ -43,10 +44,10 @@ DISTANCE_BLOCK = 2 ** 15
 # most 2, so it does not change which probes are finished in practice
 ROUNDING = 64 * np.finfo(np.float64).eps
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
-# sets of at most this many points seed from every point, exactly: on
-# Fibonacci lattices at 100 probes a point, exact seeds took 0.55 ms at
-# T = 6, 4 lattice candidates 0.59 ms; at T = 7 0.55 against 0.54, at
-# T = 8 0.64 against 0.60 (best of 7 x 20 calls, 2-core host)
+# sets of at most this many points seed from every point, exactly, for the
+# octahedron, which is not a lattice: with lattice seeds its 20,000-probe
+# audit took 7.0-12.6 ms a call, with exact seeds 0.78-1.2 ms, for the same
+# radius (7 x 20 calls, 2-core host); on lattices the two are within noise
 EXACT_SEED_POINTS = 6
 
 
@@ -135,6 +136,18 @@ def _seeds(cols: np.ndarray, rows: np.ndarray, sin_t: np.ndarray,
     return np.sqrt(best)
 
 
+def _largest_first(bound: np.ndarray, certified: float, refine) -> float:
+    """Largest-first search of one audit level: ``refine(indices, value)``
+    settles the entries of ``bound`` at those flat indices and returns the
+    largest value so far; a bound at most that value is skipped."""
+    top = int(bound.argmax())
+    if bound.flat[top] <= certified:
+        return certified
+    certified = refine(np.array([top]), certified)
+    rest = np.flatnonzero(bound > certified)
+    return refine(rest, certified) if rest.size else certified
+
+
 def audit_cover(points: np.ndarray, n_probes: int) -> float:
     """Sound upper bound on the covering radius of a point set.
 
@@ -213,14 +226,8 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
         bound = _seeds(cols, fine[:, i], sin_t[i], cos_t[i], phis[j],
                        cos_p[j], sin_p[j])
         bound += cell_bound[i]
-        top = int(bound.argmax())
-        if bound[top] <= certified:
-            return certified
-        certified = max(certified, finish(i[top:top + 1], j[top:top + 1]))
-        rest = np.flatnonzero(bound > certified)
-        if rest.size:
-            certified = max(certified, finish(i[rest], j[rest]))
-        return certified
+        return _largest_first(bound, certified,
+                              lambda k, value: max(value, finish(i[k], j[k])))
 
     n_b = len(phi_c)
     rows = max(1, DISTANCE_BLOCK // (4 * n_b))
@@ -230,14 +237,8 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
         bound = _seeds(cols, coarse[:, r, None], sin_c[r, None],
                        cos_c[r, None], phi_c, cos_pc, sin_pc)
         bound += extra[r, None]
-        top = int(bound.argmax())
-        if bound.flat[top] <= certified:
-            continue
-        a, b = divmod(top, n_b)
-        certified = resolve(np.array([start + a]), np.array([b]), certified)
-        a, b = np.divmod(np.flatnonzero(bound > certified), n_b)
-        if a.size:
-            certified = resolve(start + a, b, certified)
+        certified = _largest_first(bound, certified, lambda k, value: resolve(
+            start + k // n_b, k % n_b, value))
     return certified
 
 
@@ -328,7 +329,7 @@ def _snap(unitaries: np.ndarray, cover: SphereCover) -> np.ndarray:
 def reduce_measurement(u: np.ndarray, v: np.ndarray,
                        cover: SphereCover) -> tuple[int, int]:
     """Nearest cover indices for the Bloch points of U^-1|1> and V^-1|1>."""
-    return tuple(_snap(np.array([u, v], dtype=np.complex128), cover).tolist())
+    return tuple(_snap(_require_unitary([u, v]), cover).tolist())
 
 
 def _reduction_tvs(cover: SphereCover, rng: np.random.Generator,

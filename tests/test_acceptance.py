@@ -32,7 +32,7 @@ PINNED = {
         "worst_residual": 4.440892098500626e-16, "max_roots": 2},
     acceptance.criterion_property_suite: {
         "max_singlet_defect": 9.992007221626409e-16,
-        "max_dot_product_dev": 1.887379141862766e-15,
+        "max_dot_product_dev": 1.1102230246251565e-15,
         "omega_dd_min": 0.5, "omega_dd_fd_dev": 2.8239533822471685e-08},
 }
 

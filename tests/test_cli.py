@@ -489,6 +489,32 @@ def test_non_numeric_file_entries_exit_2_naming_the_file(capsys, tmp_path,
     assert "is not an integer" in err or "is not a number" in err
 
 
+@pytest.mark.parametrize("kind,edit,message", [
+    ("box", "[1, 2]", "expected a JSON object"),
+    ("cover", "3", "expected a JSON object"),
+    ("protocol", '"identity"', "expected a JSON object"),
+    ("box", '{"config": {}, "result": [], "version": "0"}',
+     "expected a JSON object"),
+    ("protocol", {"alphabets": [2] * 7}, "alphabets must be a list of 8 sizes"),
+    ("protocol", {"alphabets": [2] * 9}, "alphabets must be a list of 8 sizes"),
+    ("protocol", {"alphabets": 2}, "alphabets must be a list of 8 sizes"),
+    ("protocol", {"q_maps": 1}, "q_maps must be a list"),
+    ("protocol", {"r_maps": [1]}, "r_maps[0] must be a list"),
+    ("protocol", {"s_map": 1}, "s_map must be a list"),
+    ("protocol", {"t_map": {"0": 1}}, "t_map must be a list")])
+def test_a_file_off_its_form_exits_2_naming_the_field(capsys, tmp_path, kind,
+                                                      edit, message):
+    # the whole file, or fields that replace those of a good one
+    make, argv = FILE_KINDS[kind]
+    if isinstance(edit, dict):
+        edit = json.dumps({**json.loads(make()), **edit})
+    file = tmp_path / "bad.json"
+    file.write_text(edit)
+    code, out, err = run(capsys, *[a.format(file) for a in argv])
+    assert code == 2 and out == ""
+    assert err == "error: %s: %s\n" % (file, message)
+
+
 @pytest.mark.parametrize("kind", FILE_KINDS)
 def test_a_deeply_nested_file_exits_2_naming_the_file(capsys, tmp_path, kind):
     # valid JSON nested past the decoder's recursion limit

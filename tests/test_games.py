@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import boxlab as bl
+from boxlab import quantum
 from boxlab.protocols import local_deterministic_boxes
 
 TSIRELSON = 0.5 + np.sqrt(2.0) / 4.0
@@ -31,6 +32,34 @@ def test_win_prob_rejects_nonbinary():
                  bl.CorrelationBox(np.full((2, 2, 3, 2), 1.0 / 6.0))):
         with pytest.raises(ValueError, match="binary"):
             bl.win_prob(wide, 0.5, 0.5)
+
+
+def loop_win_prob(box, p, q):
+    """Reference: win_prob's former double loop, Pr[a = b] summed per row."""
+    wx = (1.0 - p, p)
+    wy = (1.0 - q, q)
+    total = 0.0
+    for x in range(2):
+        for y in range(2):
+            row = box.table[x, y]
+            p_equal = row[0, 0] + row[1, 1]
+            total += wx[x] * wy[y] * (p_equal if x * y == 0 else 1.0 - p_equal)
+    return total
+
+
+def test_win_prob_equals_the_former_loop_bit_for_bit():
+    rng = np.random.default_rng(6)
+    tables = rng.random((200, 2, 2, 2, 2))
+    tables /= tables.sum(axis=(3, 4), keepdims=True)
+    uv = quantum._haar(rng, (50, 2, 2))
+    singlet = [bl.bell_box(bl.simple_bell_spec(u, v), bl.SINGLET)
+               for u, v in uv]
+    grid = np.linspace(0.0, 1.0, 14).tolist()
+    for box in [bl.pr_box(), *map(bl.CorrelationBox, tables), *singlet]:
+        for p in grid:
+            for q in grid:
+                got, want = bl.win_prob(box, p, q), loop_win_prob(box, p, q)
+                assert type(got) is type(want) and got.tobytes() == want.tobytes()
 
 
 def test_win_prob_affine_in_p():

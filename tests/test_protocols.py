@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linprog
 
 import boxlab as bl
-from boxlab import protocols
+from boxlab import boxes, protocols
 from boxlab.protocols import (BINARY, AffineFunction, Alphabets, LineFamily,
                               local_deterministic_boxes,
                               protocol_from_payload, protocol_to_payload)
@@ -355,9 +355,9 @@ def loop_family(target, k, up_to_k=False):
                    target.a_size, target.b_size)
     seen = {}
     for kk in (range(k + 1) if up_to_k else (k,)):
-        eq, ne = protocols._agreement(protocols._response_tables(
-            protocols._all_strategies(al.x2, al.a2, 2, kk),
-            protocols._all_strategies(al.y2, al.b2, 2, kk), target, 2, 2))
+        eq, ne = boxes.agreement(protocols._response_tables(
+            protocols._all_strategies(al.x2, al.a2, kk),
+            protocols._all_strategies(al.y2, al.b2, kk), target, 2, 2))
         for beta0 in range(eq.shape[1]):
             for beta1 in range(eq.shape[1]):
                 js = np.unique(0.5 * (eq[:, beta0] + ne[:, beta1]))

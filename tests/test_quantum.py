@@ -162,6 +162,14 @@ def test_point_for_unitary_undoes_unitary_for_point():
         assert np.linalg.norm(back - points, axis=1).max() <= 1e-12
 
 
+def test_point_for_unitary_is_the_direction_through_the_inverse():
+    # U's second row conjugated is U^-1 |1> for a unitary U
+    uv = quantum._haar(np.random.default_rng(34), (10 ** 4, 2))
+    points = quantum.point_for_unitary(uv)
+    assert points.shape == (10 ** 4, 2, 3)
+    assert np.abs(points - bl.bloch_of(np.linalg.inv(uv) @ KET1)).max() <= 1e-14
+
+
 def test_measurement_probs_broadcasts_over_leading_axes():
     us = np.array([bl.random_unitary(RNG) for _ in range(3)])
     vs = np.array([bl.random_unitary(RNG) for _ in range(4)])

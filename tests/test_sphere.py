@@ -128,6 +128,15 @@ def test_nearest_returns_closest_point():
             assert dists[i] == dists.min()
 
 
+@pytest.mark.parametrize("matrix", [[[1, 1], [0, 1]], [[2, 0], [0, 1]]])
+def test_reduce_measurement_refuses_a_matrix_that_is_not_unitary(matrix):
+    # U^-1|1> is read as U^dagger|1>, which only a unitary makes equal
+    identity = np.eye(2)
+    for u, v in ((matrix, identity), (identity, matrix)):
+        with pytest.raises(ValueError, match="not unitary"):
+            reduce_measurement(np.array(u), np.array(v), bl.octahedron_cover())
+
+
 def test_discretized_box_matches_dot_products():
     cover = bl.octahedron_cover()
     box = bl.discretized_box(cover)
@@ -448,13 +457,14 @@ def test_nearest_kernel_equals_the_per_point_loop(monkeypatch):
 
 
 def test_snap_equals_the_per_point_loop():
+    # the reference reads each direction as U^-1 |1> through a matrix inverse
     rng = np.random.default_rng(13)
     uv = np.array([[bl.random_unitary(rng) for _ in range(2)]
-                   for _ in range(300)])
-    for cover in (bl.octahedron_cover(), bl.build_cover(0.2)):
-        points = bl.bloch_of(np.linalg.inv(uv) @ KET1)
-        want = loop_nearest(cover.points, points.reshape(-1, 3))
-        assert np.array_equal(sphere._snap(uv, cover), want.reshape(300, 2))
+                   for _ in range(2000)])
+    points = bl.bloch_of(np.linalg.inv(uv) @ KET1).reshape(-1, 3)
+    for cover in (bl.octahedron_cover(), *map(bl.build_cover, LADDER)):
+        want = loop_nearest(cover.points, points)
+        assert np.array_equal(sphere._snap(uv, cover), want.reshape(2000, 2))
 
 
 def test_tv_bounded_by_half_chord_distance():

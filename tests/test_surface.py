@@ -2,7 +2,8 @@
 a function is both overridden and relied on by some caller outside the
 tests, every function the benchmark's tracer wraps exists, and every value
 type that holds arrays is made read-only in one place and compares by
-identity; no function takes an ``AffineFunction``."""
+identity; no function takes an ``AffineFunction``, and Pr[a = b] and a
+unitary's measured direction are each formed in one place."""
 
 import ast
 import importlib
@@ -235,6 +236,59 @@ def test_the_guard_flags_a_second_freeze_and_a_generated_eq():
     assert read_only_breaches({"other.py": tree}) == [("other.py", 2),
                                                        ("other.py", 4)]
     assert read_only_breaches({"boxes.py": tree}) == [("boxes.py", 4)]
+
+
+def index_tail(node):
+    """The last two indices of a subscript as a tuple, when both are int
+    constants: ``t[..., 0, 1]`` gives (0, 1)."""
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+        tail = node.slice.elts[-2:]
+        if len(tail) == 2 and all(isinstance(e, ast.Constant)
+                                  and type(e.value) is int for e in tail):
+            return tuple(e.value for e in tail)
+    return None
+
+
+def kernel_breaches(trees):
+    """(module, line) of each place outside boxes.py that forms Pr[a = b]
+    or Pr[a != b] by hand, which ``boxes.agreement`` does: a sum of
+    subscripts ending in [0, 0] and [1, 1], or in [0, 1] and [1, 0], or a
+    ``.trace`` call; or that calls ``np.linalg.inv``, where a unitary's
+    inverse is its conjugate transpose."""
+    pairs = ({(0, 0), (1, 1)}, {(0, 1), (1, 0)})
+    found = []
+    for name, tree in trees.items():
+        if name == "boxes.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) \
+                    and {index_tail(node.left), index_tail(node.right)} in pairs:
+                found.append((name, node.lineno))
+            elif isinstance(node, ast.Call) and (
+                    getattr(node.func, "attr", None) == "trace"
+                    or ast.unparse(node.func).endswith("linalg.inv")):
+                found.append((name, node.lineno))
+    return found
+
+
+def test_each_rule_has_one_kernel():
+    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+    assert kernel_breaches(trees) == []
+
+
+def test_the_guard_flags_agreement_sums_traces_and_inverses():
+    tree = ast.parse(
+        "equal = row[0, 0] + row[1, 1]\n"
+        "differ = t[..., 1, 0] + t[..., 0, 1]\n"
+        "law = rows.trace(axis1=1, axis2=2)\n"
+        "point = np.linalg.inv(u) @ KET1\n"
+        "mixed = eq[0, 0] + eq[0, 1]\n"
+        "column = t[:, 0] + t[:, 1]\n"
+        "product = row[0, 0] * row[1, 1]\n"
+        "other = np.linalg.norm(u) + trace\n")
+    assert kernel_breaches({"other.py": tree}) == [
+        ("other.py", 1), ("other.py", 2), ("other.py", 3), ("other.py", 4)]
+    assert kernel_breaches({"boxes.py": tree}) == []
 
 
 def mentions_affine_function(annotation):
