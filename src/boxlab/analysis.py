@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
-from .boxes import PATH_TABLE_CAP
+from . import __version__, boxes
 from .games import omega, omega_prime
 from .protocols import (AffineFunction, Alphabets, LineFamily,
                         check_bound_digits, counting_bound)
@@ -161,13 +160,11 @@ def _min_distance(intercepts: np.ndarray, slopes: np.ndarray,
                   ps: np.ndarray) -> np.ndarray:
     """min over lines of |ell(p) - omega(p)| at each p, in blocks of lines
     of at most PATH_TABLE_CAP entries."""
-    rows = max(1, PATH_TABLE_CAP // len(ps))
     target = omega(ps)[:, None]
     best = np.full(len(ps), np.inf)
-    for start in range(0, len(intercepts), rows):
+    for rows in boxes.blocks(len(intercepts), len(ps)):
         # one row a point, so each minimum runs along contiguous memory
-        vals = ps[:, None] * slopes[start:start + rows] \
-            + intercepts[start:start + rows]
+        vals = ps[:, None] * slopes[rows] + intercepts[rows]
         vals -= target
         np.minimum(best, np.abs(vals, out=vals).min(axis=1), out=best)
     return best
@@ -233,7 +230,8 @@ def _piece_candidates(intercepts: np.ndarray, slopes: np.ndarray,
         a = np.asarray(upper[1])[np.searchsorted(upper[0], mid, side="right")]
         roots = _omega_roots(0.5 * (cu[a] + cb), 0.5 * (mu[a] + mb))
         points.append(np.clip(roots, start, stop).ravel())
-    # sorted, distinct, no NaN (p != p); np.unique imports numpy.ma, 1 MB
+    # sorted, distinct, no NaN (p != p); the plain np.unique would import
+    # numpy.ma (1 MB) through its hash path, which its index forms skip
     return np.array(sorted({p for p in np.concatenate(points).tolist()
                             if p == p}))
 

@@ -49,6 +49,15 @@ def read_only(values, dtype) -> np.ndarray:
     return values
 
 
+def blocks(n: int, width: int, cap: int | None = None):
+    """Slices that cover range(n) in order, each of max(1, cap // width)
+    items: the block walk of every kernel whose temporary arrays hold
+    ``width`` entries an item and stay within ``cap``, PATH_TABLE_CAP read
+    at the call unless given.  Lazy, as n may be any integer."""
+    step = max(1, (PATH_TABLE_CAP if cap is None else cap) // width)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
+
 def scatter_outputs(probs: np.ndarray, a_map: np.ndarray, b_map: np.ndarray,
                     a_size: int, b_size: int) -> np.ndarray:
     """Table [x, y, a, b] of probs [x, y, s, t] added up at a = a_map[x, s]
@@ -161,6 +170,11 @@ def sample(box: CorrelationBox, x: int, y: int, rng: np.random.Generator,
     return np.divmod(idx, box.b_size)
 
 
+def tv_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """TV distance between the tables of two stacks [..., a, b]."""
+    return 0.5 * np.abs(p - q).sum(axis=(-2, -1))
+
+
 def tv_closeness(box1: CorrelationBox, box2: CorrelationBox) -> float:
     """Max over input pairs of the TV distance between output distributions.
 
@@ -168,8 +182,7 @@ def tv_closeness(box1: CorrelationBox, box2: CorrelationBox) -> float:
     """
     if box1.table.shape != box2.table.shape:
         raise ValueError("alphabet mismatch")
-    per_input = 0.5 * np.abs(box1.table - box2.table).sum(axis=(2, 3))
-    return float(per_input.max())
+    return float(tv_distance(box1.table, box2.table).max())
 
 
 def is_nonsignaling(box: CorrelationBox) -> bool:
@@ -189,10 +202,7 @@ def box_to_payload(box: CorrelationBox) -> dict:
         "y_size": box.y_size,
         "a_size": box.a_size,
         "b_size": box.b_size,
-        "table": [
-            [box.table[x, y].ravel().tolist() for y in range(box.y_size)]
-            for x in range(box.x_size)
-        ],
+        "table": box.table.reshape(box.x_size, box.y_size, -1).tolist(),
     }
 
 

@@ -37,7 +37,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, analysis, boxes, games, protocols, sphere
-from .boxes import PATH_TABLE_CAP
 from .protocols import BINARY, Alphabets, LineFamily
 
 DEFAULT_SEED = 20230405
@@ -157,17 +156,16 @@ def cmd_box_sample(args):
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     # (start, a, b) in blocks of at most PATH_TABLE_CAP draws; they continue
     # one stream, so together they are the draws of a single n-draw call
-    blocks = ((start, *boxes.sample(box, args.x, args.y, rng,
-                                    min(PATH_TABLE_CAP, args.n - start)))
-              for start in range(0, args.n, PATH_TABLE_CAP))
+    draws = ((s.start, *boxes.sample(box, args.x, args.y, rng, s.stop - s.start))
+             for s in boxes.blocks(args.n, 1))
     if args.format == "csv":
         rows = itertools.chain.from_iterable(
             zip(range(start, start + a.size), a.tolist(), b.tolist())
-            for start, a, b in blocks)
+            for start, a, b in draws)
         _emit(args, {}, csv_rows=rows)
         return
     counts = np.zeros((box.a_size, box.b_size), dtype=np.int64)
-    for _, a, b in blocks:
+    for _, a, b in draws:
         np.add.at(counts, (a, b), 1)
     _emit(args, {"counts": counts.tolist(),
                  "frequencies": (counts / args.n).tolist()})
@@ -211,6 +209,8 @@ def cmd_game_optimize(args):
 def cmd_protocol_run(args):
     if not args.epsilon >= 0.0:
         raise ValueError("--epsilon must be at least 0, not %r" % args.epsilon)
+    if args.epsilon == np.inf:
+        raise ValueError("--epsilon must be a finite number at least 0, not inf")
     protocol = _load_payload(args.protocol, protocols.protocol_from_payload)
     target = _parse_box(args.target)
     induced = protocols.induced_box(protocol, target)

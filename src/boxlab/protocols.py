@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (PATH_TABLE_CAP, CorrelationBox, agreement, check_numbers,
-                    local_box, read_only, scatter_outputs, tv_closeness)
+from . import boxes
+from .boxes import (CorrelationBox, agreement, check_numbers, local_box,
+                    read_only, scatter_outputs, tv_closeness)
 
 ENUMERATION_CAP = 10 ** 8
 SCHEDULE_DIGIT_CAP = 4300  # Python's default limit on int-to-str conversion
@@ -157,9 +158,9 @@ def _protocol_strategies(protocol: DeterministicProtocol,
     if target.table.shape != (al.x2, al.y2, al.a2, al.b2):
         raise ValueError("target alphabets do not match the protocol")
     entries = al.x1 * al.y1 * (al.a2 * al.b2) ** protocol.k
-    if entries > PATH_TABLE_CAP:
+    if entries > boxes.PATH_TABLE_CAP:
         raise ValueError("response-path table of %d entries exceeds %d"
-                         % (entries, PATH_TABLE_CAP))
+                         % (entries, boxes.PATH_TABLE_CAP))
     def maps(m, rows):
         return np.array(m, dtype=np.intp).reshape(rows, -1)
 
@@ -309,21 +310,6 @@ def affine_of(protocol: DeterministicProtocol,
     return AffineFunction(intercept, slope)
 
 
-def _dense_ids(values: np.ndarray):
-    """The distinct values ascending, and the index of each value among them.
-
-    Ids ascend with the values and are equal exactly where the values are ==.
-    """
-    flat = values.ravel()
-    order = np.argsort(flat)
-    pool = flat[order]
-    distinct = np.ones(len(pool), dtype=bool)
-    distinct[1:] = pool[1:] != pool[:-1]
-    ids = np.empty(len(pool), dtype=np.intp)
-    ids[order] = np.cumsum(distinct) - 1
-    return pool[distinct], ids.reshape(values.shape)
-
-
 def _first_occurrences(keys: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of each distinct key."""
     order = np.argsort(keys, kind="stable")
@@ -334,9 +320,10 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
 
 
 def _id_rows(values: np.ndarray):
-    """``_dense_ids`` of a 2-D array, with each row's distinct ids ascending,
+    """Exact ids of a 2-D array, with each row's distinct ids ascending,
     padded with the pool size (past every id) and cut to the widest row."""
-    pool, ids = _dense_ids(np.sort(values, axis=1))
+    pool, ids = np.unique(np.sort(values, axis=1), return_inverse=True)
+    ids = ids.reshape(values.shape)             # 1-D before numpy 2
     ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = len(pool)
     ids.sort(axis=1)
     width = int(np.count_nonzero(ids < len(pool), axis=1).max())
@@ -363,7 +350,7 @@ def _candidate_lines(eq: np.ndarray, ne: np.ndarray):
     The candidates are, for each Bob pair, every distinct I paired with
     every distinct J, in the order (beta0, beta1, I, J), each of I and J
     ascending.  The I and J values are replaced by exact ids
-    (``_dense_ids``): equal ids are equal floats.  Each Bob pair keeps its
+    (``np.unique``): equal ids are equal floats.  Each Bob pair keeps its
     distinct ids in a row padded past the largest id, so a candidate is one
     integer key i_id * n_J + j_id, and one pass keeps the first occurrence
     of each key, in order.
@@ -375,20 +362,16 @@ def _candidate_lines(eq: np.ndarray, ne: np.ndarray):
     entries.  A pair met again in a later run is left to ``_first_per_key``.
     """
     n_u, n_v = eq.shape
-    n_pairs = n_v * n_v
-    step = max(1, PATH_TABLE_CAP // n_u)
     eq, ne = eq.T.copy(), ne.T.copy()           # rows by Bob's strategy
-    for first in range(0, n_pairs, step):
-        beta0, beta1 = np.divmod(np.arange(first, min(first + step, n_pairs)), n_v)
+    for pairs in boxes.blocks(n_v * n_v, n_u):
+        beta0, beta1 = np.divmod(np.arange(pairs.start, pairs.stop), n_v)
         i_pool, i_rows = _id_rows(0.5 * (eq[beta0] + eq[beta1]))
         j_pool, j_rows = _id_rows(0.5 * (eq[beta0] + ne[beta1]))
         valid = i_rows < len(i_pool)
         pair = np.repeat(np.arange(len(i_rows)), np.count_nonzero(valid, axis=1))
         i_ids = i_rows[valid]                   # (Bob pair, I) rows, in order
-        rows = max(1, PATH_TABLE_CAP // 4 // j_rows.shape[1])
-        for start in range(0, len(i_ids), rows):
-            yield _exact_lines(i_ids[start:start + rows],
-                               j_rows[pair[start:start + rows]], i_pool, j_pool)
+        for rows in boxes.blocks(len(i_ids), 4 * j_rows.shape[1]):
+            yield _exact_lines(i_ids[rows], j_rows[pair[rows]], i_pool, j_pool)
 
 
 def _first_per_key(intercepts: np.ndarray, slopes: np.ndarray):
@@ -397,8 +380,8 @@ def _first_per_key(intercepts: np.ndarray, slopes: np.ndarray):
     DEDUP_TOL, rounded half to even; they become dense ranks, combined into
     one integer."""
     scale = 1.0 / DEDUP_TOL
-    _, keys = _dense_ids(np.rint(intercepts * scale))
-    b_pool, b_ids = _dense_ids(np.rint(slopes * scale))
+    _, keys = np.unique(np.rint(intercepts * scale), return_inverse=True)
+    b_pool, b_ids = np.unique(np.rint(slopes * scale), return_inverse=True)
     keep = _first_occurrences(keys * len(b_pool) + b_ids)
     return intercepts[keep], slopes[keep]
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (PATH_TABLE_CAP, CorrelationBox, read_only,
-                    scatter_outputs)
+from . import boxes
+from .boxes import CorrelationBox, read_only, scatter_outputs
 
 UNITARY_TOL = 1e-10
 
@@ -194,19 +194,18 @@ def bell_box(spec: BellBoxSpec, state: np.ndarray) -> CorrelationBox:
     table and one block.
     """
     us, vs = spec.alice_unitaries, spec.bob_unitaries
-    rows = max(1, PATH_TABLE_CAP // (16 * spec.y_size))
 
-    def block(start):
-        x = slice(start, start + rows)
+    def block(x):
         return scatter_outputs(measurement_probs(us[x, None], vs[None], state),
                                spec.alice_post[x], spec.bob_post,
                                spec.a_size, spec.b_size)
 
-    if spec.x_size <= rows:
-        return CorrelationBox(block(0))
+    xs = list(boxes.blocks(spec.x_size, 16 * spec.y_size))
+    if len(xs) == 1:
+        return CorrelationBox(block(xs[0]))
     table = np.empty((spec.x_size, spec.y_size, spec.a_size, spec.b_size))
-    for start in range(0, spec.x_size, rows):
-        table[start:start + rows] = block(start)
+    for x in xs:
+        table[x] = block(x)
     return CorrelationBox(table)
 
 

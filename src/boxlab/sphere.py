@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (PATH_TABLE_CAP, CorrelationBox, check_distributions,
-                    check_numbers, read_only)
+from . import boxes
+from .boxes import (CorrelationBox, check_distributions, check_numbers,
+                    read_only, tv_distance)
 from .quantum import (_haar, _require_unit_vectors, _require_unitary,
                       point_for_unitary, simple_bell_spec, singlet_measure_box,
                       unitary_for_point)
@@ -67,10 +68,9 @@ def _nearest(probes: np.ndarray, points: np.ndarray, reduce) -> np.ndarray:
     point summed over x, y and z in turn, in blocks of DISTANCE_BLOCK
     entries.  ``np.min`` gives the nearest squared distance, ``np.argmin``
     the nearest index with ties to the smallest."""
-    rows = max(1, DISTANCE_BLOCK // len(points))
     out = []
-    for start in range(0, len(probes), rows):
-        block = probes[start:start + rows, None, :]
+    for rows in boxes.blocks(len(probes), len(points), DISTANCE_BLOCK):
+        block = probes[rows, None, :]
         d2 = np.square(block[..., 0] - points[:, 0])
         d2 += np.square(block[..., 1] - points[:, 1])
         d2 += np.square(block[..., 2] - points[:, 2])
@@ -230,15 +230,13 @@ def audit_cover(points: np.ndarray, n_probes: int) -> float:
                               lambda k, value: max(value, finish(i[k], j[k])))
 
     n_b = len(phi_c)
-    rows = max(1, DISTANCE_BLOCK // (4 * n_b))
     certified = 0.0
-    for start in range(0, len(theta_c), rows):
-        r = slice(start, start + rows)
+    for r in boxes.blocks(len(theta_c), 4 * n_b, DISTANCE_BLOCK):
         bound = _seeds(cols, coarse[:, r, None], sin_c[r, None],
                        cos_c[r, None], phi_c, cos_pc, sin_pc)
         bound += extra[r, None]
         certified = _largest_first(bound, certified, lambda k, value: resolve(
-            start + k // n_b, k % n_b, value))
+            r.start + k // n_b, k % n_b, value))
     return certified
 
 
@@ -269,14 +267,14 @@ def build_cover(epsilon: float) -> SphereCover:
     A first or retried cover of more than PATH_TABLE_CAP coordinates (3T) is
     refused before it is built; the first from epsilon alone, as its T
     overflows a float for tiny epsilon."""
-    too_large = "a cover of more than %d coordinates" % PATH_TABLE_CAP
-    smallest = RADIUS_FIT * np.sqrt(3.0 / PATH_TABLE_CAP)     # about 0.0025
+    too_large = "a cover of more than %d coordinates" % boxes.PATH_TABLE_CAP
+    smallest = RADIUS_FIT * np.sqrt(3.0 / boxes.PATH_TABLE_CAP)  # about 0.0025
     if not smallest <= epsilon <= 2.0:
         raise ValueError("epsilon must lie in [%.4g, 2]; a smaller one asks "
                          "for %s" % (smallest, too_large))
     t = max(4, int(np.ceil((RADIUS_FIT / epsilon) ** 2)))
     for _ in range(AUDIT_RETRIES + 1):
-        if 3 * t > PATH_TABLE_CAP:
+        if 3 * t > boxes.PATH_TABLE_CAP:
             raise ValueError("epsilon %g asks for %s" % (epsilon, too_large))
         points = fibonacci_points(t)
         certified = audit_cover(points, AUDIT_PROBES_PER_POINT * t)
@@ -342,7 +340,7 @@ def _reduction_tvs(cover: SphereCover, rng: np.random.Generator,
     approx = _paired_rows(*cover.points[_snap(uv, cover).T])
     check_distributions(exact)
     check_distributions(approx)
-    return 0.5 * np.abs(exact - approx).sum(axis=(1, 2))
+    return tv_distance(exact, approx)
 
 
 def verify_reduction(cover: SphereCover, trials: int,
@@ -364,10 +362,9 @@ def verify_reduction(cover: SphereCover, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    block = PATH_TABLE_CAP // 128
     worst, total = 0.0, 0.0
-    for start in range(0, trials, block):
-        tvs = _reduction_tvs(cover, rng, min(block, trials - start))
+    for block in boxes.blocks(trials, 128):
+        tvs = _reduction_tvs(cover, rng, block.stop - block.start)
         worst = max(worst, float(tvs.max()))
         total += tvs.sum()
     return worst, float(total / trials)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
-from boxlab import analysis
+from boxlab import analysis, boxes
 from boxlab.analysis import (best_affine_fit, certificate_to_payload,
                              omega_second_derivative, tangent_line)
 from boxlab.cli import main
@@ -594,12 +594,30 @@ def test_the_gap_pipeline_builds_no_line_objects(monkeypatch, capsys, name):
     assert_payload_holds(cert, payload)
 
 
-def test_search_in_blocks_of_lines(monkeypatch):
+def test_search_in_blocks_of_lines(monkeypatch, block_walks):
     family = family_of(list(bl.affine_family(bl.pr_box(), 1)) * 5)
     whole = bl.find_hard_p(family, k=1)
-    monkeypatch.setattr(analysis, "PATH_TABLE_CAP", 3 * whole.resolution)
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 3 * whole.resolution)
     blocked = bl.find_hard_p(family, k=1)
     assert blocked == whole
+    # the two searches: all 65 lines in one block, then 3 lines a block
+    assert [walk.sizes for walk in block_walks[-2:]] == [[65], [3] * 21 + [2]]
+
+
+def test_gap_search_leaves_numpy_ma_out(fresh_python):
+    # exact ids come from np.unique with an index output, which skips the
+    # hash path whose masked-array check imports numpy.ma, about 1.1 MB;
+    # numpy before 2.0 imports numpy.ma with numpy itself
+    code = """
+import sys
+import boxlab as bl
+seen = ['numpy.ma' in sys.modules]
+for box in (bl.discretized_box(bl.octahedron_cover()), bl.pr_box()):
+    bl.find_hard_p(bl.affine_family(box, 1, up_to_k=True), k=1)
+seen.append('numpy.ma' in sys.modules)
+print(seen)
+"""
+    assert fresh_python(code) in ("[False, False]", "[True, True]")
 
 
 def test_t14_cover_box_gap_in_bounded_memory():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
+from boxlab import boxes
 from boxlab.boxes import (box_from_json, box_from_payload, box_to_json,
                          box_to_payload, check_numbers, scatter_outputs)
 
@@ -102,6 +103,26 @@ def test_tv_closeness_values():
     assert bl.tv_closeness(pr, const) == 1.0
     # the maximum is attained at input (1, 1): PR puts no mass on (0, 0)
     assert 0.5 * np.abs(pr.table[1, 1] - const.table[1, 1]).sum() == 1.0
+
+
+@pytest.mark.parametrize("n,width,cap,sizes", [
+    (10, 3, 7, [2] * 5),
+    (10, 2, 7, [3, 3, 3, 1]),
+    (3, 8, 7, [1, 1, 1]),                   # width past the cap: one item
+    (5, 1, 100, [5]),
+    (0, 1, 7, []),
+])
+def test_blocks_cover_the_range_in_order(n, width, cap, sizes):
+    walk = list(boxes.blocks(n, width, cap))
+    assert [i for block in walk for i in range(n)[block]] == list(range(n))
+    assert [block.stop - block.start for block in walk] == sizes
+
+
+def test_blocks_read_the_table_cap_at_the_call_and_walk_lazily(monkeypatch):
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 6)
+    assert list(boxes.blocks(7, 2)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    monkeypatch.undo()
+    assert next(boxes.blocks(10 ** 18, 1)) == slice(0, boxes.PATH_TABLE_CAP)
 
 
 def test_signaling_box_detected():

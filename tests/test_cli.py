@@ -64,16 +64,18 @@ def test_box_sample_csv(capsys):
 
 
 @pytest.mark.parametrize("box", ["pr", "local:0,1:1,1"])
-def test_box_sample_draws_in_blocks(capsys, monkeypatch, box):
+def test_box_sample_draws_in_blocks(capsys, monkeypatch, block_walks, box):
     argv = ("box", "sample", "--box", box, "--x", "1", "--y", "1",
             "--n", "10007", "--seed", "9")
     _, whole, _ = run(capsys, *argv)
     _, whole_csv, _ = run(capsys, *argv, "--format", "csv")
-    monkeypatch.setattr(cli, "PATH_TABLE_CAP", 1000)
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 1000)
     code, blocked, _ = run(capsys, *argv)
     assert code == 0 and blocked == whole
     code, blocked_csv, _ = run(capsys, *argv, "--format", "csv")
     assert code == 0 and blocked_csv == whole_csv
+    assert [walk.sizes for walk in block_walks] \
+        == [[10007]] * 2 + [[1000] * 10 + [7]] * 2
     # the counts equal those of the CSV rows
     rows = np.array([line.split(",") for line in whole_csv.splitlines()[2:]],
                     dtype=int)
@@ -134,8 +136,8 @@ def test_csv_streams_the_in_memory_rendering(capsys, monkeypatch, tmp_path,
 
 
 def test_csv_sample_memory_does_not_grow_with_n(capsys, monkeypatch,
-                                                tmp_path):
-    monkeypatch.setattr(cli, "PATH_TABLE_CAP", 1000)
+                                                block_walks, tmp_path):
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 1000)
     path = tmp_path / "rows.csv"
     peaks = []
     for n in (10, 10 ** 4, 10 ** 5):        # the first run warms up caches
@@ -149,11 +151,13 @@ def test_csv_sample_memory_does_not_grow_with_n(capsys, monkeypatch,
             tracemalloc.stop()
         assert code == 0, err
     assert len(path.read_text().splitlines()) == 10 ** 5 + 2
+    assert [len(walk.slices) for walk in block_walks] == [1, 10, 100]
     # blocks of 1,000 draws; the whole 10^5-row text would be 1.2 MB
     assert max(peaks[1:]) < 0.5e6
 
 
-def test_failed_csv_stream_leaves_no_file(capsys, monkeypatch, tmp_path):
+def test_failed_csv_stream_leaves_no_file(capsys, monkeypatch, block_walks,
+                                          tmp_path):
     draws = []
     sample = bl.boxes.sample
 
@@ -163,7 +167,7 @@ def test_failed_csv_stream_leaves_no_file(capsys, monkeypatch, tmp_path):
             raise MemoryError
         return sample(*args)
 
-    monkeypatch.setattr(cli, "PATH_TABLE_CAP", 1000)
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 1000)
     monkeypatch.setattr(bl.boxes, "sample", fail_second_block)
     path = tmp_path / "rows.csv"
     code, out, err = run(capsys, "box", "sample", "--box", "pr", "--x", "0",
@@ -171,6 +175,7 @@ def test_failed_csv_stream_leaves_no_file(capsys, monkeypatch, tmp_path):
                          "--out", str(path))
     assert (code, out, err) == (2, "", "error: out of memory\n")
     assert list(tmp_path.iterdir()) == []
+    assert [walk.sizes for walk in block_walks] == [[1000, 1000]]
 
 
 def test_game_eval_and_omega(capsys):
@@ -599,6 +604,7 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
 
 RUN_IDENTITY = "protocol run --protocol identity.json --target pr --source pr"
 NOT_LOCAL = "box %r is not local:F:G with F and G comma-separated bits"
+NOT_FINITE = "--epsilon must be a finite number at least 0, not inf"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -618,6 +624,8 @@ NOT_LOCAL = "box %r is not local:F:G with F and G comma-separated bits"
     (RUN_IDENTITY + " --epsilon=-1e-300",
      "--epsilon must be at least 0, not -1e-300"),
     (RUN_IDENTITY + " --epsilon=nan", "--epsilon must be at least 0, not nan"),
+    (RUN_IDENTITY + " --epsilon=inf", NOT_FINITE),
+    (RUN_IDENTITY + " --epsilon=1e309", NOT_FINITE),
 ])
 def test_bad_input_exits_2_with_one_line_naming_it(capsys, monkeypatch,
                                                    tmp_path, argv, message):

@@ -406,13 +406,16 @@ def test_family_equals_the_loop(name, k, up_to_k):
 
 @pytest.mark.parametrize("name", ["octahedron", "binary0", "singlet4"])
 @pytest.mark.parametrize("up_to_k", [False, True], ids=["k", "up-to-k"])
-def test_family_in_small_blocks_equals_the_loop(monkeypatch, name, up_to_k):
+def test_family_in_small_blocks_equals_the_loop(monkeypatch, block_walks,
+                                                name, up_to_k):
     # blocks of a few Bob pairs and runs of a few (Bob pair, I) rows: lines
     # met again in later runs must keep the representative found first
     target = loop_targets()[name]
-    monkeypatch.setattr(protocols, "PATH_TABLE_CAP", 100)
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 100)
     assert list(bl.affine_family(target, 1, up_to_k=up_to_k)) \
         == loop_family(target, 1, up_to_k=up_to_k)
+    # the Bob pairs of k = 1 and some of their runs take several blocks
+    assert sum(len(walk.slices) > 1 for walk in block_walks) > 1
 
 
 def test_family_memory_on_the_t11_cover_box():
@@ -429,13 +432,13 @@ def test_family_memory_on_the_t11_cover_box():
     assert peak < 56e6
 
 
-def test_candidate_arrays_stay_under_a_small_cap(monkeypatch):
+def test_candidate_arrays_stay_under_a_small_cap(monkeypatch, block_walks):
     # T=7: 28 strategies a party and 784 Bob pairs, so a cap of 1,000
     # entries splits the I and J values into 23 blocks of Bob pairs
     target = bl.discretized_box(build_cover(1.2))
     family = bl.affine_family(target, 1)
     cap = 1000
-    monkeypatch.setattr(protocols, "PATH_TABLE_CAP", cap)
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", cap)
     sizes = []
 
     def inside(frame):
@@ -462,6 +465,9 @@ def test_candidate_arrays_stay_under_a_small_cap(monkeypatch):
         sys.settrace(old)
     assert same_lines(small, family)
     assert len(sizes) > 1000 and max(sizes) <= cap
+    # the 784 Bob pairs of 28 entries each, 1000 // 28 = 35 a block
+    assert [walk.sizes for walk in block_walks
+            if (walk.n, walk.width) == (784, 28)][-1] == [35] * 22 + [14]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])

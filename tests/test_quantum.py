@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import boxlab as bl
-from boxlab import quantum
+from boxlab import boxes, quantum
 from boxlab.quantum import (KET0, KET1, PHI_PLUS, SINGLET, measurement_probs,
                             restrict_box)
 from boxlab.sphere import _singlet_rows, build_cover, cover_bell_spec
@@ -189,7 +189,8 @@ def test_bell_box_equals_the_per_pair_loop_on_cover_specs(eps):
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.4, 0.3])
-def test_bell_box_in_blocks_of_alice_inputs_equals_one_block(monkeypatch, eps):
+def test_bell_box_in_blocks_of_alice_inputs_equals_one_block(monkeypatch,
+                                                             block_walks, eps):
     spec = cover_bell_spec(build_cover(eps))
     us, vs = np.array(spec.alice_unitaries), np.array(spec.bob_unitaries)
     # the whole U (x) V stack in one measurement_probs call
@@ -201,8 +202,11 @@ def test_bell_box_in_blocks_of_alice_inputs_equals_one_block(monkeypatch, eps):
               measurement_probs(us[:, None], vs[None], SINGLET))
     assert np.array_equal(bl.bell_box(spec, SINGLET).table, table)
     # 3 of Alice's inputs a block, the last block shorter
-    monkeypatch.setattr(quantum, "PATH_TABLE_CAP", 16 * spec.y_size * 3)
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 16 * spec.y_size * 3)
     assert np.array_equal(bl.bell_box(spec, SINGLET).table, table)
+    n = spec.x_size                         # the walks of the two bell_box calls
+    assert [walk.sizes for walk in block_walks[-2:]] \
+        == [[n], [3] * (n // 3) + [n % 3]]
 
 
 @pytest.mark.parametrize("state", [PHI_PLUS, SINGLET], ids=["phi+", "singlet"])

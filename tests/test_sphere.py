@@ -2,16 +2,13 @@ import functools
 import json
 import math
 import operator
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import boxlab as bl
-from boxlab import sphere
+from boxlab import boxes, sphere
 from boxlab.quantum import KET1
 from boxlab.sphere import (RADIUS_FIT, audit_cover,
                            cover_bell_spec, cover_from_payload,
@@ -249,7 +246,7 @@ def test_verify_reduction_memory_grows_with_trials_not_t_squared():
     assert peak < 50e6
 
 
-def test_verify_reduction_runs_in_blocks_of_trials(monkeypatch):
+def test_verify_reduction_runs_in_blocks_of_trials(monkeypatch, block_walks):
     cover = bl.build_cover(0.3)
     tvs = reference_tvs(cover, 1000, 9)
 
@@ -262,36 +259,41 @@ def test_verify_reduction_runs_in_blocks_of_trials(monkeypatch):
             tracemalloc.stop()
 
     # blocks of 64 trials: 1000 trials span 16 blocks of one stream
-    monkeypatch.setattr(sphere, "PATH_TABLE_CAP", 128 * 64)
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 128 * 64)
     (max_tv, mean_tv), _ = peak_of(1000)
     assert max_tv == float(tvs.max())
     assert mean_tv == float(sum(tvs[s:s + 64].sum()
                                 for s in range(0, 1000, 64)) / 1000)
     assert mean_tv == pytest.approx(float(tvs.mean()), rel=1e-14)
-    monkeypatch.setattr(sphere, "PATH_TABLE_CAP", 128 * 4096)
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 128 * 4096)
     _, one_block = peak_of(4096)
     _, blocks = peak_of(3 * 4096 + 100)
     # four blocks take the memory of one, about 3 MB; 12,388 trials in one
     # block take 9 MB
     assert blocks < 1.5 * one_block
+    # the trial walks; the distance kernels walk in DISTANCE_BLOCK entries
+    assert [walk.sizes for walk in block_walks if walk.cap is None] \
+        == [[64] * 15 + [40], [4096], [4096] * 3 + [100]]
 
 
-def test_verify_reduction_blocks_stay_within_the_table_cap():
+def test_verify_reduction_blocks_stay_within_the_table_cap(block_walks):
     # two real blocks of PATH_TABLE_CAP // 128 trials at T = 97; one block of
     # PATH_TABLE_CAP // 16 trials peaked at about 185 MB
     cover = bl.build_cover(0.3)
     assert cover.size == 97
-    trials = sphere.PATH_TABLE_CAP // 128 + 100
+    trials = boxes.PATH_TABLE_CAP // 128 + 100
     tracemalloc.start()
     try:
         bl.verify_reduction(cover, trials, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < sphere.PATH_TABLE_CAP * 8
+    assert peak < boxes.PATH_TABLE_CAP * 8
+    assert [walk.sizes for walk in block_walks if walk.cap is None] \
+        == [[boxes.PATH_TABLE_CAP // 128, 100]]
 
 
-def test_import_leaves_scipy_out(tmp_path):
+def test_import_leaves_scipy_out(fresh_python):
     # import, cover building and the CLI's cover command, one after another
     code = """
 import sys
@@ -306,11 +308,7 @@ assert main(['cover', 'build', '--epsilon', '0.3', '--out', 'c.json']) == 0
 seen.append('scipy' in sys.modules)
 print(seen)
 """
-    src = os.path.dirname(os.path.dirname(bl.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env, cwd=tmp_path).stdout
-    assert out.strip() == "[False, False, False, False]"
+    assert fresh_python(code) == "[False, False, False, False]"
 
 
 # T in 4..60 whose lattice audit finishes two probes, one per call: the
@@ -570,7 +568,7 @@ def test_build_cover_refuses_more_than_the_table_cap_before_building(
     assert built == []
     # epsilon 0.5 asks for T = 35 first, 46 on a retry; a cap of 3 * 35
     # coordinates builds the first and refuses the retry
-    monkeypatch.setattr(sphere, "PATH_TABLE_CAP", 3 * 35)
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 3 * 35)
     monkeypatch.setattr(sphere, "audit_cover", lambda points, n_probes: 1.0)
     with pytest.raises(ValueError, match="more than 105 coordinates"):
         bl.build_cover(0.5)

@@ -2,8 +2,9 @@
 a function is both overridden and relied on by some caller outside the
 tests, every function the benchmark's tracer wraps exists, and every value
 type that holds arrays is made read-only in one place and compares by
-identity; no function takes an ``AffineFunction``, and Pr[a = b] and a
-unitary's measured direction are each formed in one place."""
+identity; no function takes an ``AffineFunction``, Pr[a = b] and a
+unitary's measured direction are each formed in one place, and so are the
+memory cap's block walk and the TV distance."""
 
 import ast
 import importlib
@@ -289,6 +290,71 @@ def test_the_guard_flags_agreement_sums_traces_and_inverses():
     assert kernel_breaches({"other.py": tree}) == [
         ("other.py", 1), ("other.py", 2), ("other.py", 3), ("other.py", 4)]
     assert kernel_breaches({"boxes.py": tree}) == []
+
+
+CAPS = {"PATH_TABLE_CAP", "DISTANCE_BLOCK"}
+
+
+def names_a_cap(node):
+    """True if a node is one of the ``CAPS``, by name or as an attribute."""
+    return getattr(node, "id", getattr(node, "attr", None)) in CAPS
+
+
+def cap_breaches(trees):
+    """(module, line) of each place outside boxes.py that binds
+    PATH_TABLE_CAP, walks blocks by hand (a cap floor-divided, or a cap as a
+    ``range`` step), which ``boxes.blocks`` does, or writes
+    ``0.5 * np.abs(``, which ``boxes.tv_distance`` does."""
+    found = []
+    for name, tree in trees.items():
+        if name == "boxes.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                breach = any(alias.name == "PATH_TABLE_CAP"
+                             for alias in node.names)
+            elif isinstance(node, ast.Name):
+                breach = node.id == "PATH_TABLE_CAP" \
+                    and isinstance(node.ctx, ast.Store)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                            ast.FloorDiv):
+                breach = names_a_cap(node.left) or names_a_cap(node.right)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                breach = ast.unparse(node.left) == "0.5" \
+                    and ast.unparse(node.right).startswith("np.abs(")
+            elif isinstance(node, ast.Call):
+                breach = getattr(node.func, "id", None) == "range" \
+                    and len(node.args) == 3 and names_a_cap(node.args[2])
+            else:
+                breach = False
+            if breach:
+                found.append((name, node.lineno))
+    return sorted(found)
+
+
+def test_the_memory_cap_and_the_tv_distance_have_one_home():
+    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+    assert cap_breaches(trees) == []
+
+
+def test_the_guard_flags_cap_copies_hand_walks_and_tv_sums():
+    tree = ast.parse(
+        "from .boxes import PATH_TABLE_CAP, read_only\n"
+        "rows = max(1, PATH_TABLE_CAP // len(ps))\n"
+        "step = boxes.PATH_TABLE_CAP // 4 // width\n"
+        "rows = DISTANCE_BLOCK // (4 * n_b)\n"
+        "starts = range(0, n, PATH_TABLE_CAP)\n"
+        "tv = 0.5 * np.abs(p - q).sum(axis=(1, 2))\n"
+        "PATH_TABLE_CAP = 2 ** 22\n"
+        "once = 0.5 * np.abs(x) * 2 + 1\n"
+        "from .boxes import read_only\n"
+        "ok = 3 * t > boxes.PATH_TABLE_CAP\n"
+        "fine = np.sqrt(3.0 / PATH_TABLE_CAP) + 0.5 * np.sqrt(x)\n"
+        "walk = boxes.blocks(n, width, DISTANCE_BLOCK)\n"
+        "starts = range(0, n, 2)\n")
+    assert cap_breaches({"other.py": tree}) == [
+        ("other.py", line) for line in range(1, 9)]
+    assert cap_breaches({"boxes.py": tree}) == []
 
 
 def mentions_affine_function(annotation):
