@@ -6,6 +6,7 @@ All numeric tolerances are pinned here, next to the checks they gate.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ class CriterionResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    seconds: float = field(default=0.0, compare=False)  # wall time, set by run_all
 
     def line(self) -> str:
         return "%s %s" % ("PASS" if self.passed else "FAIL", self.name)
@@ -244,4 +246,9 @@ CRITERIA = [
 
 
 def run_all() -> list[CriterionResult]:
-    return [fn() for fn in CRITERIA]
+    results = []
+    for fn in CRITERIA:
+        start = time.perf_counter()
+        results.append(fn())
+        results[-1].seconds = time.perf_counter() - start
+    return results

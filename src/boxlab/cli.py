@@ -304,6 +304,8 @@ def cmd_suite_acceptance(args):
     results = acceptance.run_all()
     for result in results:
         print(result.line())
+        # wall times vary from run to run, so they stay out of the payload
+        print("%.2f ms %s" % (1e3 * result.seconds, result.name), file=sys.stderr)
     payload = _jsonable({"results": [{"name": r.name, "passed": r.passed,
                                       "details": r.details} for r in results],
                          "all_passed": all(r.passed for r in results)})

@@ -173,11 +173,12 @@ def _protocol_strategies(protocol: DeterministicProtocol,
 
 def _all_strategies(n_queries: int, n_responses: int, k: int):
     """Every local k-query strategy with binary outputs, which the lines of
-    ``affine_family`` need, in ``_response_tables`` form."""
+    ``affine_family`` need, in ``_response_tables`` form and in the order of
+    ``itertools.product`` over the table entries."""
     widths = [n_responses ** d for d in range(k + 1)]
     sizes = [n_queries] * sum(widths[:k]) + [2] * widths[k]
-    flat = np.array(list(itertools.product(*map(range, sizes))), dtype=np.intp)
-    cols = np.cumsum([0] + widths)
+    flat = np.indices(sizes, dtype=np.intp).reshape(len(sizes), -1).T
+    cols = list(itertools.accumulate(widths, initial=0))
     return [flat[:, cols[d]:cols[d + 1]] for d in range(k)], flat[:, cols[k]:]
 
 
@@ -330,60 +331,72 @@ def _id_rows(values: np.ndarray):
     return pool, np.ascontiguousarray(ids[:, :width])
 
 
-def _exact_lines(i_ids: np.ndarray, j_rows: np.ndarray,
-                 i_pool: np.ndarray, j_pool: np.ndarray):
+def _exact_lines(i_ids: np.ndarray, j_rows: np.ndarray, pool: np.ndarray):
     """(intercept, slope) of the first of each distinct (I, J) pair, pairing
     each I id with the J ids of its row, in that order.
 
     A function of its own so that a run's keys are freed before the
     caller yields its lines."""
-    n_j = len(j_pool)
-    keys = (i_ids[:, None] * n_j + j_rows)[j_rows < n_j]
-    i_ids, j_ids = np.divmod(keys[_first_occurrences(keys)], n_j)
-    intercepts = i_pool[i_ids]
-    return intercepts, j_pool[j_ids] - intercepts
+    n = len(pool)
+    keys = (i_ids[:, None] * n + j_rows)[j_rows < n]
+    i_ids, j_ids = np.divmod(keys[_first_occurrences(keys)], n)
+    intercepts = pool[i_ids]
+    return intercepts, pool[j_ids] - intercepts
 
 
-def _candidate_lines(eq: np.ndarray, ne: np.ndarray):
-    """(intercept, slope) arrays of the first of each exact (I, J) pair.
+def _candidate_lines(tables: np.ndarray):
+    """(intercept, slope) arrays of the first of each exact (I, J) pair,
+    from the agreement tables [beta, alpha, (W_eq, W_ne)].
 
     The candidates are, for each Bob pair, every distinct I paired with
     every distinct J, in the order (beta0, beta1, I, J), each of I and J
-    ascending.  The I and J values are replaced by exact ids
+    ascending.  The I and J values are replaced by exact ids from one pool
     (``np.unique``): equal ids are equal floats.  Each Bob pair keeps its
     distinct ids in a row padded past the largest id, so a candidate is one
-    integer key i_id * n_J + j_id, and one pass keeps the first occurrence
-    of each key, in order.
+    integer key i_id * n_pool + j_id, and one pass keeps the first
+    occurrence of each key, in order.
 
-    The I and J values are built for at most PATH_TABLE_CAP // n_u Bob
+    The I and J values are built for at most PATH_TABLE_CAP // (2 n_u) Bob
     pairs at a time, and their candidates in runs of (Bob pair, I) rows of
     at most PATH_TABLE_CAP // 4 entries: a run's keys, sort order and masks
     take about as much memory as one float64 array of PATH_TABLE_CAP
     entries.  A pair met again in a later run is left to ``_first_per_key``.
     """
-    n_u, n_v = eq.shape
-    eq, ne = eq.T.copy(), ne.T.copy()           # rows by Bob's strategy
-    for pairs in boxes.blocks(n_v * n_v, n_u):
+    n_v, n_u = tables.shape[:2]
+    eq, ne = tables[..., 0], tables[..., 1]
+    for pairs in boxes.blocks(n_v * n_v, 2 * n_u):
         beta0, beta1 = np.divmod(np.arange(pairs.start, pairs.stop), n_v)
-        i_pool, i_rows = _id_rows(0.5 * (eq[beta0] + eq[beta1]))
-        j_pool, j_rows = _id_rows(0.5 * (eq[beta0] + ne[beta1]))
-        valid = i_rows < len(i_pool)
+        eq0 = eq[beta0]
+        pool, rows = _id_rows(0.5 * np.concatenate([eq0 + eq[beta1],
+                                                    eq0 + ne[beta1]]))
+        i_rows, j_rows = rows[:len(beta0)], rows[len(beta0):]
+        valid = i_rows < len(pool)
         pair = np.repeat(np.arange(len(i_rows)), np.count_nonzero(valid, axis=1))
         i_ids = i_rows[valid]                   # (Bob pair, I) rows, in order
-        for rows in boxes.blocks(len(i_ids), 4 * j_rows.shape[1]):
-            yield _exact_lines(i_ids[rows], j_rows[pair[rows]], i_pool, j_pool)
+        for run in boxes.blocks(len(i_ids), 4 * j_rows.shape[1]):
+            yield _exact_lines(i_ids[run], j_rows[pair[run]], pool)
 
 
 def _first_per_key(intercepts: np.ndarray, slopes: np.ndarray):
     """The first line of each dedup key, in their order: the library's one
     rule for equal lines.  A line's key is its two coefficients over
-    DEDUP_TOL, rounded half to even; they become dense ranks, combined into
-    one integer."""
+    DEDUP_TOL, rounded half to even; they become dense ranks in one pool,
+    combined into one integer."""
     scale = 1.0 / DEDUP_TOL
-    _, keys = np.unique(np.rint(intercepts * scale), return_inverse=True)
-    b_pool, b_ids = np.unique(np.rint(slopes * scale), return_inverse=True)
-    keep = _first_occurrences(keys * len(b_pool) + b_ids)
+    pool, ids = np.unique(np.rint(np.concatenate([intercepts, slopes]) * scale),
+                          return_inverse=True)
+    keep = _first_occurrences(ids[:len(intercepts)] * len(pool)
+                              + ids[len(intercepts):])
     return intercepts[keep], slopes[keep]
+
+
+def _distinct(table: np.ndarray) -> np.ndarray:
+    """The rows of ``table`` that are no byte-for-byte copy of an earlier
+    row, in order."""
+    first: dict = {}
+    for i, row in enumerate(table):
+        first.setdefault(row.tobytes(), i)
+    return table[list(first.values())]
 
 
 def affine_family(target: CorrelationBox, k: int, *,
@@ -404,6 +417,16 @@ def affine_family(target: CorrelationBox, k: int, *,
     pair only the distinct I and J values need combining.  The order is
     (k, beta0, beta1, I, J), each of I and J ascending.
 
+    Each distinct local strategy is enumerated once: a strategy whose
+    (W_eq, W_ne) row (Alice) or column (Bob) is a byte-for-byte copy of an
+    earlier one is dropped, and the first of each is kept, in order
+    (``_distinct``).  The lines stay the same bit for bit.  An Alice copy
+    gives I and J values equal to those of its first, and each Bob pair
+    keeps only its distinct values.  A Bob pair that holds a copy repeats
+    exactly the candidates of the pair of first copies, which comes earlier
+    in (beta0, beta1) order; so the first occurrence of every (I, J) pair,
+    and with it the first line of every key, does not change.
+
     Every candidate line is a small integer key over exact ids of the I and
     J values, and only the first of equal (I, J) pairs survives
     (``_candidate_lines``).  A repeated pair has the dedup key of its first
@@ -417,15 +440,21 @@ def affine_family(target: CorrelationBox, k: int, *,
     intercepts, slopes = np.empty(0), np.empty(0)
     for kk in (range(k + 1) if up_to_k else (k,)):
         _refuse_past_cap(al, kk)
-        eq, ne = agreement(_response_tables(
+        tables = np.stack(agreement(_response_tables(
             _all_strategies(al.x2, al.a2, kk),
-            _all_strategies(al.y2, al.b2, kk), target, 2, 2))
+            _all_strategies(al.y2, al.b2, kk), target, 2, 2)), axis=-1)
+        # Alice's distinct rows, then Bob's: [beta, alpha, (W_eq, W_ne)]
+        tables = _distinct(_distinct(tables).transpose(1, 0, 2))
         # lines kept from earlier runs and query counts come first, so they stay
-        for new_intercepts, new_slopes in _candidate_lines(eq, ne):
+        for new_intercepts, new_slopes in _candidate_lines(tables):
             intercepts, slopes = _first_per_key(
                 np.concatenate([intercepts, new_intercepts]),
                 np.concatenate([slopes, new_slopes]))
-    order = np.lexsort((slopes, intercepts))
+    # complex numbers sort by real part, then imaginary part: one stable
+    # argsort in place of lexsort's two
+    lines = intercepts.astype(complex)
+    lines.imag = slopes
+    order = np.argsort(lines, kind="stable")
     return LineFamily(intercepts[order], slopes[order])
 
 

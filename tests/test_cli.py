@@ -374,6 +374,29 @@ def test_suite_acceptance_writes_numpy_results(capsys, monkeypatch, tmp_path):
              "details": {"ok": True, "3": [0.5]}}]}
 
 
+def test_suite_acceptance_times_each_criterion_on_stderr_only(capsys, tmp_path):
+    # wall times go to stderr, one line per criterion; stdout and the
+    # --out payload are the same bytes on every run
+    out = tmp_path / "acceptance.json"
+    runs = []
+    for _ in range(2):
+        code, stdout, err = run(capsys, "suite", "acceptance", "--out", str(out))
+        assert code == 0
+        runs.append((stdout, out.read_bytes(), err))
+    (out1, payload1, err1), (out2, payload2, err2) = runs
+    assert out1 == out2 and payload1 == payload2
+    assert out1.splitlines() == ["PASS " + r["name"] for r in
+                                 json.loads(payload1)["result"]["results"]]
+    for err in (err1, err2):
+        lines = err.splitlines()
+        assert len(lines) == len(acceptance.CRITERIA)
+        for line, stdout_line in zip(lines, out1.splitlines()):
+            seconds, unit, name = line.split(" ")
+            assert float(seconds) >= 0 and unit == "ms"
+            assert stdout_line == "PASS " + name
+    assert b"seconds" not in payload1
+
+
 def test_unknown_box_token_exits_2(capsys):
     code, _, err = run(capsys, "box", "show", "--box", "nope")
     assert code == 2 and "error:" in err

@@ -378,6 +378,12 @@ def negative_zeros(box):
     return bl.CorrelationBox(np.where(box.table == 0.0, -0.0, box.table))
 
 
+def repeated_alice_input(table):
+    """A 3 x 2 box whose Alice input 2 repeats input 0: Alice's strategies
+    that query 2 copy those that query 0, and Bob has no copies."""
+    return bl.CorrelationBox(np.concatenate([table, table[:1]]))
+
+
 def loop_targets():
     # the singlet and cover boxes have more exact-distinct (I, J) pairs than
     # lines, so which pair of a key is kept first shows in the bits
@@ -392,7 +398,9 @@ def loop_targets():
             "singlet4": singlet_box(rng, 4),
             "cover7": bl.discretized_box(build_cover(1.2)),
             "pr-negative-zeros": negative_zeros(bl.pr_box()),
-            "local-negative-zeros": negative_zeros(bl.local_box([0, 1], [1, 1]))}
+            "local-negative-zeros": negative_zeros(bl.local_box([0, 1], [1, 1])),
+            "repeated-alice-input": repeated_alice_input(
+                random_table(rng, (2, 2, 2, 2)))}
 
 
 @pytest.mark.parametrize("name", loop_targets())
@@ -418,9 +426,54 @@ def test_family_in_small_blocks_equals_the_loop(monkeypatch, block_walks,
     assert sum(len(walk.slices) > 1 for walk in block_walks) > 1
 
 
+@pytest.mark.parametrize("n_queries,n_responses,k",
+                         [(2, 2, 0), (2, 2, 1), (3, 2, 1), (6, 2, 1), (2, 3, 1),
+                          (2, 2, 2), (1, 1, 3), (3, 1, 2)])
+def test_all_strategies_are_the_product_rows_in_order(n_queries, n_responses, k):
+    # the order decides which line of a dedup key comes first
+    widths = [n_responses ** d for d in range(k + 1)]
+    rows = list(itertools.product(*map(range, [n_queries] * sum(widths[:k])
+                                       + [2] * widths[k])))
+    queries, outputs = protocols._all_strategies(n_queries, n_responses, k)
+    assert len(queries) == k
+    table = np.column_stack(queries + [outputs])
+    assert table.dtype == np.intp and table.tolist() == [list(r) for r in rows]
+    assert [q.shape[1] for q in queries] + [outputs.shape[1]] == widths
+
+
+@pytest.mark.parametrize("target,alice,bob", [
+    (bl.discretized_box(bl.octahedron_cover()), (8, 24), (8, 24)),
+    (bl.discretized_box(build_cover(2.0)), (10, 16), (10, 16)),
+    (bl.discretized_box(build_cover(1.2)), (20, 28), (20, 28)),
+    (bl.pr_box(), (6, 8), (6, 8)),
+    (singlet_box(np.random.default_rng(5), 3), (12, 12), (12, 12)),
+    (repeated_alice_input(random_table(np.random.default_rng(5), (2, 2, 2, 2))),
+     (8, 12), (8, 8)),
+], ids=["octahedron", "cover4", "cover7", "pr", "singlet3",
+        "repeated-alice-input"])
+def test_each_distinct_strategy_reaches_the_candidates_once(
+        monkeypatch, target, alice, bob):
+    # (distinct, all) k = 1 strategies of each party
+    assert len(protocols._all_strategies(target.x_size, target.a_size, 1)[1]) \
+        == alice[1]
+    assert len(protocols._all_strategies(target.y_size, target.b_size, 1)[1]) \
+        == bob[1]
+    shapes = []
+    candidate_lines = protocols._candidate_lines
+
+    def spy(tables):
+        shapes.append(tables.shape)
+        return candidate_lines(tables)
+
+    monkeypatch.setattr(protocols, "_candidate_lines", spy)
+    bl.affine_family(target, 1)
+    assert shapes == [(bob[0], alice[0], 2)]
+
+
 def test_family_memory_on_the_t11_cover_box():
     # 56 MB is the peak of the former kernel, which rounded and lexsorted
-    # every candidate line; exact ids take about 26 MB
+    # every candidate line; exact ids over the 28 distinct strategies of 44
+    # a party take about 13 MB
     target = bl.discretized_box(build_cover(0.9))
     assert target.x_size == 11
     tracemalloc.start()
@@ -433,8 +486,8 @@ def test_family_memory_on_the_t11_cover_box():
 
 
 def test_candidate_arrays_stay_under_a_small_cap(monkeypatch, block_walks):
-    # T=7: 28 strategies a party and 784 Bob pairs, so a cap of 1,000
-    # entries splits the I and J values into 23 blocks of Bob pairs
+    # T=7: 20 distinct strategies a party and 400 Bob pairs, so a cap of
+    # 1,000 entries splits the I and J values into 16 blocks of Bob pairs
     target = bl.discretized_box(build_cover(1.2))
     family = bl.affine_family(target, 1)
     cap = 1000
@@ -465,9 +518,10 @@ def test_candidate_arrays_stay_under_a_small_cap(monkeypatch, block_walks):
         sys.settrace(old)
     assert same_lines(small, family)
     assert len(sizes) > 1000 and max(sizes) <= cap
-    # the 784 Bob pairs of 28 entries each, 1000 // 28 = 35 a block
+    # the 400 Bob pairs of 2 * 20 entries each (I and J values in one
+    # pool), 1000 // 40 = 25 a block
     assert [walk.sizes for walk in block_walks
-            if (walk.n, walk.width) == (784, 28)][-1] == [35] * 22 + [14]
+            if (walk.n, walk.width) == (400, 40)][-1] == [25] * 16
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
