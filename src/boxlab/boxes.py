@@ -144,10 +144,7 @@ def mix(boxes, weights) -> CorrelationBox:
     weights = np.asarray(weights, dtype=np.float64)
     if len(boxes) == 0 or len(boxes) != len(weights):
         raise ValueError("need one weight per box")
-    if np.any(weights < -NORM_TOL):
-        raise ValueError("negative mixture weight")
-    if abs(weights.sum() - 1.0) > NORM_TOL:
-        raise ValueError("mixture weights do not sum to 1 within %g" % NORM_TOL)
+    check_distributions(weights[None])          # one [1, n] table
     shape = boxes[0].table.shape
     if any(b.table.shape != shape for b in boxes):
         raise ValueError("alphabet mismatch among mixture components")

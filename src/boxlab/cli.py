@@ -31,6 +31,7 @@ import importlib.util
 import itertools
 import json
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -395,6 +396,13 @@ COMMANDS = {
 }
 
 
+# argparse takes a token that starts with "-" for an option unless its
+# matcher calls it a negative number, and its own knows no exponent, inf or
+# nan.  No option here starts "-" and a digit, ".", "i" or "n", so such a
+# token is a value, and the flag's type reads or refuses it.
+_NEGATIVE_NUMBER = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser(leaves: dict) -> argparse.ArgumentParser:
     """The full parser, one subparser a COMMANDS row; each command's own
     parser goes into ``leaves``, keyed by (group, cmd)."""
@@ -412,6 +420,8 @@ def build_parser(leaves: dict) -> argparse.ArgumentParser:
             for flag, keywords in specs + (_FORMAT,) * bool(row.csv_header):
                 p.add_argument(flag, **keywords)
             p.set_defaults(func=row.func)
+    for p in (parser, *top.choices.values(), *leaves.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

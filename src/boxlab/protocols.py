@@ -305,10 +305,10 @@ def affine_of(protocol: DeterministicProtocol,
         raise ValueError("parity win probabilities need binary outer alphabets")
     eq, ne = agreement(_response_tables(
         *_protocol_strategies(protocol, target), target, 2, 2))
-    # the win probability at (x, y) is Pr[a xor b = x*y]
+    # the win probability at (x, y) is Pr[a xor b = x*y]; I and J are formed
+    # as affine_family forms them, so the line is the family's, bit for bit
     intercept = 0.5 * (eq[0, 0] + eq[0, 1])
-    slope = 0.5 * (eq[1, 0] + ne[1, 1] - eq[0, 0] - eq[0, 1])
-    return AffineFunction(intercept, slope)
+    return AffineFunction(intercept, 0.5 * (eq[1, 0] + ne[1, 1]) - intercept)
 
 
 def _first_occurrences(keys: np.ndarray) -> np.ndarray:

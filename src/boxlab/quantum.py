@@ -20,8 +20,13 @@ UNITARY_TOL = 1e-10
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / np.sqrt(2.0)
-KET0 = np.array([1.0, 0.0], dtype=np.complex128)
-KET1 = np.array([0.0, 1.0], dtype=np.complex128)
+
+
+def _require_norm_one(x: np.ndarray, message: str) -> None:
+    """Raise ``message`` unless every vector [..., n] of ``x`` has norm 1
+    within UNITARY_TOL; the test is written so that NaN fails it."""
+    if not np.all(np.abs(np.linalg.norm(x, axis=-1) - 1.0) <= UNITARY_TOL):
+        raise ValueError(message)
 
 
 def _require_unitary(u: np.ndarray) -> np.ndarray:
@@ -54,9 +59,7 @@ def bloch_of(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape[-1:] != (2,):
         raise ValueError("expected a single-qubit state")
-    norm = np.linalg.norm(psi, axis=-1)
-    if not np.all(np.abs(norm - 1.0) <= UNITARY_TOL):
-        raise ValueError("state is not normalized")
+    _require_norm_one(psi, "state is not normalized")
     # conj(alpha) * beta and |.| in real arithmetic and hypot, which round as
     # numpy's complex scalars do; its complex array loops round differently
     alpha, beta = psi[..., 0], psi[..., 1]
@@ -79,11 +82,9 @@ def _require_unit_vectors(c) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if c.shape[-1:] != (3,):
         raise ValueError("expected a 3-vector")
-    norm = np.linalg.norm(c, axis=-1)
-    if np.any(norm < 1e-12):
+    if np.any(np.linalg.norm(c, axis=-1) < 1e-12):
         raise ValueError("zero vector has no direction")
-    if not np.all(np.abs(norm - 1.0) <= UNITARY_TOL):     # NaN fails too
-        raise ValueError("vector is not unit length")
+    _require_norm_one(c, "vector is not unit length")
     return c
 
 
@@ -177,8 +178,7 @@ def measurement_probs(u: np.ndarray, v: np.ndarray, state: np.ndarray) -> np.nda
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (4,):
         raise ValueError("expected a two-qubit state")
-    if abs(np.linalg.norm(state) - 1.0) > UNITARY_TOL:
-        raise ValueError("state is not normalized")
+    _require_norm_one(state, "state is not normalized")
     kron = u[..., :, None, :, None] * v[..., None, :, None, :]
     lead = kron.shape[:-4]
     amps = kron.reshape(lead + (4, 4)) @ state

@@ -96,6 +96,24 @@ def test_mix_errors():
         bl.mix([pr, pr], [0.7, 0.7])
 
 
+@pytest.mark.parametrize("weights,message", [
+    ([np.nan, np.nan], "negative probability entry"),
+    ([np.nan, 1.0], "negative probability entry"),
+    ([np.inf, -np.inf], "negative probability entry"),
+    ([1.5, -0.5], "negative probability entry"),
+    ([0.7, 0.7], "probabilities do not sum to 1 within 1e-12"),
+])
+def test_mix_checks_its_weights_as_a_distribution_before_the_table(
+        monkeypatch, weights, message):
+    # NaN weights used to pass both weight tests and fail at the box table
+    pr, check, checked = bl.pr_box(), boxes.check_distributions, []
+    monkeypatch.setattr(boxes, "check_distributions",
+                        lambda probs: checked.append(probs.shape) or check(probs))
+    with pytest.raises(ValueError, match="^%s$" % message):
+        bl.mix([pr, pr], weights)
+    assert checked == [(1, 2)]
+
+
 def test_tv_closeness_values():
     pr = bl.pr_box()
     const = bl.local_box([0, 0], [0, 0])

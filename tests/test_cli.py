@@ -644,6 +644,9 @@ NOT_FINITE = "--epsilon must be a finite number at least 0, not inf"
      "give --epsilon or --cover, not both"),
     (RUN_IDENTITY + " --epsilon=-1e308",
      "--epsilon must be at least 0, not -1e+308"),
+    (RUN_IDENTITY + " --epsilon -1e308",
+     "--epsilon must be at least 0, not -1e+308"),
+    ("game eval --box pr --p -1e-3", "biases must lie in [0, 1]"),
     (RUN_IDENTITY + " --epsilon=-1e-300",
      "--epsilon must be at least 0, not -1e-300"),
     (RUN_IDENTITY + " --epsilon=nan", "--epsilon must be at least 0, not nan"),
@@ -689,7 +692,7 @@ def test_extreme_float_flags_exit_0_or_2_with_at_most_one_line(
             continue
         base = README_ARGUMENTS[group, cmd].split()
         for flag, value in itertools.product(flags, EXTREMES):
-            # --flag=value, so that argparse reads negative values too
+            # --flag=value, the form argparse reads on any Python
             argv = [group, cmd, "%s=%s" % (flag, value)]
             for name, given in zip(base[::2], base[1::2]):
                 if name != flag:
@@ -703,6 +706,43 @@ def test_extreme_float_flags_exit_0_or_2_with_at_most_one_line(
             if code not in (0, 2) or err.count("\n") > 1:
                 failures.append((argv, code, err))
     assert failures == []
+
+
+# a negative value in each float notation, and the exit code of its
+# --flag=value form
+NEGATIVE_VALUES = [
+    ("analysis measure --intercept 0.8 --slope -1e-05 --epsilon 0.001", 0),
+    ("analysis intersections --intercept 0.75 --slope -2.5e-1", 0),
+    ("analysis intersections --intercept -.5 --slope -1.", 0),
+    ("analysis intersections --intercept 0.75 --slope -1E+1", 0),
+    ("game eval --box pr --p -1e-3", 2),
+    ("game omega --p -inf", 2),
+    ("game omega --p -nan", 2),
+    (RUN_IDENTITY + " --epsilon -1e308", 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", NEGATIVE_VALUES)
+@pytest.mark.parametrize("parser", ["dispatch", "full"])
+def test_a_negative_value_in_any_float_notation_reads_as_its_equals_form(
+        capsys, monkeypatch, tmp_path, argv, code, parser):
+    monkeypatch.chdir(tmp_path)
+    command_files(tmp_path)
+    if parser == "full":
+        monkeypatch.setattr(cli, "_LEAVES", {})
+    *head, flag, value = argv.split()
+    spaced = run(capsys, *head, flag, value)
+    assert spaced == run(capsys, *head, "%s=%s" % (flag, value))
+    assert spaced[0] == code
+    assert spaced[2].count("\n") == (1 if code else 0)
+
+
+def test_a_negative_float_is_the_value_of_an_integer_flag(capsys):
+    # read as the value of --n, which then refuses it as argparse does
+    with pytest.raises(SystemExit):
+        main("box sample --box pr --x 0 --y 0 --n -1e3".split())
+    assert capsys.readouterr().err.endswith(
+        "error: argument --n: invalid int value: '-1e3'\n")
 
 
 # --- one parse per command ---------------------------------------------

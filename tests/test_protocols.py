@@ -153,6 +153,33 @@ def test_affine_of_matches_win_prob():
                        - bl.win_prob(induced, p, 0.5)) <= 1e-12
 
 
+def strategy_rows(q_map, out_map):
+    """Rows of ``_all_strategies(2, 2, 1)`` of a party's binary k = 1
+    strategies on inputs 0 and 1: the query, then the output on each
+    response."""
+    outputs = np.reshape(out_map, (2, 2)).T         # [response, input]
+    return np.ravel_multi_index((q_map, *outputs), (2, 2, 2))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_affine_of_is_the_family_line_of_its_protocol(seed):
+    # I and J as _candidate_lines forms them from the family's tables, at
+    # the protocol's strategies alpha_x (Alice on x) and beta_y (Bob on y)
+    target = bl.pr_box() if seed is None else bl.CorrelationBox(
+        random_table(np.random.default_rng(seed), (2, 2, 2, 2)))
+    strategies = protocols._all_strategies(2, 2, 1)
+    eq, ne = boxes.agreement(protocols._response_tables(
+        strategies, strategies, target, 2, 2))
+    for pi in bl.enumerate_protocols(BINARY, 1):
+        alpha0, alpha1 = strategy_rows(pi.q_maps[0], pi.s_map)
+        beta0, beta1 = strategy_rows(pi.r_maps[0], pi.t_map)
+        i, j = 0.5 * np.array([eq[alpha0, beta0] + eq[alpha0, beta1],
+                               eq[alpha1, beta0] + ne[alpha1, beta1]])
+        ell = bl.affine_of(pi, target)
+        assert np.array([ell.intercept, ell.slope]).tobytes() \
+            == np.array([i, j - i]).tobytes()
+
+
 def test_pass_through_on_pr_is_constant_one():
     ell = bl.affine_of(bl.identity_protocol(), bl.pr_box())
     assert ell.intercept == pytest.approx(1.0, abs=1e-12)

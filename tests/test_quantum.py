@@ -3,14 +3,15 @@ import pytest
 
 import boxlab as bl
 from boxlab import boxes, quantum
-from boxlab.quantum import (KET0, KET1, PHI_PLUS, SINGLET, measurement_probs,
-                            restrict_box)
+from boxlab.quantum import PHI_PLUS, SINGLET, measurement_probs, restrict_box
 from boxlab.sphere import _singlet_rows, build_cover, cover_bell_spec
 
 RNG = np.random.default_rng(123)
 
 BIT_FLIP = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 IDENTITY = np.eye(2, dtype=np.complex128)
+KET0 = np.array([1.0, 0.0], dtype=np.complex128)
+KET1 = np.array([0.0, 1.0], dtype=np.complex128)
 
 
 def test_bloch_convention_anchors():
@@ -358,3 +359,24 @@ def test_measurement_probs_rejects_bad_input():
     with pytest.raises(ValueError, match="not unitary"):
         measurement_probs(np.array([IDENTITY, np.ones((2, 2))]), IDENTITY,
                           PHI_PLUS)
+
+
+@pytest.mark.parametrize("state", [[np.nan, 0, 0, 0], [np.nan, 0, 0, 1.0],
+                                   [1.0, 0, 0, 1.0], [0, 0, 0, 0]])
+def test_a_two_qubit_state_off_norm_one_is_refused_by_its_norm(state):
+    # a NaN state used to pass the norm test and fail later, at the box table
+    with pytest.raises(ValueError, match="^state is not normalized$"):
+        measurement_probs(IDENTITY, IDENTITY, np.array(state))
+    with pytest.raises(ValueError, match="^state is not normalized$"):
+        bl.bell_box(bl.simple_bell_spec([IDENTITY], [IDENTITY]), state)
+
+
+def test_each_norm_check_keeps_its_message_and_refuses_nan():
+    for bad in ([np.nan, 0.0], [[1.0, 0.0], [np.nan, np.nan]], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="^state is not normalized$"):
+            bl.bloch_of(bad)
+    for bad in ([np.nan, 0.0, 1.0], [[0.0, 0.0, 1.0], [2.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="^vector is not unit length$"):
+            quantum.state_from_bloch(bad)
+    with pytest.raises(ValueError, match="^zero vector has no direction$"):
+        quantum.state_from_bloch([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])

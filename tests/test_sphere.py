@@ -9,11 +9,11 @@ import pytest
 
 import boxlab as bl
 from boxlab import boxes, sphere
-from boxlab.quantum import KET1
 from boxlab.sphere import (RADIUS_FIT, audit_cover,
                            cover_bell_spec, cover_from_payload,
                            cover_to_payload,
                            fibonacci_points, reduce_measurement)
+from test_quantum import KET1
 
 LADDER = (2.0, 0.5, 0.4, 0.3, 0.25, 0.2, 0.05)   # the benchmark's, and T = 4
 T_SCALING_CAP = 10.0        # build_cover promises T <= 10 / epsilon^2

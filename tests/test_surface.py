@@ -4,7 +4,8 @@ tests, every function the benchmark's tracer wraps exists, and every value
 type that holds arrays is made read-only in one place and compares by
 identity; no function takes an ``AffineFunction``, Pr[a = b] and a
 unitary's measured direction are each formed in one place, and so are the
-memory cap's block walk and the TV distance."""
+memory cap's block walk, the TV distance, the test of a probability vector
+and the test of norm 1."""
 
 import ast
 import importlib
@@ -355,6 +356,86 @@ def test_the_guard_flags_cap_copies_hand_walks_and_tv_sums():
     assert cap_breaches({"other.py": tree}) == [
         ("other.py", line) for line in range(1, 9)]
     assert cap_breaches({"boxes.py": tree}) == []
+
+
+def functions(tree):
+    """(name of the innermost enclosing def, or "<module>", node) of every
+    node of a module; a def is its own enclosing one."""
+    def walk(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            yield inner, child
+            yield from walk(child, inner)
+    return walk(tree, "<module>")
+
+
+def names(node, name):
+    """True if ``name`` is read anywhere in ``node``, alone or as an
+    attribute."""
+    return any(isinstance(n, (ast.Name, ast.Attribute))
+               and isinstance(n.ctx, ast.Load)
+               and getattr(n, "id", getattr(n, "attr", None)) == name
+               for n in ast.walk(node))
+
+
+def norm_tol_reads(trees):
+    """(module, function) of each read of NORM_TOL outside
+    ``boxes.check_distributions``, the one test of a probability vector."""
+    return sorted({(module, function) for module, tree in trees.items()
+                   for function, node in functions(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and names(node, "NORM_TOL")
+                   and (module, function) != ("boxes.py",
+                                              "check_distributions")})
+
+
+def norm_one_tests(tree):
+    """The functions of a module that call ``np.linalg.norm`` and compare
+    something with UNITARY_TOL: each tests a norm against it."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(n, ast.Call)
+                    and ast.unparse(n.func).endswith("linalg.norm")
+                    for n in ast.walk(node))
+            and any(isinstance(n, ast.Compare) and names(n, "UNITARY_TOL")
+                    for n in ast.walk(node))]
+
+
+def test_each_norm_test_has_one_home():
+    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+    assert norm_tol_reads(trees) == []
+    assert len(norm_one_tests(trees["quantum.py"])) == 1
+
+
+def test_the_guards_flag_copies_of_the_distribution_and_norm_tests():
+    # the tests as boxes.mix and quantum.bloch_of wrote them by hand
+    tree = ast.parse(
+        "NORM_TOL = 1e-12\n"
+        "def check_distributions(probs):\n"
+        "    if not np.all(probs >= -NORM_TOL):\n"
+        "        raise ValueError('within %g' % NORM_TOL)\n"
+        "def mix(boxes, weights):\n"
+        "    if np.any(weights < -boxes.NORM_TOL):\n"
+        "        raise ValueError('negative mixture weight')\n"
+        "def bloch_of(psi):\n"
+        "    norm = np.linalg.norm(psi, axis=-1)\n"
+        "    if not np.all(np.abs(norm - 1.0) <= UNITARY_TOL):\n"
+        "        raise ValueError('state is not normalized')\n"
+        "def measurement_probs(state):\n"
+        "    if abs(np.linalg.norm(state) - 1.0) > quantum.UNITARY_TOL:\n"
+        "        raise ValueError('state is not normalized')\n"
+        "def unit(c):\n"
+        "    return np.any(np.linalg.norm(c, axis=-1) < 1e-12)\n"
+        "def unitary(defect):\n"
+        "    return np.all(defect <= UNITARY_TOL)\n"
+        "TOL = NORM_TOL\n")
+    assert norm_tol_reads({"boxes.py": tree}) == [("boxes.py", "<module>"),
+                                                  ("boxes.py", "mix")]
+    assert norm_tol_reads({"other.py": tree}) == [
+        ("other.py", "<module>"), ("other.py", "check_distributions"),
+        ("other.py", "mix")]
+    assert norm_one_tests(tree) == ["bloch_of", "measurement_probs"]
 
 
 def mentions_affine_function(annotation):
