@@ -79,7 +79,7 @@ def criterion_affine_consistency() -> CriterionResult:
     worst = 0.0
     for _ in range(100):
         table = rng.random((2, 2, 2, 2))
-        table /= table.sum(axis=(2, 3), keepdims=True)
+        table /= boxes.table_sums(table)[..., None, None]
         target = boxes.CorrelationBox(table)
         protocol = _random_protocol(rng, al, k=1)
         ell = protocols.affine_of(protocol, target)

@@ -20,6 +20,7 @@ UNITARY_TOL = 1e-10
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / np.sqrt(2.0)
+_IDENTITY = np.eye(2)
 
 
 def _require_norm_one(x: np.ndarray, message: str) -> None:
@@ -30,11 +31,15 @@ def _require_norm_one(x: np.ndarray, message: str) -> None:
 
 
 def _require_unitary(u: np.ndarray) -> np.ndarray:
-    """``u`` as a complex [..., 2, 2] stack; raises unless every matrix is unitary."""
+    """``u`` as a complex [..., 2, 2] stack; raises unless every matrix is
+    unitary: U^dagger U, added up from the entries' products as
+    conj(U[r, i]) U[r, j] over the rows r, is I within UNITARY_TOL.  No
+    stacked matmul; a NaN entry fails the test."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape[-2:] == (2, 2):
-        defect = np.abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(2))
-        if np.all(defect <= UNITARY_TOL):
+        products = u.conj()[..., :, :, None] * u[..., :, None, :]
+        gram = products[..., 0, :, :] + products[..., 1, :, :]
+        if (np.abs(gram - _IDENTITY) <= UNITARY_TOL).all():
             return u
     raise ValueError("matrix is not unitary within %g" % UNITARY_TOL)
 
@@ -138,8 +143,10 @@ class BellBoxSpec:
 
     def __post_init__(self):
         for party, size in (("alice", self.a_size), ("bob", self.b_size)):
-            us = _require_unitary(read_only(getattr(self, party + "_unitaries"),
-                                            np.complex128))
+            us = read_only(getattr(self, party + "_unitaries"), np.complex128)
+            if us.shape[:1] == (0,):
+                raise ValueError("%s has no inputs" % party)
+            us = _require_unitary(us)
             post = read_only(getattr(self, party + "_post"), np.int64)
             if us.ndim != 3:
                 raise ValueError("expected one 2x2 unitary per input")
@@ -170,8 +177,16 @@ def measurement_probs(u: np.ndarray, v: np.ndarray, state: np.ndarray) -> np.nda
     """Pr[(s, t)] = |<st| U (x) V |state>|^2 as an array indexed [..., s, t].
 
     ``u`` and ``v`` are 2x2 unitaries or stacks of them, [..., 2, 2], and
-    broadcast against each other.  U (x) V is the entrywise product np.kron
-    forms, so every probability is the float np.kron(u, v) @ state gives.
+    broadcast against each other.  The amplitude of (s, t) is the sum, in
+    order of k = 2i + j, of (U[s, i] V[t, j]) state[k] over the k with
+    state[k] != 0: the terms of np.kron(u, v) @ state that are not zero,
+    two of four for SINGLET and PHI_PLUS, with no Kronecker stack and no
+    matmul.  For those two states one term has an even k and one an odd k,
+    and each is a real multiple rounded once, so every probability is the
+    float np.kron(u, v) @ state gives, bit for bit, wherever its BLAS kernel
+    keeps even and odd k apart, as numpy's bundled OpenBLAS does on x86-64.
+    For other states this is the sum in numpy arithmetic, which can differ
+    in the last bits from a BLAS that fuses multiplies into adds.
     """
     u = _require_unitary(u)
     v = _require_unitary(v)
@@ -179,17 +194,20 @@ def measurement_probs(u: np.ndarray, v: np.ndarray, state: np.ndarray) -> np.nda
     if state.shape != (4,):
         raise ValueError("expected a two-qubit state")
     _require_norm_one(state, "state is not normalized")
-    kron = u[..., :, None, :, None] * v[..., None, :, None, :]
-    lead = kron.shape[:-4]
-    amps = kron.reshape(lead + (4, 4)) @ state
-    return (np.abs(amps) ** 2).reshape(lead + (2, 2))
+    amps = None
+    for k in state.nonzero()[0]:
+        term = u[..., :, None, k // 2] * v[..., None, :, k % 2]
+        term *= state[k]
+        amps = term if amps is None else np.add(amps, term, out=amps)
+    return np.abs(amps) ** 2
 
 
 def bell_box(spec: BellBoxSpec, state: np.ndarray) -> CorrelationBox:
     """Exact correlation box from measuring ``state`` as ``spec`` prescribes.
 
-    Alice's inputs go in blocks whose U (x) V stacks hold at most
-    PATH_TABLE_CAP entries, 16 per input pair.  One block is the table
+    Alice's inputs go in blocks whose measurement temporaries hold at most
+    PATH_TABLE_CAP entries each, 8 per input pair: a complex 2 x 2 term or
+    sum of ``measurement_probs`` is 8 float64 entries.  One block is the table
     itself; several fill a table made for them, which keeps the peak at one
     table and one block.
     """
@@ -200,7 +218,7 @@ def bell_box(spec: BellBoxSpec, state: np.ndarray) -> CorrelationBox:
                                spec.alice_post[x], spec.bob_post,
                                spec.a_size, spec.b_size)
 
-    xs = list(boxes.blocks(spec.x_size, 16 * spec.y_size))
+    xs = list(boxes.blocks(spec.x_size, 8 * spec.y_size))
     if len(xs) == 1:
         return CorrelationBox(block(xs[0]))
     table = np.empty((spec.x_size, spec.y_size, spec.a_size, spec.b_size))
@@ -217,6 +235,8 @@ def singlet_measure_box(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def singlet_invariance_defect(v: np.ndarray) -> float:
     """1 - |<singlet| (V (x) V) |singlet>|; zero for every unitary V."""
     v = _require_unitary(v)
+    if v.ndim != 2:
+        raise ValueError("expected one 2x2 unitary, not a stack")
     overlap = np.vdot(SINGLET, np.kron(v, v) @ SINGLET)
     return float(1.0 - abs(overlap))
 

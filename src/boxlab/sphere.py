@@ -294,8 +294,9 @@ def _singlet_rows(dots: np.ndarray) -> np.ndarray:
     """Pr[a, b] of the singlet measured along directions with these dot
     products, indexed [..., a, b]."""
     rows = np.empty(np.shape(dots) + (2, 2))
-    rows[..., 0, 0] = rows[..., 1, 1] = 0.25 - 0.25 * dots
-    rows[..., 0, 1] = rows[..., 1, 0] = 0.25 + 0.25 * dots
+    quarter = 0.25 * dots
+    rows[..., 0, 0] = rows[..., 1, 1] = 0.25 - quarter
+    rows[..., 0, 1] = rows[..., 1, 0] = 0.25 + quarter
     return rows
 
 
@@ -352,10 +353,12 @@ def verify_reduction(cover: SphereCover, trials: int,
     One generator seeded with ``SeedSequence([seed])`` draws every trial:
     trial t is the t-th pair of ``quantum.random_unitary`` calls on it.  So
     the first n trials are the same for every ``trials`` >= n.  Trials go
-    in blocks of PATH_TABLE_CAP // 128: a trial's arrays (the draws, the Haar
-    pair, the snapped points, the exact and snapped tables) take about 706
-    bytes, under 128 float64 entries, so one block's arrays stay within
-    PATH_TABLE_CAP entries and memory does not grow past one block.  The
+    in blocks of PATH_TABLE_CAP // 128: a trial's arrays peak at about 706
+    bytes, under 128 float64 entries, while its Haar pair is drawn; with
+    the pair held, measuring it peaks at about 416 (the unitarity test's
+    products, two complex 2 x 2 terms, the probabilities) and snapping it
+    at about 320.  So one block's arrays stay within PATH_TABLE_CAP
+    entries and memory does not grow past one block.  The
     mean is the sum of the blocks' sums over ``trials``, which is
     ``tvs.mean()`` in one block.
     """

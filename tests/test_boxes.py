@@ -195,6 +195,62 @@ def test_nan_tables_rejected(where):
         bl.CorrelationBox(table)
 
 
+def stacks_of(cells, rng):
+    """Stacks of ``cells`` tables on both sides of SMALL_STACK, with signed
+    zeros, infinities and magnitudes far apart, in C order and in two
+    other layouts."""
+    size = cells[0] * cells[1]
+    small = boxes.SMALL_STACK // size - 1
+    large = boxes.SMALL_STACK // size + 1
+    for n in (1, 2, small, large, 3001):
+        tables = rng.normal(size=(n, *cells)) * 10.0 ** rng.integers(
+            -12, 13, (n, *cells))
+        tables[0] = -0.0
+        tables[-1, 0] = 0.0
+        tables[-1, 1:] = -0.0
+        if n > 2:
+            tables[1, 0, 0] = np.inf
+        yield tables
+        yield np.asfortranarray(tables)
+        yield np.swapaxes(np.ascontiguousarray(np.swapaxes(tables, -1, -2)),
+                          -1, -2)
+    yield rng.random((40, 30, *cells))
+
+
+@pytest.mark.parametrize("cells", [(2, 2), (2, 3), (4, 4)])
+def test_table_sums_are_numpys_sums_bit_for_bit(cells):
+    sizes = set()
+    for tables in stacks_of(cells, np.random.default_rng(41)):
+        assert boxes.table_sums(tables).tobytes() \
+            == tables.sum(axis=(-2, -1)).tobytes()
+        sizes.add(tables.size >= boxes.SMALL_STACK)
+    # both sides of the switch to one add per cell
+    assert sizes == {False, True}
+
+
+@pytest.mark.parametrize("n", [1, 3000])
+def test_check_distributions_refuses_nan_and_negative_entries(n):
+    tables = np.full((n, 2, 2), 0.25)
+    boxes.check_distributions(tables)
+    for bad, message in ((np.nan, "negative probability entry"),
+                         (-0.25, "negative probability entry"),
+                         (0.5, "do not sum to 1")):
+        broken = tables.copy()
+        broken[n // 2, 1, 0] = bad
+        with pytest.raises(ValueError, match=message):
+            boxes.check_distributions(broken)
+    # an infinite entry passes the sign test and fails the sum test
+    broken = tables.copy()
+    broken[-1, 0] = np.inf
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        boxes.check_distributions(broken)
+
+
+def test_check_distributions_accepts_an_empty_stack():
+    boxes.check_distributions(np.empty((0, 2, 2)))
+    boxes.check_distributions(np.empty((0, 3, 2, 2)))
+
+
 def test_out_of_range_errors():
     pr = bl.pr_box()
     rng = np.random.default_rng(0)

@@ -182,6 +182,54 @@ def test_measurement_probs_broadcasts_over_leading_axes():
                                   measurement_probs(us[x], vs[y], SINGLET))
 
 
+def kron_amplitudes(u, v, state):
+    """np.kron(a, b) @ state for each pair of the broadcast stacks u and v,
+    one pair at a time, as [..., 2, 2]."""
+    u, v = np.broadcast_arrays(u, v)
+    amps = [np.kron(a, b) @ state
+            for a, b in zip(u.reshape(-1, 2, 2), v.reshape(-1, 2, 2))]
+    return np.reshape(amps, u.shape)
+
+
+def haar_pairs(n):
+    uv = quantum._haar(np.random.default_rng(n), (n, 2))
+    return uv[:, 0], uv[:, 1]
+
+
+@pytest.mark.parametrize("state", [SINGLET, PHI_PLUS], ids=["singlet", "phi+"])
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_measurement_probs_are_the_kron_products_bit_for_bit(state, n):
+    u, v = haar_pairs(n)
+    assert measurement_probs(u, v, state).tobytes() \
+        == (np.abs(kron_amplitudes(u, v, state)) ** 2).tobytes()
+    # the broadcast (T, 1) x (1, T) form bell_box uses
+    u, v = u[:40, None], v[None, :40]
+    assert measurement_probs(u, v, state).tobytes() \
+        == (np.abs(kron_amplitudes(u, v, state)) ** 2).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_measurement_probs_of_a_state_with_four_amplitudes(n):
+    rng = np.random.default_rng(51)
+    state = rng.normal(size=4) + 1j * rng.normal(size=4)
+    state /= np.linalg.norm(state)
+    u, v = haar_pairs(n)
+    for u, v in ((u, v), (u[:40, None], v[None, :40])):
+        u, v = np.broadcast_arrays(u, v)
+        kron = np.array([np.kron(a, b) for a, b in zip(u.reshape(-1, 2, 2),
+                                                       v.reshape(-1, 2, 2))])
+        # the terms added in order of k, in numpy's arithmetic
+        amps = kron[:, :, 0] * state[0]
+        for k in range(1, 4):
+            amps = amps + kron[:, :, k] * state[k]
+        got = measurement_probs(u, v, state)
+        assert got.tobytes() \
+            == (np.abs(amps) ** 2).reshape(u.shape).tobytes()
+        # a BLAS product may fuse multiplies into adds: the last bits move
+        want = np.abs(kron_amplitudes(u, v, state)) ** 2
+        assert np.abs(got - want).max() <= 8 * np.finfo(np.float64).eps
+
+
 @pytest.mark.parametrize("eps", [0.5, 0.4, 0.3])
 def test_bell_box_equals_the_per_pair_loop_on_cover_specs(eps):
     spec = cover_bell_spec(build_cover(eps))
@@ -203,7 +251,7 @@ def test_bell_box_in_blocks_of_alice_inputs_equals_one_block(monkeypatch,
               measurement_probs(us[:, None], vs[None], SINGLET))
     assert np.array_equal(bl.bell_box(spec, SINGLET).table, table)
     # 3 of Alice's inputs a block, the last block shorter
-    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 16 * spec.y_size * 3)
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 8 * spec.y_size * 3)
     assert np.array_equal(bl.bell_box(spec, SINGLET).table, table)
     n = spec.x_size                         # the walks of the two bell_box calls
     assert [walk.sizes for walk in block_walks[-2:]] \
@@ -230,6 +278,45 @@ def test_bell_spec_rejects_non_unitary_and_stacked_entries():
     with pytest.raises(ValueError, match="one 2x2 unitary per input"):
         bl.BellBoxSpec((np.array([IDENTITY, BIT_FLIP]),), (IDENTITY,),
                        np.array([[0, 1]]), np.array([[0, 1]]), 2, 2)
+
+
+@pytest.mark.parametrize("unitaries", [[], np.empty((0, 2, 2))],
+                         ids=["list", "array"])
+def test_a_bell_spec_with_no_inputs_is_refused(unitaries):
+    with pytest.raises(ValueError, match="^alice has no inputs$"):
+        bl.BellBoxSpec(unitaries, [IDENTITY], np.empty((0, 2), np.int64),
+                       [[0, 1]], 2, 2)
+    with pytest.raises(ValueError, match="^bob has no inputs$"):
+        bl.BellBoxSpec([IDENTITY], unitaries, [[0, 1]],
+                       np.empty((0, 2), np.int64), 2, 2)
+
+
+NOT_UNITARY = "^matrix is not unitary within 1e-10$"
+
+
+@pytest.mark.parametrize("bad", [
+    np.full((2, 2), np.nan), [[np.nan, 0.0], [0.0, 1.0]],
+    2 * IDENTITY, np.ones((2, 2)), IDENTITY + 1e-9,
+    np.eye(3), np.ones(2), [IDENTITY, [[1.0, 0.0], [0.0, np.nan]]],
+    [[IDENTITY, BIT_FLIP], [IDENTITY, 0.5 * BIT_FLIP]]],
+    ids=["nan", "one-nan", "scaled", "ones", "off-1e-9", "3x3", "vector",
+         "stack-nan", "stack-scaled"])
+def test_the_unitarity_check_refuses_nan_non_unitary_and_wrong_shapes(bad):
+    with pytest.raises(ValueError, match=NOT_UNITARY):
+        quantum._require_unitary(bad)
+
+
+def test_the_unitarity_check_accepts_unitary_stacks():
+    haar = quantum._haar(np.random.default_rng(52), (300, 2))
+    for u in (IDENTITY, BIT_FLIP, haar, haar[:, 0], IDENTITY + 1e-12,
+              np.empty((0, 2, 2))):
+        assert quantum._require_unitary(u).shape == np.shape(u)
+
+
+def test_singlet_invariance_defect_refuses_a_stack():
+    with pytest.raises(ValueError, match="^expected one 2x2 unitary, not a "
+                                         "stack$"):
+        bl.singlet_invariance_defect([IDENTITY, BIT_FLIP])
 
 
 def test_bell_spec_holds_read_only_arrays():

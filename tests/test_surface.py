@@ -358,6 +358,46 @@ def test_the_guard_flags_cap_copies_hand_walks_and_tv_sums():
     assert cap_breaches({"boxes.py": tree}) == []
 
 
+TRAILING_AXES = {"(-2, -1)", "(-1, -2)", "(2, 3)", "(3, 2)"}
+
+
+def table_sum_breaches(trees):
+    """(module, line) of each sum over a table's trailing axes, ``axis=(-2,
+    -1)`` or ``axis=(2, 3)`` by keyword or by position, outside
+    ``boxes.table_sums``, the one sum of each table of a stack."""
+    return sorted((module, node.lineno) for module, tree in trees.items()
+                  for function, node in functions(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).endswith("sum")
+                  and any(ast.unparse(arg) in TRAILING_AXES for arg in
+                          [*node.args, *(kw.value for kw in node.keywords
+                                         if kw.arg == "axis")])
+                  and (module, function) != ("boxes.py", "table_sums"))
+
+
+def test_each_table_sum_has_one_home():
+    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+    assert table_sum_breaches(trees) == []
+
+
+def test_the_guard_flags_table_sums_outside_their_home():
+    tree = ast.parse(
+        "def table_sums(tables):\n"
+        "    return tables.sum(axis=(-2, -1))\n"
+        "def check(probs):\n"
+        "    return np.abs(probs.sum(axis=(-2, -1)) - 1.0)\n"
+        "table /= table.sum(axis=(2, 3), keepdims=True)\n"
+        "tv = 0.5 * np.sum(np.abs(p - q), (-1, -2))\n"
+        "total = t.sum((3, 2))\n"
+        "rows = table.sum(axis=3)\n"
+        "peak = table.max(axis=(2, 3))\n"
+        "total = table_sums(table)\n")
+    assert table_sum_breaches({"boxes.py": tree}) == [
+        ("boxes.py", 4), ("boxes.py", 5), ("boxes.py", 6), ("boxes.py", 7)]
+    assert table_sum_breaches({"other.py": tree}) == [
+        ("other.py", line) for line in (2, 4, 5, 6, 7)]
+
+
 def functions(tree):
     """(name of the innermost enclosing def, or "<module>", node) of every
     node of a module; a def is its own enclosing one."""
