@@ -211,8 +211,7 @@ def criterion_property_suite() -> CriterionResult:
 
     spec1 = games.optimal_strategy(0.5).to_bell_spec()
     spec2 = games.optimal_strategy(0.75).to_bell_spec()
-    combined = quantum.direct_sum_bell(spec1, spec2)
-    big = quantum.bell_box(combined, quantum.SINGLET)
+    big = quantum.direct_sum_bell(spec1, spec2, quantum.SINGLET)
     block1 = quantum.restrict_box(big, (0, 1), (0, 1), (0, 1), (0, 1))
     restrict_tv = boxes.tv_closeness(block1,
                                      quantum.bell_box(spec1, quantum.SINGLET))

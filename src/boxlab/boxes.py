@@ -182,10 +182,11 @@ def sample(box: CorrelationBox, x: int, y: int, rng: np.random.Generator,
     """Draw n pairs (a, b) from the exact output distribution at (x, y).
 
     One ``rng.choice`` call gives the draws of n single-draw calls, in order.
+    Entries down to -NORM_TOL, which a box table may hold, count as 0.
     """
     if not (0 <= x < box.x_size and 0 <= y < box.y_size):
         raise ValueError("input pair (%r, %r) out of range" % (x, y))
-    flat = box.table[x, y].ravel()
+    flat = np.maximum(box.table[x, y].ravel(), 0.0)
     idx = rng.choice(flat.size, size=n, p=flat / flat.sum())
     return np.divmod(idx, box.b_size)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boxes
-from .boxes import CorrelationBox, read_only, scatter_outputs
+from .boxes import CorrelationBox, read_only
 
 UNITARY_TOL = 1e-10
 
@@ -126,36 +126,25 @@ def point_for_unitary(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BellBoxSpec:
-    """One pre-mixture BELL member: per-input unitaries plus postprocessing.
+    """One pre-mixture BELL member: a unitary per input of each party.
 
-    ``alice_post[x]`` and ``bob_post[y]`` map the measured bit to the output
-    alphabet.  Per-input postprocessing is needed so that direct sums can
-    route each block to its own output labels.  Every field is stored as a
-    read-only array, checked once.
+    Input x of Alice measures U_x, input y of Bob measures V_y, and each
+    reports its measured bit as the output.  Both fields are stored as
+    read-only arrays, checked once.
     """
 
     alice_unitaries: np.ndarray  # complex, shape (x_size, 2, 2)
     bob_unitaries: np.ndarray    # complex, shape (y_size, 2, 2)
-    alice_post: np.ndarray  # int64, shape (x_size, 2), values in range(a_size)
-    bob_post: np.ndarray    # int64, shape (y_size, 2), values in range(b_size)
-    a_size: int
-    b_size: int
 
     def __post_init__(self):
-        for party, size in (("alice", self.a_size), ("bob", self.b_size)):
+        for party in ("alice", "bob"):
             us = read_only(getattr(self, party + "_unitaries"), np.complex128)
             if us.shape[:1] == (0,):
                 raise ValueError("%s has no inputs" % party)
             us = _require_unitary(us)
-            post = read_only(getattr(self, party + "_post"), np.int64)
             if us.ndim != 3:
                 raise ValueError("expected one 2x2 unitary per input")
-            if post.shape != (len(us), 2):
-                raise ValueError("postprocessing shape must be (inputs, 2)")
-            if post.min() < 0 or post.max() >= size:
-                raise ValueError("%s_post value out of range" % party)
             object.__setattr__(self, party + "_unitaries", us)
-            object.__setattr__(self, party + "_post", post)
 
     @property
     def x_size(self) -> int:
@@ -167,10 +156,8 @@ class BellBoxSpec:
 
 
 def simple_bell_spec(alice_unitaries, bob_unitaries) -> BellBoxSpec:
-    """Binary spec whose every input reports the measured bit as it is."""
-    return BellBoxSpec(alice_unitaries, bob_unitaries,
-                       np.tile((0, 1), (len(alice_unitaries), 1)),
-                       np.tile((0, 1), (len(bob_unitaries), 1)), 2, 2)
+    """The spec of Alice's and Bob's unitaries, one per input."""
+    return BellBoxSpec(alice_unitaries, bob_unitaries)
 
 
 def measurement_probs(u: np.ndarray, v: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -203,7 +190,8 @@ def measurement_probs(u: np.ndarray, v: np.ndarray, state: np.ndarray) -> np.nda
 
 
 def bell_box(spec: BellBoxSpec, state: np.ndarray) -> CorrelationBox:
-    """Exact correlation box from measuring ``state`` as ``spec`` prescribes.
+    """Exact correlation box from measuring ``state`` as ``spec`` prescribes:
+    the [x, y, 2, 2] table of ``measurement_probs`` over every input pair.
 
     Alice's inputs go in blocks whose measurement temporaries hold at most
     PATH_TABLE_CAP entries each, 8 per input pair: a complex 2 x 2 term or
@@ -211,19 +199,13 @@ def bell_box(spec: BellBoxSpec, state: np.ndarray) -> CorrelationBox:
     itself; several fill a table made for them, which keeps the peak at one
     table and one block.
     """
-    us, vs = spec.alice_unitaries, spec.bob_unitaries
-
-    def block(x):
-        return scatter_outputs(measurement_probs(us[x, None], vs[None], state),
-                               spec.alice_post[x], spec.bob_post,
-                               spec.a_size, spec.b_size)
-
+    us, vs = spec.alice_unitaries[:, None], spec.bob_unitaries[None]
     xs = list(boxes.blocks(spec.x_size, 8 * spec.y_size))
     if len(xs) == 1:
-        return CorrelationBox(block(xs[0]))
-    table = np.empty((spec.x_size, spec.y_size, spec.a_size, spec.b_size))
+        return CorrelationBox(measurement_probs(us, vs, state))
+    table = np.empty((spec.x_size, spec.y_size, 2, 2))
     for x in xs:
-        table[x] = block(x)
+        table[x] = measurement_probs(us[x], vs, state)
     return CorrelationBox(table)
 
 
@@ -241,19 +223,25 @@ def singlet_invariance_defect(v: np.ndarray) -> float:
     return float(1.0 - abs(overlap))
 
 
-def direct_sum_bell(spec1: BellBoxSpec, spec2: BellBoxSpec) -> BellBoxSpec:
-    """Disjoint-union spec: block-i inputs use block-i unitaries and outputs.
+def direct_sum_bell(spec1: BellBoxSpec, spec2: BellBoxSpec,
+                    state: np.ndarray) -> CorrelationBox:
+    """Direct-sum box of two specs measuring ``state``: block-i inputs use
+    block-i unitaries, and report their bit s at output 2i + s.
 
-    Input, output alphabets are concatenated with block-2 labels offset by
-    block-1 sizes.  Restricting to either block reproduces that block's box
-    exactly; cross-block rows follow from the measurement semantics.
+    Inputs are concatenated, block 1's first.  Restricting to either block
+    reproduces that block's box exactly; a cross-block row puts the bits
+    measured there at the two blocks' outputs.
     """
-    return BellBoxSpec(
+    measured = bell_box(BellBoxSpec(
         np.concatenate([spec1.alice_unitaries, spec2.alice_unitaries]),
-        np.concatenate([spec1.bob_unitaries, spec2.bob_unitaries]),
-        np.concatenate([spec1.alice_post, spec2.alice_post + spec1.a_size]),
-        np.concatenate([spec1.bob_post, spec2.bob_post + spec1.b_size]),
-        spec1.a_size + spec2.a_size, spec1.b_size + spec2.b_size)
+        np.concatenate([spec1.bob_unitaries, spec2.bob_unitaries])),
+        state).table
+    table = np.zeros(measured.shape[:2] + (4, 4))
+    for i, xs in enumerate((slice(spec1.x_size), slice(spec1.x_size, None))):
+        for j, ys in enumerate((slice(spec1.y_size),
+                                slice(spec1.y_size, None))):
+            table[xs, ys, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = measured[xs, ys]
+    return CorrelationBox(table)
 
 
 def restrict_box(box: CorrelationBox, xs, ys, as_, bs) -> CorrelationBox:

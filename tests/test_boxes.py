@@ -177,6 +177,16 @@ def test_sample_equals_single_draws():
         assert b.tolist() == [d % box.b_size for d in draws]
 
 
+def test_sample_draws_a_rounded_negative_entry_with_probability_0():
+    # the dot-product law rounds some diagonal entries of the library's own
+    # cover boxes just below 0, which the box accepts and sample must too
+    box = bl.discretized_box(bl.build_cover(0.5))
+    x, y, a, b = np.argwhere(box.table < 0)[0]
+    assert -boxes.NORM_TOL <= box.table[x, y, a, b] < 0
+    draws_a, draws_b = bl.sample(box, x, y, np.random.default_rng(0), 1000)
+    assert not np.any((draws_a == a) & (draws_b == b))
+
+
 def test_normalization_rejected():
     bad = np.full((1, 1, 2, 2), 0.3)
     with pytest.raises(ValueError):

@@ -63,6 +63,18 @@ def test_box_sample_csv(capsys):
     assert len(lines) == 7
 
 
+def test_box_sample_takes_a_file_box_with_a_rounded_negative_entry(
+        capsys, tmp_path):
+    # the box loads, so every box command takes it: sample draws its
+    # -1e-13 entry with probability 0
+    path = tmp_path / "box.json"
+    path.write_text('{"x_size": 1, "y_size": 1, "a_size": 2, "b_size": 2, '
+                    '"table": [[[0.5, -1e-13, 0.0, 0.5000000000001]]]}')
+    counts = run_json(capsys, "box", "sample", "--box", "file:%s" % path,
+                      "--x", "0", "--y", "0", "--n", "100")["result"]["counts"]
+    assert counts[0][1] == 0 and sum(map(sum, counts)) == 100
+
+
 @pytest.mark.parametrize("box", ["pr", "local:0,1:1,1"])
 def test_box_sample_draws_in_blocks(capsys, monkeypatch, block_walks, box):
     argv = ("box", "sample", "--box", box, "--x", "1", "--y", "1",

@@ -8,8 +8,9 @@ and ``cover.json`` comes from ``cover build``.  A command that writes
 stdout.  ``help.json`` pins the parser apart from any command's output:
 the help text of every parser, each command's argument specs and
 ``boxlab --schema``.  It was recorded from the hand-written parser, before
-``cli.COMMANDS`` declared the commands.  To record the goldens again, run
-this file as a script.
+``cli.COMMANDS`` declared the commands.  ``acceptance.json`` is the file
+``boxlab suite acceptance --out acceptance.json`` writes, compared byte for
+byte.  To record the goldens again, run this file as a script.
 
 The ``analysis gap`` golden was recorded again when ``affine_family`` began
 to return its lines sorted; before, they came in the hash order of a set.
@@ -49,6 +50,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # help texts, argument specs and --schema of the parser; not a *.txt file,
 # so the README corpus above does not count it
 SURFACE = GOLDEN / "help.json"
+# the acceptance suite's --out file; not a *.txt file either
+ACCEPTANCE = GOLDEN / "acceptance.json"
 
 # the octahedron k=1 certificate as first recorded, with the lines as a set
 GAP_GOLDEN = "12_analysis_gap.txt"
@@ -139,6 +142,20 @@ def run_corpus(workdir: Path) -> dict:
     return outputs
 
 
+def acceptance_payload(workdir: Path) -> bytes:
+    """The bytes ``suite acceptance --out acceptance.json`` writes when run
+    in ``workdir``."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["suite", "acceptance", "--out", ACCEPTANCE.name]) == 0
+    finally:
+        os.chdir(cwd)
+    return (workdir / ACCEPTANCE.name).read_bytes()
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     return run_corpus(tmp_path_factory.mktemp("readme"))
@@ -166,6 +183,10 @@ def test_output_matches_golden(corpus, index, argv):
     assert corpus[name] == (GOLDEN / name).read_bytes()
 
 
+def test_acceptance_payload_matches_golden(tmp_path):
+    assert acceptance_payload(tmp_path) == ACCEPTANCE.read_bytes()
+
+
 def test_gap_certificate_keeps_its_first_recording(corpus):
     cert = json.loads(corpus[GAP_GOLDEN])["result"]
     assert cert["p_star"] == GAP_P_STAR and cert["gap"] == GAP
@@ -191,5 +212,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in run_corpus(Path(tmp)).items():
             (GOLDEN / name).write_bytes(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        ACCEPTANCE.write_bytes(acceptance_payload(Path(tmp)))
     SURFACE.write_text(json.dumps(cli_surface(), indent=1) + "\n",
                        encoding="utf-8")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,13 +111,10 @@ def reference_bloch(psi):
 
 
 def reference_bell_table(spec, state):
-    table = np.zeros((spec.x_size, spec.y_size, spec.a_size, spec.b_size))
+    table = np.zeros((spec.x_size, spec.y_size, 2, 2))
     for x, u in enumerate(spec.alice_unitaries):
         for y, v in enumerate(spec.bob_unitaries):
-            p = np.abs((np.kron(u, v) @ state).reshape(2, 2)) ** 2
-            for s in range(2):
-                for t in range(2):
-                    table[x, y, spec.alice_post[x, s], spec.bob_post[y, t]] += p[s, t]
+            table[x, y] = np.abs((np.kron(u, v) @ state).reshape(2, 2)) ** 2
     return table
 
 
@@ -243,12 +242,7 @@ def test_bell_box_in_blocks_of_alice_inputs_equals_one_block(monkeypatch,
     spec = cover_bell_spec(build_cover(eps))
     us, vs = np.array(spec.alice_unitaries), np.array(spec.bob_unitaries)
     # the whole U (x) V stack in one measurement_probs call
-    table = np.zeros((spec.x_size, spec.y_size, 2, 2))
-    x, y = np.ogrid[:spec.x_size, :spec.y_size]
-    np.add.at(table, (x[..., None, None], y[..., None, None],
-                      spec.alice_post[:, None, :, None],
-                      spec.bob_post[None, :, None, :]),
-              measurement_probs(us[:, None], vs[None], SINGLET))
+    table = measurement_probs(us[:, None], vs[None], SINGLET)
     assert np.array_equal(bl.bell_box(spec, SINGLET).table, table)
     # 3 of Alice's inputs a block, the last block shorter
     monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 8 * spec.y_size * 3)
@@ -259,36 +253,42 @@ def test_bell_box_in_blocks_of_alice_inputs_equals_one_block(monkeypatch,
 
 
 @pytest.mark.parametrize("state", [PHI_PLUS, SINGLET], ids=["phi+", "singlet"])
-def test_bell_box_equals_the_per_pair_loop_on_a_direct_sum(state):
-    # block 1 sends both of Alice's outcomes to one label, so entries add up
-    spec1 = bl.BellBoxSpec([bl.random_unitary(RNG) for _ in range(3)],
-                           [bl.random_unitary(RNG) for _ in range(2)],
-                           [(1, 1)] * 3, [(0, 1)] * 2, 2, 2)
-    spec2 = bl.BellBoxSpec([bl.random_unitary(RNG) for _ in range(2)],
-                           [bl.random_unitary(RNG) for _ in range(4)],
-                           [(0, 1)] * 2, [(2, 0)] * 4, 2, 3)
-    spec = bl.direct_sum_bell(spec1, spec2)
-    assert np.array_equal(bl.bell_box(spec, state).table,
-                          reference_bell_table(spec, state))
+def test_direct_sum_bell_equals_the_per_pair_loop(state):
+    spec1 = bl.simple_bell_spec([bl.random_unitary(RNG) for _ in range(3)],
+                                [bl.random_unitary(RNG) for _ in range(2)])
+    spec2 = bl.simple_bell_spec([bl.random_unitary(RNG) for _ in range(2)],
+                                [bl.random_unitary(RNG) for _ in range(4)])
+    # (block, unitary) of each input, block 1's inputs first
+    alice = [(i, u) for i, spec in enumerate((spec1, spec2))
+             for u in spec.alice_unitaries]
+    bob = [(j, v) for j, spec in enumerate((spec1, spec2))
+           for v in spec.bob_unitaries]
+    table = np.zeros((5, 6, 4, 4))
+    # every pair, cross-block ones too, puts block i's bit s at 2i + s
+    for x, (i, u) in enumerate(alice):
+        for y, (j, v) in enumerate(bob):
+            p = np.abs((np.kron(u, v) @ state).reshape(2, 2)) ** 2
+            for s in range(2):
+                for t in range(2):
+                    table[x, y, 2 * i + s, 2 * j + t] = p[s, t]
+    assert np.array_equal(bl.direct_sum_bell(spec1, spec2, state).table,
+                          table)
 
 
 def test_bell_spec_rejects_non_unitary_and_stacked_entries():
     with pytest.raises(ValueError, match="not unitary"):
         bl.simple_bell_spec([IDENTITY, 2 * IDENTITY], [IDENTITY])
     with pytest.raises(ValueError, match="one 2x2 unitary per input"):
-        bl.BellBoxSpec((np.array([IDENTITY, BIT_FLIP]),), (IDENTITY,),
-                       np.array([[0, 1]]), np.array([[0, 1]]), 2, 2)
+        bl.BellBoxSpec((np.array([IDENTITY, BIT_FLIP]),), (IDENTITY,))
 
 
 @pytest.mark.parametrize("unitaries", [[], np.empty((0, 2, 2))],
                          ids=["list", "array"])
 def test_a_bell_spec_with_no_inputs_is_refused(unitaries):
     with pytest.raises(ValueError, match="^alice has no inputs$"):
-        bl.BellBoxSpec(unitaries, [IDENTITY], np.empty((0, 2), np.int64),
-                       [[0, 1]], 2, 2)
+        bl.BellBoxSpec(unitaries, [IDENTITY])
     with pytest.raises(ValueError, match="^bob has no inputs$"):
-        bl.BellBoxSpec([IDENTITY], unitaries, [[0, 1]],
-                       np.empty((0, 2), np.int64), 2, 2)
+        bl.BellBoxSpec([IDENTITY], unitaries)
 
 
 NOT_UNITARY = "^matrix is not unitary within 1e-10$"
@@ -322,13 +322,13 @@ def test_singlet_invariance_defect_refuses_a_stack():
 def test_bell_spec_holds_read_only_arrays():
     us = np.array([IDENTITY, BIT_FLIP], dtype=np.complex128)
     spec = bl.simple_bell_spec(us, [IDENTITY])
+    # the unitaries are the whole spec: each input reports its measured bit
+    assert [f.name for f in dataclasses.fields(spec)] \
+        == ["alice_unitaries", "bob_unitaries"]
     assert spec.alice_unitaries.shape == (2, 2, 2)
     assert spec.bob_unitaries.shape == (1, 2, 2)
-    assert spec.alice_post.tolist() == [[0, 1], [0, 1]]
-    assert spec.bob_post.dtype == np.int64 and spec.bob_post.shape == (1, 2)
-    assert (spec.x_size, spec.y_size, spec.a_size, spec.b_size) == (2, 1, 2, 2)
-    for values in (spec.alice_unitaries, spec.bob_unitaries, spec.alice_post,
-                   spec.bob_post):
+    assert (spec.x_size, spec.y_size) == (2, 1)
+    for values in (spec.alice_unitaries, spec.bob_unitaries):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = values[0]
     # the caller's array stays writable, and writing it leaves the spec
@@ -337,10 +337,6 @@ def test_bell_spec_holds_read_only_arrays():
     # a list of matrices gives the same spec as their stack
     again = bl.simple_bell_spec([IDENTITY, BIT_FLIP], [IDENTITY])
     assert again.alice_unitaries.tobytes() == spec.alice_unitaries.tobytes()
-    with pytest.raises(ValueError, match="bob_post value out of range"):
-        bl.BellBoxSpec([IDENTITY], [IDENTITY], [(0, 1)], [(0, 2)], 2, 2)
-    with pytest.raises(ValueError, match="shape"):
-        bl.BellBoxSpec([IDENTITY], [IDENTITY], [(0, 1)] * 2, [(0, 1)], 2, 2)
 
 
 def test_bell_box_computational_basis():
@@ -416,8 +412,7 @@ def test_direct_sum_restriction_and_cross_blocks():
                                 [bl.random_unitary(RNG) for _ in range(2)])
     spec2 = bl.simple_bell_spec([bl.random_unitary(RNG) for _ in range(3)],
                                 [bl.random_unitary(RNG)])
-    combined = bl.direct_sum_bell(spec1, spec2)
-    box = bl.bell_box(combined, PHI_PLUS)
+    box = bl.direct_sum_bell(spec1, spec2, PHI_PLUS)
     assert bl.is_nonsignaling(box)
     block1 = restrict_box(box, range(2), range(2), range(2), range(2))
     assert bl.tv_closeness(block1, bl.bell_box(spec1, PHI_PLUS)) == 0.0
@@ -429,8 +424,7 @@ def test_direct_sum_restriction_and_cross_blocks():
 def test_direct_sum_equal_blocks_symmetric():
     spec = bl.simple_bell_spec([bl.random_unitary(RNG)],
                                [bl.random_unitary(RNG)])
-    combined = bl.direct_sum_bell(spec, spec)
-    box = bl.bell_box(combined, PHI_PLUS)
+    box = bl.direct_sum_bell(spec, spec, PHI_PLUS)
     inblock = box.table[0, 0]
     # cross-block rows coincide with in-block rows up to the output offset
     assert np.allclose(box.table[0, 1].sum(), 1.0)
