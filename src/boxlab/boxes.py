@@ -66,10 +66,27 @@ def check_numbers(values, name: str, kind) -> None:
 
 
 def read_only(values, dtype) -> np.ndarray:
-    """A new ``dtype`` array of ``values`` that cannot be written to."""
-    values = np.array(values, dtype=dtype)
-    values.flags.writeable = False
+    """``values`` as a ``dtype`` array that cannot be written to: ``values``
+    itself if it is already a read-only ``dtype`` array that owns its data,
+    as ``frozen`` hands one over, else a new read-only copy.
+
+    An array a caller may still write, a view of one, another dtype or a
+    list is copied, so a value type never shares memory with one.  A caller
+    who freezes an array of its own hands it over: a view of it made before
+    would still write the value's array."""
+    if not (type(values) is np.ndarray and values.dtype == dtype
+            and values.base is None and not values.flags.writeable):
+        values = np.array(values, dtype=dtype)
+        values.flags.writeable = False
     return values
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` marked read-only, for the value type it is passed to to
+    take over with no copy: a builder's handover of an array it has just
+    made, owns, and keeps no view of."""
+    array.flags.writeable = False
+    return array
 
 
 def blocks(n: int, width: int, cap: int | None = None):
@@ -85,14 +102,18 @@ def scatter_outputs(probs: np.ndarray, a_map: np.ndarray, b_map: np.ndarray,
                     a_size: int, b_size: int) -> np.ndarray:
     """Table [x, y, a, b] of probs [x, y, s, t] added up at a = a_map[x, s]
     and b = b_map[y, t], in (s, t) order: per-input output maps applied to
-    a stack of joint distributions."""
+    a stack of joint distributions.  The table owns its data, so a box can
+    take it over."""
     n_x, n_y = probs.shape[:2]
     cell = (np.arange(n_x)[:, None] * n_y + np.arange(n_y)) * a_size
     index = cell[:, :, None, None] + a_map[:, None, :, None]
     index *= b_size
     index = index + b_map[None, :, None, :]
-    return np.bincount(index.ravel(), probs.ravel(), n_x * n_y * a_size
-                       * b_size).reshape(n_x, n_y, a_size, b_size)
+    table = np.bincount(index.ravel(), probs.ravel(),
+                        n_x * n_y * a_size * b_size)
+    # in place: a reshape would return a view, which a box copies
+    table.shape = (n_x, n_y, a_size, b_size)
+    return table
 
 
 def agreement(table: np.ndarray):
@@ -105,6 +126,8 @@ def agreement(table: np.ndarray):
 class CorrelationBox:
     """Stochastic map (x, y) -> distribution over (a, b), stored exactly.
 
+    The table is held read-only: a read-only float64 array that owns its
+    data is taken over as it is, anything else is copied (``read_only``).
     Like every value type that holds arrays, a box compares by identity."""
 
     table: np.ndarray  # shape (x_size, y_size, a_size, b_size)
@@ -142,7 +165,7 @@ def pr_box() -> CorrelationBox:
         for y in range(2):
             table[x, y, 0, x * y] = 0.5
             table[x, y, 1, 1 - x * y] = 0.5
-    return CorrelationBox(table)
+    return CorrelationBox(frozen(table))
 
 
 def local_box(f, g) -> CorrelationBox:
@@ -158,7 +181,7 @@ def local_box(f, g) -> CorrelationBox:
     for x, fx in enumerate(f):
         for y, gy in enumerate(g):
             table[x, y, fx, gy] = 1.0
-    return CorrelationBox(table)
+    return CorrelationBox(frozen(table))
 
 
 def mix(boxes, weights) -> CorrelationBox:
@@ -174,7 +197,7 @@ def mix(boxes, weights) -> CorrelationBox:
     table = np.zeros(shape)
     for w, b in zip(weights, boxes):
         table += w * b.table
-    return CorrelationBox(table)
+    return CorrelationBox(frozen(table))
 
 
 def sample(box: CorrelationBox, x: int, y: int, rng: np.random.Generator,
@@ -237,7 +260,7 @@ def box_from_payload(payload: dict) -> CorrelationBox:
                          "a_size * b_size = %d entries, for positive sizes"
                          % (x_size, y_size, a_size * b_size))
     check_numbers(table.ravel(), "table entry", numbers.Real)
-    return CorrelationBox(table.astype(np.float64).reshape(sizes))
+    return CorrelationBox(frozen(table.reshape(sizes).astype(np.float64)))
 
 
 def box_to_json(box: CorrelationBox) -> str:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boxes
-from .boxes import (CorrelationBox, agreement, check_numbers, local_box,
-                    read_only, scatter_outputs, tv_closeness)
+from .boxes import (CorrelationBox, agreement, check_numbers, frozen,
+                    local_box, read_only, scatter_outputs, tv_closeness)
 
 ENUMERATION_CAP = 10 ** 8
 SCHEDULE_DIGIT_CAP = 4300  # Python's default limit on int-to-str conversion
@@ -101,8 +101,9 @@ class AffineFunction:
 @dataclass(frozen=True, eq=False)
 class LineFamily:
     """Lines intercepts[i] + slopes[i] * p in the order given, held as two
-    read-only float64 copies checked once to be finite and 1-D of equal
-    length: no object per line.  Iterating yields ``AffineFunction``s."""
+    read-only float64 arrays (``read_only``: taken over or copied) checked
+    once to be finite and 1-D of equal length: no object per line.
+    Iterating yields ``AffineFunction``s."""
 
     intercepts: np.ndarray
     slopes: np.ndarray
@@ -186,8 +187,8 @@ def induced_box(protocol: DeterministicProtocol,
                 target: CorrelationBox) -> CorrelationBox:
     """Exact box the protocol induces by summing over all response paths."""
     al = protocol.alphabets
-    return CorrelationBox(_response_tables(
-        *_protocol_strategies(protocol, target), target, al.a1, al.b1))
+    return CorrelationBox(frozen(_response_tables(
+        *_protocol_strategies(protocol, target), target, al.a1, al.b1)))
 
 
 def check_reduction(protocol: DeterministicProtocol, target: CorrelationBox,
@@ -455,7 +456,7 @@ def affine_family(target: CorrelationBox, k: int, *,
     lines = intercepts.astype(complex)
     lines.imag = slopes
     order = np.argsort(lines, kind="stable")
-    return LineFamily(intercepts[order], slopes[order])
+    return LineFamily(frozen(intercepts[order]), frozen(slopes[order]))
 
 
 def local_deterministic_boxes():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boxes
-from .boxes import CorrelationBox, read_only
+from .boxes import CorrelationBox, frozen, read_only
 
 UNITARY_TOL = 1e-10
 
@@ -202,11 +202,11 @@ def bell_box(spec: BellBoxSpec, state: np.ndarray) -> CorrelationBox:
     us, vs = spec.alice_unitaries[:, None], spec.bob_unitaries[None]
     xs = list(boxes.blocks(spec.x_size, 8 * spec.y_size))
     if len(xs) == 1:
-        return CorrelationBox(measurement_probs(us, vs, state))
+        return CorrelationBox(frozen(measurement_probs(us, vs, state)))
     table = np.empty((spec.x_size, spec.y_size, 2, 2))
     for x in xs:
         table[x] = measurement_probs(us[x], vs, state)
-    return CorrelationBox(table)
+    return CorrelationBox(frozen(table))
 
 
 def singlet_measure_box(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -233,15 +233,15 @@ def direct_sum_bell(spec1: BellBoxSpec, spec2: BellBoxSpec,
     measured there at the two blocks' outputs.
     """
     measured = bell_box(BellBoxSpec(
-        np.concatenate([spec1.alice_unitaries, spec2.alice_unitaries]),
-        np.concatenate([spec1.bob_unitaries, spec2.bob_unitaries])),
+        frozen(np.concatenate([spec1.alice_unitaries, spec2.alice_unitaries])),
+        frozen(np.concatenate([spec1.bob_unitaries, spec2.bob_unitaries]))),
         state).table
     table = np.zeros(measured.shape[:2] + (4, 4))
     for i, xs in enumerate((slice(spec1.x_size), slice(spec1.x_size, None))):
         for j, ys in enumerate((slice(spec1.y_size),
                                 slice(spec1.y_size, None))):
             table[xs, ys, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = measured[xs, ys]
-    return CorrelationBox(table)
+    return CorrelationBox(frozen(table))
 
 
 def restrict_box(box: CorrelationBox, xs, ys, as_, bs) -> CorrelationBox:

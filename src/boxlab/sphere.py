@@ -24,7 +24,7 @@ import numpy as np
 
 from . import boxes
 from .boxes import (CorrelationBox, check_distributions, check_numbers,
-                    read_only, tv_distance)
+                    frozen, read_only, tv_distance)
 from .quantum import (_haar, _require_unit_vectors, _require_unitary,
                       point_for_unitary, simple_bell_spec, singlet_measure_box,
                       unitary_for_point)
@@ -279,7 +279,7 @@ def build_cover(epsilon: float) -> SphereCover:
         points = fibonacci_points(t)
         certified = audit_cover(points, AUDIT_PROBES_PER_POINT * t)
         if certified <= epsilon:
-            return SphereCover(points, certified)
+            return SphereCover(frozen(points), certified)
         t = int(np.ceil(t * 1.3))
     raise ValueError("audit failed to certify radius %g after retries" % epsilon)
 
@@ -287,7 +287,7 @@ def build_cover(epsilon: float) -> SphereCover:
 def octahedron_cover() -> SphereCover:
     """The six octahedron vertices, with an audited radius."""
     points = np.vstack([np.eye(3), -np.eye(3)])
-    return SphereCover(points, audit_cover(points, OCTAHEDRON_PROBES))
+    return SphereCover(frozen(points), audit_cover(points, OCTAHEDRON_PROBES))
 
 
 def _singlet_rows(dots: np.ndarray) -> np.ndarray:
@@ -309,7 +309,7 @@ def _paired_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def discretized_box(cover: SphereCover) -> CorrelationBox:
     """Box on [T] x [T] with Pr[a = b | i, j] = 1/2 - (c_i . c_j) / 2."""
-    return CorrelationBox(_singlet_rows(cover.points @ cover.points.T))
+    return CorrelationBox(frozen(_singlet_rows(cover.points @ cover.points.T)))
 
 
 def cover_bell_spec(cover: SphereCover):
@@ -393,7 +393,7 @@ def cover_from_payload(payload: dict) -> SphereCover:
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("points must be rows of 3 coordinates")
     check_numbers([radius, *points.ravel()], "cover entry", numbers.Real)
-    claimed = SphereCover(points.astype(np.float64), float(radius))
+    claimed = SphereCover(frozen(points.astype(np.float64)), float(radius))
     audits = []
     for probes in (AUDIT_PROBES_PER_POINT * claimed.size, OCTAHEDRON_PROBES):
         audits.append(audit_cover(claimed.points, probes))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
-from boxlab import boxes
+from boxlab import boxes, protocols, quantum, sphere
 from boxlab.boxes import (box_from_json, box_from_payload, box_to_json,
                          box_to_payload, check_numbers, scatter_outputs)
 
@@ -375,3 +375,100 @@ def test_scatter_outputs_equals_add_at_and_the_one_hot_einsum():
         one_hot = np.einsum("uvpq,upa,vqb->uvab", probs, np.eye(a)[a_map],
                             np.eye(b)[b_map])
         assert got.tobytes() == one_hot.tobytes()
+        assert got.base is None           # a box takes it over as it is
+
+
+def test_read_only_takes_over_a_frozen_float64_array_that_owns_its_data():
+    fresh = boxes.frozen(np.arange(4.0))
+    assert boxes.read_only(fresh, np.float64) is fresh
+
+
+@pytest.mark.parametrize("values", [
+    np.arange(4.0),                                  # writeable
+    boxes.frozen(np.arange(0.0, 4.0, 0.5))[::2],     # a view: base is set
+    boxes.frozen(np.arange(4, dtype=np.float32)),    # another dtype
+    [0.0, 1.0, 2.0, 3.0],
+], ids=["writeable", "view", "float32", "list"])
+def test_read_only_copies_anything_a_caller_might_still_write(values):
+    got = boxes.read_only(values, np.float64)
+    assert got is not values and got.base is None
+    assert got.dtype == np.float64 and not got.flags.writeable
+    assert np.array_equal(got, np.arange(4.0))
+
+
+def test_a_box_keeps_its_table_when_the_caller_writes_theirs():
+    table = np.array(bl.pr_box().table)
+    box = bl.CorrelationBox(table)
+    table[...] = 0.25
+    assert np.array_equal(box.table, bl.pr_box().table)
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """The values each ``read_only`` call of the test copied, through
+    every boxlab module that calls it."""
+    made = []
+    read_only = boxes.read_only
+
+    def spy(values, dtype):
+        got = read_only(values, dtype)
+        if got is not values:
+            made.append(values)
+        return got
+
+    for module in (boxes, quantum, sphere, protocols):
+        monkeypatch.setattr(module, "read_only", spy)
+    return made
+
+
+def handovers():
+    """(inputs, builder) of each library builder: the builder called on
+    the inputs returns a value whose arrays are fresh."""
+    def spec(n):
+        rng = np.random.default_rng(n)
+        return bl.simple_bell_spec(*([bl.random_unitary(rng) for _ in range(m)]
+                                     for m in (n, n + 1)))
+
+    def cover():
+        return sphere.build_cover(0.3)
+
+    return {
+        "discretized_box": (lambda: (cover(),), sphere.discretized_box),
+        "bell_box": (lambda: (sphere.cover_bell_spec(cover()),
+                              quantum.SINGLET), quantum.bell_box),
+        "direct_sum_bell": (lambda: (spec(2), spec(3), quantum.PHI_PLUS),
+                            quantum.direct_sum_bell),
+        "pr_box": (tuple, bl.pr_box),
+        "local_box": (lambda: ([0, 1], [1, 1]), bl.local_box),
+        "mix": (lambda: ([bl.pr_box(), bl.local_box([0, 1], [1, 0])],
+                         [0.25, 0.75]), bl.mix),
+        "box_from_payload": (lambda: (box_to_payload(bl.pr_box()),),
+                             box_from_payload),
+        "induced_box": (lambda: (protocols.identity_protocol(), bl.pr_box()),
+                        protocols.induced_box),
+        "build_cover": (lambda: (0.3,), sphere.build_cover),
+        "octahedron_cover": (tuple, sphere.octahedron_cover),
+        "cover_from_payload": (lambda: (sphere.cover_to_payload(
+            sphere.octahedron_cover()),), sphere.cover_from_payload),
+        "affine_family": (lambda: (bl.pr_box(), 1), protocols.affine_family),
+    }
+
+
+@pytest.mark.parametrize("name", list(handovers()))
+def test_builders_hand_their_fresh_arrays_over(copies, name):
+    inputs, build = handovers()[name]
+    inputs = inputs()
+    copies.clear()
+    value = build(*inputs)
+    assert copies == []
+    arrays = [v for v in vars(value).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.base is None and not a.flags.writeable
+                          for a in arrays)
+
+
+def test_bell_box_in_blocks_hands_its_table_over(copies, monkeypatch):
+    spec = sphere.cover_bell_spec(sphere.build_cover(0.3))
+    monkeypatch.setattr(boxes, "PATH_TABLE_CAP", 8 * spec.y_size * 3)
+    copies.clear()
+    box = quantum.bell_box(spec, quantum.SINGLET)
+    assert copies == [] and box.table.base is None

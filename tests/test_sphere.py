@@ -148,6 +148,19 @@ def test_discretized_box_matches_dot_products():
             assert abs(got - want) <= 1e-12
 
 
+def test_discretized_box_peaks_below_two_tables():
+    # the box takes the table over: the peak is the table and T x T arrays
+    # of dot products, 1.75 tables, where a copy of the table made 2.5
+    cover = bl.build_cover(0.2)
+    tracemalloc.start()
+    try:
+        box = bl.discretized_box(cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * box.table.nbytes
+
+
 def test_cover_bell_spec_reconstructs_discretized_box():
     cover = bl.octahedron_cover()
     spec = cover_bell_spec(cover)

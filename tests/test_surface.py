@@ -1,11 +1,12 @@
 """The package exports no name that only the tests call, every default of
 a function is both overridden and relied on by some caller outside the
 tests, every function the benchmark's tracer wraps exists, and every value
-type that holds arrays is made read-only in one place and compares by
-identity; no function takes an ``AffineFunction``, Pr[a = b] and a
-unitary's measured direction are each formed in one place, and so are the
-memory cap's block walk, the TV distance, the test of a probability vector
-and the test of norm 1."""
+type that holds arrays is made read-only in one place, is handed a fresh
+array frozen only as its constructor's argument, and compares by identity;
+no function takes an ``AffineFunction``, Pr[a = b] and a unitary's
+measured direction are each formed in one place, and so are the memory
+cap's block walk, the TV distance, the test of a probability vector and
+the test of norm 1."""
 
 import ast
 import importlib
@@ -181,7 +182,8 @@ def test_the_default_guards_flag_a_default_never_and_always_passed():
 
 def read_only_breaches(trees):
     """(module, line) of each assignment to ``.flags.writeable`` outside
-    boxes.py, whose ``read_only`` is the one place arrays are frozen, and of
+    boxes.py, whose ``read_only`` and ``frozen`` are the one place arrays
+    are frozen, and of
     each dataclass whose ``__post_init__`` calls ``read_only`` but is not
     declared with ``eq=False``: a generated ``==`` on arrays raises."""
     found = []
@@ -221,6 +223,7 @@ def test_arrays_are_frozen_in_one_place_by_value_types_that_compare_by_identity(
     assert read_only_breaches(trees) == []
     assert sum(freezes(node) for tree in trees.values()
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)) == 4
+    assert frozen_breaches(trees) == []
 
 
 def test_the_guard_flags_a_second_freeze_and_a_generated_eq():
@@ -238,6 +241,46 @@ def test_the_guard_flags_a_second_freeze_and_a_generated_eq():
     assert read_only_breaches({"other.py": tree}) == [("other.py", 2),
                                                        ("other.py", 4)]
     assert read_only_breaches({"boxes.py": tree}) == [("boxes.py", 4)]
+
+
+VALUE_TYPES = {"CorrelationBox", "SphereCover", "LineFamily", "BellBoxSpec"}
+
+
+def frozen_breaches(trees):
+    """(module, line) of each read of ``frozen`` other than a call that is
+    itself an argument of a value type's constructor: ``frozen`` marks a
+    builder's handover of a fresh array, and is no second way to freeze
+    one.  Its own def and its imports read no name."""
+    found = []
+    for name, tree in trees.items():
+        handed = {id(arg.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in VALUE_TYPES
+                  for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                  if isinstance(arg, ast.Call)}
+        found += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and isinstance(node.ctx, ast.Load)
+                  and getattr(node, "id", getattr(node, "attr", None))
+                  == "frozen" and id(node) not in handed]
+    return sorted(found)
+
+
+def test_the_guard_flags_a_freeze_that_is_no_handover():
+    tree = ast.parse(
+        "from .boxes import CorrelationBox, frozen\n"
+        "box = CorrelationBox(frozen(table))\n"
+        "cover = sphere.SphereCover(boxes.frozen(points), radius)\n"
+        "family = LineFamily(frozen(c), slopes=frozen(m))\n"
+        "table = frozen(table)\n"
+        "box = CorrelationBox(np.abs(frozen(table)))\n"
+        "spec = simple_bell_spec(frozen(us), vs)\n"
+        "freeze = boxes.frozen\n"
+        "box = CorrelationBox(freeze(table))\n"
+        "def frozen(array): pass\n")
+    assert frozen_breaches({"other.py": tree}) == [
+        ("other.py", line) for line in (5, 6, 7, 8)]
 
 
 def index_tail(node):
