@@ -12,8 +12,7 @@ import numpy as np
 
 from . import __version__, boxes
 from .games import omega, omega_prime
-from .protocols import (AffineFunction, Alphabets, LineFamily,
-                        check_bound_digits, counting_bound)
+from .protocols import AffineFunction, Alphabets, LineFamily, counting_bound
 
 ROOT_TOL = 1e-10
 # 0, 1/2 and 1 as 0-d arrays, which numpy combines with the few-element
@@ -301,19 +300,15 @@ def epsilon_schedule(x_size: int, y_size: int, a_size: int, b_size: int,
         raise ValueError("k_max must be at least 1")
     if not (np.isfinite(c) and c > 0.0):
         raise ValueError("c must be finite and positive")
-    # the bounds are counting_bound's; the k_max one has the most digits
+    # the k_max bound has the most digits, so it is the first built or refused
     al = Alphabets(2, 2, 2, 2, x_size, y_size, a_size, b_size)
-    check_bound_digits(al, k_max)
+    bounds = tuple([counting_bound(al, k) for k in range(k_max, 0, -1)][::-1])
     c_exact = Fraction(c)
-    bounds = []
-    eps_exact = []
-    for k in range(1, k_max + 1):
-        bound = counting_bound(al, k)
-        bounds.append(bound)
-        eps_exact.append((c_exact / (k * k * bound)) ** 2)
+    eps_exact = tuple((c_exact / (k * k * bound)) ** 2
+                      for k, bound in enumerate(bounds, 1))
     try:
         eps = tuple(float(e) for e in eps_exact)
     except OverflowError:
         raise ValueError("c = %g gives an epsilon_k past the float range"
                          % c) from None
-    return EpsilonSchedule(c_exact, tuple(bounds), tuple(eps_exact), eps)
+    return EpsilonSchedule(c_exact, bounds, eps_exact, eps)

@@ -197,7 +197,7 @@ def cmd_game_bound(args):
 
 def cmd_game_optimize(args):
     strategy = games.optimal_strategy(args.p)
-    achieved = games.win_prob(strategy.to_box(), args.p, 0.5)
+    achieved = games.achieved_win_prob(args.p)
     _emit(args, {"alice_angles": list(strategy.alice_angles),
                  "bob_angles": list(strategy.bob_angles),
                  "achieved": achieved,
@@ -217,10 +217,10 @@ def cmd_protocol_run(args):
     induced = protocols.induced_box(protocol, target)
     payload = {"induced_box": boxes.box_to_payload(induced)}
     if args.source is not None:
-        # protocols.check_reduction on the induced box already built
-        tv = boxes.tv_closeness(induced, _parse_box(args.source))
-        payload["reduction"] = {"epsilon": args.epsilon,
-                                "ok": tv <= args.epsilon, "achieved_tv": tv}
+        ok, tv = protocols.check_reduction(induced, _parse_box(args.source),
+                                           args.epsilon)
+        payload["reduction"] = {"epsilon": args.epsilon, "ok": ok,
+                                "achieved_tv": tv}
     _emit(args, payload)
 
 
@@ -228,11 +228,11 @@ def cmd_protocol_enumerate(args):
     al = Alphabets(2, 2, 2, 2, args.x2, args.y2, args.a2, args.b2)
     if args.binary and al != BINARY:
         raise ValueError("--binary conflicts with an inner size other than 2")
-    protocols.check_bound_digits(al, args.k)
-    count = protocols.count_protocols(al, args.k)
-    payload = {"count": count, "bound": protocols.counting_bound(al, args.k)}
+    # the bound refuses past its digit cap first; it is at least the count
+    bound = protocols.counting_bound(al, args.k)
+    payload = {"count": protocols.count_protocols(al, args.k), "bound": bound}
     if not args.count_only:
-        if count > 10 ** 4:
+        if payload["count"] > 10 ** 4:
             raise ValueError("refusing to list more than 10^4 protocols; "
                              "use --count-only")
         payload["protocols"] = [
@@ -301,7 +301,7 @@ def cmd_cover_verify(args):
 
 # --- suite -------------------------------------------------------------
 
-def cmd_suite_acceptance(args):
+def cmd_suite_acceptance(args) -> int:
     results = acceptance.run_all()
     for result in results:
         print(result.line())
@@ -312,8 +312,7 @@ def cmd_suite_acceptance(args):
                          "all_passed": all(r.passed for r in results)})
     if args.out:
         _emit(args, payload)
-    if not payload["all_passed"]:
-        sys.exit(3)
+    return 0 if payload["all_passed"] else 3
 
 
 def _jsonable(value):
@@ -458,16 +457,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("--seed must be at least 0, not %d" % args.seed)
-        args.func(args)
+        return args.func(args) or 0
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return 0
 
 
 if __name__ == "__main__":

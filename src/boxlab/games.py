@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import CorrelationBox, agreement
-from .quantum import SINGLET, BellBoxSpec, bell_box, simple_bell_spec, unitary_for_point
+from .boxes import CorrelationBox, agreement, frozen
+from .quantum import SINGLET, BellBoxSpec, bell_box, unitary_for_point
 
 
 def _check_bias(p: float, q: float) -> None:
@@ -68,8 +68,8 @@ class PlanarStrategy:
             return unitary_for_point(
                 np.stack([np.sin(t), np.zeros_like(t), np.cos(t)], axis=-1))
 
-        return simple_bell_spec(unitaries(self.alice_angles),
-                                unitaries(self.bob_angles))
+        return BellBoxSpec(frozen(unitaries(self.alice_angles)),
+                           frozen(unitaries(self.bob_angles)))
 
     def to_box(self) -> CorrelationBox:
         return bell_box(self.to_bell_spec(), SINGLET)

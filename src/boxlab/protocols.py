@@ -191,10 +191,11 @@ def induced_box(protocol: DeterministicProtocol,
         *_protocol_strategies(protocol, target), target, al.a1, al.b1)))
 
 
-def check_reduction(protocol: DeterministicProtocol, target: CorrelationBox,
-                    source: CorrelationBox, epsilon: float) -> tuple[bool, float]:
-    """Is the induced box epsilon-close to the source?  Returns (ok, achieved TV)."""
-    achieved = tv_closeness(induced_box(protocol, target), source)
+def check_reduction(induced: CorrelationBox, source: CorrelationBox,
+                    epsilon: float) -> tuple[bool, float]:
+    """Is the box a protocol induces (``induced_box``) epsilon-close to the
+    source?  Returns (ok, achieved TV)."""
+    achieved = tv_closeness(induced, source)
     return achieved <= epsilon, achieved
 
 
@@ -231,24 +232,6 @@ def count_digits(al: Alphabets, k: int) -> float:
     return _digits(terms)
 
 
-def check_bound_digits(al: Alphabets, k: int) -> None:
-    """Refuse response alphabets of one letter, where counting_bound(al, k)
-    is no bound, and, from logarithms and before it is built, a bound of
-    more than SCHEDULE_DIGIT_CAP digits.  With binary outer alphabets and
-    |A|, |B| >= 2 the bound is at least count_protocols(al, k), so that
-    count is refused too."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if min(al.a2, al.b2) < 2:
-        raise ValueError("the counting bound needs response alphabets of at "
-                         "least 2 letters")
-    digits = _digits([(2 * al.x2, math.log10(2.0) + _log10_power(al.a2, k)),
-                      (2 * al.y2, math.log10(2.0) + _log10_power(al.b2, k))])
-    if digits > SCHEDULE_DIGIT_CAP:
-        raise ValueError("the k = %d bound has about %.3g digits, more than %d"
-                         % (k, digits, SCHEDULE_DIGIT_CAP))
-
-
 def count_protocols(al: Alphabets, k: int) -> int:
     """Exact number of deterministic k-query protocols over the given alphabets,
     x2^(x1 G(a2)) y2^(y1 G(b2)) a1^(x1 a2^k) b1^(y1 b2^k), in closed form:
@@ -260,8 +243,22 @@ def count_protocols(al: Alphabets, k: int) -> int:
 
 
 def counting_bound(al: Alphabets, k: int) -> int:
-    """(2|X|)^(2|A|^k) * (2|Y|)^(2|B|^k), a bound on the count for binary
-    outer alphabets and |A|, |B| >= 2."""
+    """(2|X|)^(2|A|^k) * (2|Y|)^(2|B|^k), a bound on count_protocols(al, k)
+    for binary outer alphabets and |A|, |B| >= 2.
+
+    Before it builds anything it refuses response alphabets of one letter,
+    where this is no bound, and, from logarithms, a bound of more than
+    SCHEDULE_DIGIT_CAP digits."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if min(al.a2, al.b2) < 2:
+        raise ValueError("the counting bound needs response alphabets of at "
+                         "least 2 letters")
+    digits = _digits([(2 * al.x2, math.log10(2.0) + _log10_power(al.a2, k)),
+                      (2 * al.y2, math.log10(2.0) + _log10_power(al.b2, k))])
+    if digits > SCHEDULE_DIGIT_CAP:
+        raise ValueError("the k = %d bound has about %.3g digits, more than %d"
+                         % (k, digits, SCHEDULE_DIGIT_CAP))
     return (2 * al.x2) ** (2 * al.a2 ** k) * (2 * al.y2) ** (2 * al.b2 ** k)
 
 

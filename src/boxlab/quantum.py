@@ -246,5 +246,6 @@ def direct_sum_bell(spec1: BellBoxSpec, spec2: BellBoxSpec,
 
 def restrict_box(box: CorrelationBox, xs, ys, as_, bs) -> CorrelationBox:
     """Sub-box on the given input labels, projected onto the given outputs."""
+    # fancy indexing makes a new array that owns its data
     sub = box.table[np.ix_(list(xs), list(ys), list(as_), list(bs))]
-    return CorrelationBox(sub)
+    return CorrelationBox(frozen(sub))

@@ -25,8 +25,8 @@ import numpy as np
 from . import boxes
 from .boxes import (CorrelationBox, check_distributions, check_numbers,
                     frozen, read_only, tv_distance)
-from .quantum import (_haar, _require_unit_vectors, _require_unitary,
-                      point_for_unitary, simple_bell_spec, singlet_measure_box,
+from .quantum import (BellBoxSpec, _haar, _require_unit_vectors,
+                      _require_unitary, point_for_unitary, singlet_measure_box,
                       unitary_for_point)
 
 # empirical certified-radius constant of the audited Fibonacci lattice,
@@ -315,7 +315,8 @@ def discretized_box(cover: SphereCover) -> CorrelationBox:
 def cover_bell_spec(cover: SphereCover):
     """BELL spec reproducing discretized_box by measuring the singlet."""
     us = unitary_for_point(cover.points)
-    return simple_bell_spec(us, us)
+    # one array, taken over by both parties
+    return BellBoxSpec(frozen(us), us)
 
 
 def _snap(unitaries: np.ndarray, cover: SphereCover) -> np.ndarray:

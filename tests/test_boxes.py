@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
-from boxlab import boxes, protocols, quantum, sphere
+from boxlab import boxes, games, protocols, quantum, sphere
 from boxlab.boxes import (box_from_json, box_from_payload, box_to_json,
                          box_to_payload, check_numbers, scatter_outputs)
 
@@ -436,6 +436,11 @@ def handovers():
         "discretized_box": (lambda: (cover(),), sphere.discretized_box),
         "bell_box": (lambda: (sphere.cover_bell_spec(cover()),
                               quantum.SINGLET), quantum.bell_box),
+        "cover_bell_spec": (lambda: (cover(),), sphere.cover_bell_spec),
+        "to_bell_spec": (lambda: (games.optimal_strategy(0.75),),
+                         games.PlanarStrategy.to_bell_spec),
+        "restrict_box": (lambda: (bl.pr_box(), [1, 0], [0], [0, 1], [1, 0]),
+                         quantum.restrict_box),
         "direct_sum_bell": (lambda: (spec(2), spec(3), quantum.PHI_PLUS),
                             quantum.direct_sum_bell),
         "pr_box": (tuple, bl.pr_box),

@@ -266,7 +266,8 @@ def test_protocol_run_builds_the_induced_box_once(capsys, tmp_path,
         path = tmp_path / ("k%d.json" % k)
         path.write_text(constant_protocol(k))
         protocol = protocol_from_payload(json.loads(path.read_text()))
-        want = bl.check_reduction(protocol, bl.pr_box(), bl.pr_box(), 0.1)
+        want = bl.check_reduction(bl.induced_box(protocol, bl.pr_box()),
+                                  bl.pr_box(), 0.1)
         monkeypatch.setattr(protocols, "induced_box", counting)
         calls.clear()
         payload = run_json(capsys, "protocol", "run", "--protocol", str(path),
@@ -384,6 +385,21 @@ def test_suite_acceptance_writes_numpy_results(capsys, monkeypatch, tmp_path):
         "all_passed": True, "results": [
             {"name": "numpy", "passed": True,
              "details": {"ok": True, "3": [0.5]}}]}
+
+
+def test_a_failing_suite_exits_3_and_records_the_failure(capsys, monkeypatch,
+                                                        tmp_path):
+    results = [acceptance.CriterionResult("a", True, {}),
+               acceptance.CriterionResult("b", np.False_, {"tv": 0.5})]
+    monkeypatch.setattr(acceptance, "run_all", lambda: results)
+    out = tmp_path / "acceptance.json"
+    code, stdout, _ = run(capsys, "suite", "acceptance", "--out", str(out))
+    assert code == 3 and stdout == "PASS a\nFAIL b\n"
+    assert json.loads(out.read_text())["result"]["all_passed"] is False
+    # the handler returns the code; it does not exit
+    args = cli._parse(["suite", "acceptance"])
+    assert cli.cmd_suite_acceptance(args) == 3
+    capsys.readouterr()
 
 
 def test_suite_acceptance_times_each_criterion_on_stderr_only(capsys, tmp_path):

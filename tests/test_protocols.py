@@ -45,7 +45,8 @@ def test_k0_equals_local_box():
 
 def test_identity_protocol_reproduces_pr():
     protocol = bl.identity_protocol()
-    ok, tv = bl.check_reduction(protocol, bl.pr_box(), bl.pr_box(), 0.0)
+    ok, tv = bl.check_reduction(bl.induced_box(protocol, bl.pr_box()),
+                                bl.pr_box(), 0.0)
     assert ok and tv == 0.0
 
 
@@ -103,7 +104,7 @@ def test_k0_cannot_approximate_pr_below_quarter():
     # deterministic side: every k=0 protocol is at TV >= 1/2 from PR
     pr = bl.pr_box()
     for pi in bl.enumerate_protocols(BINARY, 0):
-        _, tv = bl.check_reduction(pi, pr, pr, 0.0)
+        _, tv = bl.check_reduction(bl.induced_box(pi, pr), pr, 0.0)
         assert tv >= 0.5
     # mixtures: LP over the 16 local deterministic vertices; the best
     # achievable max-input TV to PR is exactly 1/4
@@ -693,12 +694,27 @@ def test_a_constant_count_is_refused_past_log2_of_the_cap(monkeypatch):
 
 
 def test_the_counting_bound_is_refused_for_one_letter_responses():
-    # (2|X|)^(2|A|^k) needs |A|, |B| >= 2: here the bound is below the count
-    al = Alphabets(2, 2, 2, 2, 2, 2, 1, 1)
-    assert bl.counting_bound(al, 2) < bl.count_protocols(al, 2)
+    # (2|X|)^(2|A|^k) needs |A|, |B| >= 2: with |A| = |B| = 1 it would be
+    # below the count, so counting_bound refuses to return it
     for sizes in [(2, 2, 1, 1), (1, 1, 1, 1), (2, 2, 2, 1), (3, 2, 1, 2)]:
         with pytest.raises(ValueError, match="at least 2 letters"):
-            protocols.check_bound_digits(Alphabets(2, 2, 2, 2, *sizes), 1)
+            bl.counting_bound(Alphabets(2, 2, 2, 2, *sizes), 2)
         with pytest.raises(ValueError, match="at least 2 letters"):
             bl.epsilon_schedule(*sizes, 3, 0.01)
-    protocols.check_bound_digits(BINARY, 10)
+    assert bl.counting_bound(BINARY, 10) == 4 ** (4 * 2 ** 10)
+
+
+def test_the_counting_bound_refuses_past_its_digit_cap_before_it_builds():
+    # 4^(4 * 2^11) has 4,932 digits, past the cap of 4300
+    with pytest.raises(ValueError, match="digits, more than 4300"):
+        bl.counting_bound(BINARY, 11)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        bl.counting_bound(BINARY, -1)
+    # 2^(2^1000000) digits: refused from logarithms, never built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="digits, more than 4300"):
+        bl.counting_bound(BINARY, 10 ** 6)
+    assert time.perf_counter() - start < 0.1
+    # the schedule builds its k_max bound first, so its refusal names k_max
+    with pytest.raises(ValueError, match=r"the k = 15 bound"):
+        bl.epsilon_schedule(2, 2, 2, 2, 15, 0.01)

@@ -6,7 +6,7 @@ array frozen only as its constructor's argument, and compares by identity;
 no function takes an ``AffineFunction``, Pr[a = b] and a unitary's
 measured direction are each formed in one place, and so are the memory
 cap's block walk, the TV distance, the test of a probability vector and
-the test of norm 1."""
+the test of norm 1; and only a script's ``__main__`` block exits."""
 
 import ast
 import importlib
@@ -565,6 +565,50 @@ def test_the_guard_flags_a_parameter_annotated_affine_function():
         "def plain(ell, affine: AffineFunctions): pass\n")
     assert affine_parameters({"other.py": tree}) == [
         ("other.py", "kernel"), ("other.py", "lines"), ("other.py", "quoted")]
+
+
+def is_main_block(node):
+    """True if a statement is ``if __name__ == "__main__":``."""
+    return isinstance(node, ast.If) \
+        and ast.unparse(node.test) == "__name__ == '__main__'"
+
+
+def exit_breaches(trees):
+    """(module, line) of each ``sys.exit`` call and ``raise SystemExit``
+    outside a module's ``if __name__ == "__main__":`` block: a handler
+    returns its exit code, and ``main`` returns it to that block."""
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(ast.Module([n for n in tree.body
+                                         if not is_main_block(n)], [])):
+            if isinstance(node, ast.Call) \
+                    and ast.unparse(node.func) == "sys.exit" \
+                    or isinstance(node, ast.Raise) and node.exc is not None \
+                    and names(node.exc, "SystemExit"):
+                found.append((name, node.lineno))
+    return sorted(found)
+
+
+def test_only_a_main_block_exits():
+    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+    assert exit_breaches(trees) == []
+
+
+def test_the_guard_flags_an_exit_outside_the_main_block():
+    tree = ast.parse(
+        "import sys\n"
+        "def cmd_suite_acceptance(args):\n"
+        "    if failed:\n"
+        "        sys.exit(3)\n"
+        "    raise SystemExit(2)\n"
+        "def bare():\n"
+        "    raise SystemExit\n"
+        "def fine(args):\n"
+        "    return 3\n"
+        "if __name__ == \"__main__\":\n"
+        "    sys.exit(main())\n")
+    assert exit_breaches({"other.py": tree}) == [
+        ("other.py", line) for line in (4, 5, 7)]
 
 
 def two_of_each():
